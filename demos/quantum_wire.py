@@ -43,7 +43,7 @@ report = run_pipeline(
 checked = dict(report.nullifier_checks)
 print("\nstreaming pipeline (verify mode):")
 print(f"  modes held at once (high water): {report.high_water}")
-print(f"  node 1 deleted by a q measurement: {sorted(report.boundary_deleted)}")
+print(f"  node 1 deleted by a q measurement: {sorted(report.config.boundary_nodes)}")
 print(f"  nullifier variances: {min(checked.values()):.6f} .. "
       f"{max(checked.values()):.6f}")
 

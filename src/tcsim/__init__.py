@@ -52,6 +52,7 @@ from .pipeline import (
     equivalence_check,
     events_to_text,
     run_pipeline,
+    tick_events,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

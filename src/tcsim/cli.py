@@ -204,7 +204,7 @@ def _unfold_report(args) -> dict:
 
 
 def _write_outputs(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -231,10 +231,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             report = _compare_report(args)
         else:
             report = _unfold_report(args)
-    except (ValueError, KeyError) as exc:
+        _write_outputs(report, args)
+    except (ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_outputs(report, args)
     return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 

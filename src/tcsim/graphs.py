@@ -132,14 +132,19 @@ def nullifier_variances(state: GaussianState, graph: Graph) -> Dict:
     missing = set(graph.nodes) - set(state.labels)
     if missing:
         raise KeyError(f"graph nodes missing from state: {sorted(map(repr, missing))}")
-    out = {}
-    for node in graph.nodes:
-        v = np.zeros(2 * state.n_modes)
-        v[state.p_index(node)] = 1.0
-        for nb in graph.neighbors(node):
-            v[state.q_index(nb)] -= 1.0
-        out[node] = float(v @ state.cov @ v)
-    return out
+    return {
+        node: nullifier_variance(state, node, graph.neighbors(node))
+        for node in graph.nodes
+    }
+
+
+def nullifier_variance(state: GaussianState, node, neighbors: Iterable) -> float:
+    """Variance v^T cov v of n = p_node - sum of q over ``neighbors``."""
+    v = np.zeros(2 * state.n_modes)
+    v[state.p_index(node)] = 1.0
+    for nb in neighbors:
+        v[state.q_index(nb)] -= 1.0
+    return float(v @ state.cov @ v)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Event-driven streaming simulator of the one-squeezer, one-CZ experiment.
+"""Tick-driven streaming simulator of the one-squeezer, one-CZ experiment.
 
 Each tick a fresh p-squeezed pulse is emitted and CZ-linked with the
 loop-resident pulse(s); a pulse that has completed all of its gate passes is
@@ -9,8 +9,8 @@ Topologies:
   wire    -- one loop of length 1; pulse i links to i-1 and i+1.
   lattice -- a second pass through the gate via a loop of length M; pulse i
              additionally links to i-M and i+M.  The two passes are modeled
-             as deterministic mode routing (divert events), not as a physical
-             polarization degree of freedom.
+             as deterministic mode routing, not as a physical polarization
+             degree of freedom.
 
 Boundary plan: the loop-resident vacuum ancillas (labels <= 0) are traced
 out, and the first node (wire) or first vertical stripe of M nodes (lattice)
@@ -21,8 +21,9 @@ is terminated the same way.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .gaussian import (
     trace_out,
     vacuum_state,
 )
-from .graphs import Graph, make_graph, sheared_cylinder_graph, wire_graph
+from .graphs import Graph, make_graph, nullifier_variance
 
 logger = logging.getLogger("tcsim.pipeline")
 
@@ -49,8 +50,7 @@ class PipelineConfig:
 
     ``window`` (verify mode) is the deferral between a node's last CZ and its
     measurement, in ticks; it defaults to the structural reach (1 for a wire,
-    M for a lattice) and must not be smaller.  ``program`` maps node -> basis
-    angle for compute mode; unlisted nodes are measured at angle 0 (q).
+    M for a lattice) and must not be smaller.
     """
 
     topology: str  # "wire" | "lattice"
@@ -59,7 +59,6 @@ class PipelineConfig:
     squeezing_r: float = 0.0
     mode: str = "compute"  # | "verify"
     window: Optional[int] = None
-    program: Optional[Mapping[int, float]] = None
     seed: int = 0
 
     def validate(self) -> None:
@@ -69,6 +68,8 @@ class PipelineConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_pulses < 1:
             raise ValueError("need at least one pulse")
+        if not math.isfinite(self.squeezing_r):
+            raise ValueError(f"squeezing parameter must be finite, got {self.squeezing_r}")
         if self.squeezing_r < 0:
             raise ValueError("squeezing parameter must be nonnegative")
         if self.topology == "lattice":
@@ -82,9 +83,14 @@ class PipelineConfig:
             )
 
     @property
+    def offsets(self) -> Tuple[int, ...]:
+        """The topology rule: pulse t is CZ-linked to t - d for each offset d."""
+        return (1, self.width) if self.topology == "lattice" else (1,)
+
+    @property
     def reach(self) -> int:
         """Largest CZ-partner offset: 1 for a wire, M for a lattice."""
-        return self.width if self.topology == "lattice" else 1
+        return self.offsets[-1]
 
     @property
     def delay(self) -> int:
@@ -108,25 +114,19 @@ class PipelineConfig:
         return frozenset(range(1, self.reach + 1))
 
     @property
-    def tail_nodes(self) -> frozenset:
-        """Final stripe, terminated by q measurements."""
-        return frozenset(range(self.n_pulses - self.reach + 1, self.n_pulses + 1))
-
-    def target_graph(self) -> Graph:
-        """The finite cluster graph the run is meant to realize."""
-        if self.topology == "wire":
-            return wire_graph(self.n_pulses)
-        return sheared_cylinder_graph(self.n_pulses, self.width)
+    def ticks(self) -> range:
+        """Every tick of the run: N emissions, then ``delay`` flush ticks."""
+        return range(1, self.n_pulses + self.delay + 1)
 
     def node_neighbors(self, node: int) -> Set[int]:
-        """Graph neighbors of a node, computed arithmetically."""
-        offsets = (-1, 1) if self.topology == "wire" else (-1, 1, -self.width, self.width)
-        return {node + d for d in offsets if 1 <= node + d <= self.n_pulses}
+        """Graph neighbors of a node among 1..N: node -/+ each offset."""
+        partners = {node + s * d for d in self.offsets for s in (-1, 1)}
+        return {nb for nb in partners if 1 <= nb <= self.n_pulses}
 
 
 @dataclass(frozen=True)
 class PipelineEvent:
-    """One scheduled step: emit | cz | divert | measure | trace."""
+    """One scheduled step: emit | cz | measure | trace."""
 
     tick: int
     kind: str
@@ -141,52 +141,48 @@ class RunReport:
     records: List[MeasurementRecord]
     high_water: int
     nullifier_checks: List[Tuple[int, float]]
-    boundary_deleted: frozenset
-    events: List[PipelineEvent]
 
 
-def build_schedule(config: PipelineConfig) -> List[PipelineEvent]:
-    """Expand a config into the ordered event stream of the run.
+def tick_events(config: PipelineConfig, t: int) -> List[PipelineEvent]:
+    """The events of tick t, in order.
 
-    Tick t emits pulse t and applies cz(t-1, t) (plus cz(t-M, t) after the
-    divert, for a lattice); the measurement slot at tick t finalizes the
-    pulse emitted ``delay`` ticks earlier (a trace for ancillas).  Ticks
-    beyond the last emission flush the remaining pulses.
+    While pulses remain, tick t emits pulse t and applies cz(t-d, t) for each
+    topology offset d; then the measurement slot finalizes the pulse emitted
+    ``delay`` ticks earlier (a trace for ancillas).  Ticks beyond the last
+    emission only flush the remaining pulses.
     """
-    config.validate()
-    n, d = config.n_pulses, config.delay
-    ancillas = set(config.ancilla_labels)
-    lattice = config.topology == "lattice"
     events: List[PipelineEvent] = []
-    for t in range(1, n + d + 1):
-        if t <= n:
-            events.append(PipelineEvent(t, "emit", (t,)))
-            events.append(PipelineEvent(t, "cz", (t - 1, t)))
-            if lattice:
-                events.append(PipelineEvent(t, "divert", (t - 1,)))
-                events.append(PipelineEvent(t, "cz", (t - config.width, t)))
-        slot = t - d
-        if slot in ancillas:
-            events.append(PipelineEvent(t, "trace", (slot,)))
-        elif 1 <= slot <= n:
-            events.append(PipelineEvent(t, "measure", (slot,)))
+    if t <= config.n_pulses:
+        events.append(PipelineEvent(t, "emit", (t,)))
+        for d in config.offsets:
+            events.append(PipelineEvent(t, "cz", (t - d, t)))
+    slot = t - config.delay
+    if 1 <= slot <= config.n_pulses:
+        events.append(PipelineEvent(t, "measure", (slot,)))
+    elif slot in config.ancilla_labels:
+        events.append(PipelineEvent(t, "trace", (slot,)))
     return events
 
 
-class TemporalPipeline:
-    """Executes a schedule against the Gaussian-state substrate.
+def build_schedule(config: PipelineConfig) -> List[PipelineEvent]:
+    """The whole run's event stream: :func:`tick_events` over every tick."""
+    config.validate()
+    return [e for t in config.ticks for e in tick_events(config, t)]
 
-    In compute mode each node is measured at its program angle as soon as its
-    slot comes up, with the conditional mean shift cancelled by feedforward
-    (pinned convention).  In verify mode the nullifier variance of each
-    non-boundary node is evaluated on the live window just before the node is
-    measured in the q basis.
+
+class TemporalPipeline:
+    """Executes the run tick by tick against the Gaussian-state substrate.
+
+    In compute mode each node is q-measured as soon as its slot comes up,
+    with the conditional mean shift cancelled by feedforward (pinned
+    convention).  In verify mode the nullifier variance of each non-boundary
+    node is evaluated on the live window just before the node is measured in
+    the q basis.
     """
 
     def __init__(self, config: PipelineConfig):
         config.validate()
         self.config = config
-        self.schedule = build_schedule(config)
         self.rng = np.random.default_rng(config.seed)
         ancillas = config.ancilla_labels
         self.state = vacuum_state(len(ancillas), labels=ancillas)
@@ -203,7 +199,8 @@ class TemporalPipeline:
             self._apply(event)
 
     def run(self) -> RunReport:
-        self.execute(self.schedule)
+        for t in self.config.ticks:
+            self.execute(tick_events(self.config, t))
         if self.state.n_modes:
             raise RuntimeError(f"schedule left live modes {self.state.labels}")
         return RunReport(
@@ -211,8 +208,6 @@ class TemporalPipeline:
             records=self.records,
             high_water=self.high_water,
             nullifier_checks=self.nullifier_checks,
-            boundary_deleted=self.config.boundary_nodes,
-            events=self.schedule,
         )
 
     def _apply(self, event: PipelineEvent) -> None:
@@ -221,8 +216,6 @@ class TemporalPipeline:
             self.state = append_modes(self.state, pulse)
         elif event.kind == "cz":
             self.state = apply_cz(self.state, *event.labels)
-        elif event.kind == "divert":
-            pass  # mode routing only; no quantum action
         elif event.kind == "trace":
             self.state = trace_out(self.state, event.labels)
         elif event.kind == "measure":
@@ -233,22 +226,12 @@ class TemporalPipeline:
             self.high_water = self.state.n_modes
             logger.debug("high water %d at tick %d", self.high_water, event.tick)
 
-    def _finalize(self, node: int, forced: Optional[float] = None) -> None:
+    def _finalize(self, node: int) -> None:
         config = self.config
-        if config.mode == "verify":
-            if node not in config.boundary_nodes:
-                variance = self.live_nullifier_variance(node)
-                self.nullifier_checks.append((node, variance))
-            angle = 0.0
-        elif node in config.boundary_nodes or node in config.tail_nodes:
-            angle = 0.0
-        elif config.program is not None:
-            angle = float(config.program.get(node, 0.0))
-        else:
-            angle = 0.0
-        self.state, record = measure_quadrature(
-            self.state, node, angle, outcome=forced, rng=self.rng
-        )
+        if config.mode == "verify" and node not in config.boundary_nodes:
+            variance = self.live_nullifier_variance(node)
+            self.nullifier_checks.append((node, variance))
+        self.state, record = measure_quadrature(self.state, node, 0.0, rng=self.rng)
         self.records.append(record)
 
     def live_nullifier_variance(self, node: int) -> float:
@@ -257,14 +240,8 @@ class TemporalPipeline:
         Already-measured neighbors drop out of the reduced nullifier; since
         they were measured in the q basis, the variance is unchanged.
         """
-        state = self.state
-        live = set(state.labels)
-        v = np.zeros(2 * state.n_modes)
-        v[state.p_index(node)] = 1.0
-        for nb in self.config.node_neighbors(node):
-            if nb in live:
-                v[state.q_index(nb)] -= 1.0
-        return float(v @ state.cov @ v)
+        live_neighbors = self.config.node_neighbors(node) & set(self.state.labels)
+        return nullifier_variance(self.state, node, live_neighbors)
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
@@ -278,9 +255,7 @@ def pipeline_interaction_graph(config: PipelineConfig, up_to: int) -> Graph:
     Includes the vacuum ancillas (labels <= 0) that contaminate the boundary.
     """
     nodes = list(config.ancilla_labels) + list(range(1, up_to + 1))
-    edges = [(t - 1, t) for t in range(1, up_to + 1)]
-    if config.topology == "lattice":
-        edges += [(t - config.width, t) for t in range(1, up_to + 1)]
+    edges = [(t - d, t) for t in range(1, up_to + 1) for d in config.offsets]
     return make_graph(nodes, edges)
 
 
@@ -300,15 +275,17 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     if not (1 <= first <= last <= config.n_pulses):
         raise ValueError(f"node range {node_range} outside 1..{config.n_pulses}")
 
-    base = replace(config, mode="compute", program=None)
+    base = replace(config, mode="compute")
     pipe = TemporalPipeline(base)
     deferred = set(range(first, last + 1))
-    events = [
-        e
-        for e in build_schedule(base)
-        if e.tick <= last and not (e.kind == "measure" and e.labels[0] in deferred)
-    ]
-    pipe.execute(events)
+    for t in range(1, last + 1):
+        pipe.execute(
+            [
+                e
+                for e in tick_events(base, t)
+                if not (e.kind == "measure" and e.labels[0] in deferred)
+            ]
+        )
     # Flush: ancillas and pre-range nodes whose slots fall beyond the stop tick.
     leftovers = [lbl for lbl in pipe.state.labels if lbl <= 0]
     if leftovers:

@@ -112,3 +112,23 @@ class TestErrors:
     def test_invalid_config_returns_2(self, capsys):
         assert main(["lattice", "--nodes", "5", "--width", "4"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["wire", "--nodes", "4"],
+            ["lattice", "--nodes", "8", "--width", "4"],
+            ["compare", "--topology", "wire", "--nodes", "6", "--range", "2..4"],
+        ],
+        ids=["wire", "lattice", "compare"],
+    )
+    @pytest.mark.parametrize(
+        "squeezing",
+        [["--squeezing-r", "nan"], ["--squeezing-db", "inf"], ["--squeezing-r", "400"]],
+        ids=["r-nan", "db-inf", "r-400"],
+    )
+    def test_unusable_squeezing_returns_2(self, command, squeezing, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(command + squeezing + ["--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from tcsim.gaussian import states_equal, vacuum_state
+from tcsim.graphs import sheared_cylinder_graph, wire_graph
 from tcsim.pipeline import (
     PipelineConfig,
     TemporalPipeline,
     build_schedule,
     equivalence_check,
     events_to_text,
+    pipeline_interaction_graph,
     run_pipeline,
 )
 
@@ -39,6 +41,11 @@ class TestConfig:
     def test_unknown_topology(self):
         with pytest.raises(ValueError):
             PipelineConfig("ring", 5).validate()
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_squeezing(self, r):
+        with pytest.raises(ValueError):
+            wire_config(4, r=r).validate()
 
 
 class TestSchedule:
@@ -79,7 +86,7 @@ class TestSchedule:
         assert sum(counts.values()) == len(emitted) + len(ancillas)
 
     def test_tick_ordering(self):
-        order = {"emit": 0, "cz": 1, "divert": 1, "measure": 2, "trace": 2}
+        order = {"emit": 0, "cz": 1, "measure": 2, "trace": 2}
         events = build_schedule(lattice_config(20, 4))
         by_tick = {}
         for e in events:
@@ -91,6 +98,36 @@ class TestSchedule:
         text = events_to_text(build_schedule(wire_config(2)))
         assert text.splitlines()[0] == "1 emit 1"
         assert "1 cz 0 1" in text
+
+
+class TestTopologyRule:
+    """The one offsets rule, read three ways, against the graph builders."""
+
+    @pytest.mark.parametrize(
+        "config, reference",
+        [
+            (wire_config(12), wire_graph(12)),
+            (lattice_config(20, 4), sheared_cylinder_graph(20, 4)),
+            (lattice_config(30, 3), sheared_cylinder_graph(30, 3)),
+        ],
+        ids=["wire-12", "lattice-20-4", "lattice-30-3"],
+    )
+    def test_neighbor_sets_match_builder(self, config, reference):
+        n = config.n_pulses
+        events = build_schedule(config)
+        partners = {node: set() for node in range(1, n + 1)}
+        for e in events:
+            if e.kind == "cz" and e.labels[0] >= 1:  # links to ancillas are not graph edges
+                a, b = e.labels
+                partners[a].add(b)
+                partners[b].add(a)
+        interaction = pipeline_interaction_graph(config, n)
+        for node in range(1, n + 1):
+            expected = reference.neighbors(node)
+            assert partners[node] == expected
+            assert config.node_neighbors(node) == expected
+            assert {nb for nb in interaction.neighbors(node) if nb >= 1} == expected
+        assert {e.kind for e in events} == {"emit", "cz", "measure", "trace"}
 
 
 class TestVerifyMode:
@@ -114,8 +151,8 @@ class TestVerifyMode:
 
     def test_boundary_reported_as_deleted(self):
         report = run_pipeline(lattice_config(24, 3, mode="verify"))
-        assert report.boundary_deleted == frozenset({1, 2, 3})
-        assert all(n not in report.boundary_deleted for n, _ in report.nullifier_checks)
+        assert report.config.boundary_nodes == frozenset({1, 2, 3})
+        assert all(n not in report.config.boundary_nodes for n, _ in report.nullifier_checks)
 
     def test_wider_window_still_exact(self):
         report = run_pipeline(lattice_config(30, 3, r=0.5, mode="verify", window=5))
@@ -166,7 +203,7 @@ class TestSnapshot:
     def test_snapshot_tracks_live_register(self):
         config = wire_config(5)
         pipe = TemporalPipeline(config)
-        first_tick = [e for e in pipe.schedule if e.tick == 1]
+        first_tick = [e for e in build_schedule(config) if e.tick == 1]
         pipe.execute(first_tick)
         assert set(pipe.snapshot().labels) == {0, 1}
 
