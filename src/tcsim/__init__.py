@@ -13,7 +13,6 @@ from .gaussian import (
     VACUUM_VARIANCE,
     append_modes,
     apply_cz,
-    apply_displacement,
     apply_phase_rotation,
     apply_symplectic,
     check_physicality,

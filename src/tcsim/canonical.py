@@ -25,7 +25,7 @@ Squeezing = Union[float, Mapping]
 
 
 def empty_state() -> GaussianState:
-    return GaussianState((), np.zeros(0), np.zeros((0, 0)))
+    return GaussianState((), np.zeros((0, 0)))
 
 
 def build_canonical_cluster(graph: Graph, r: Squeezing) -> GaussianState:

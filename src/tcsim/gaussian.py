@@ -1,9 +1,11 @@
 """Gaussian states over labeled optical modes.
 
 Covariance-matrix formalism with hbar = 1, so the vacuum quadrature variance
-is 1/2.  Mean vectors and covariance matrices use block ordering
-(q_1 .. q_n, p_1 .. p_n), which keeps the symplectic form in the block shape
-Omega = [[0, I], [-I, 0]] and makes the CZ matrix sparse and readable.
+is 1/2.  Covariance matrices use block ordering (q_1 .. q_n, p_1 .. p_n),
+which keeps the symplectic form in the block shape Omega = [[0, I], [-I, 0]]
+and makes the CZ matrix sparse and readable.  States are zero-mean: every
+input is squeezed vacuum, and each homodyne outcome's conditional mean shift
+is cancelled by feedforward and recorded, not stored.
 """
 
 from __future__ import annotations
@@ -62,13 +64,12 @@ def symplectic_defect(matrix: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SymplecticOp:
-    """A linear quadrature map, optionally followed by a displacement.
+    """A linear quadrature map.
 
     The matrix must preserve the symplectic form to within SYMPLECTIC_TOL.
     """
 
     matrix: np.ndarray
-    displacement: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         matrix = np.array(self.matrix, dtype=float)
@@ -78,25 +79,32 @@ class SymplecticOp:
         if defect > SYMPLECTIC_TOL:
             raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
         object.__setattr__(self, "matrix", matrix)
-        if self.displacement is not None:
-            d = np.array(self.displacement, dtype=float).ravel()
-            if d.shape[0] != matrix.shape[0]:
-                raise ValueError("displacement length must match matrix dimension")
-            object.__setattr__(self, "displacement", d)
 
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
 
 
+def _check_symmetric(cov: np.ndarray) -> None:
+    """Reject a covariance that is asymmetric or has a NaN or infinite entry.
+
+    Written as ``not (defect <= tol)`` so that a NaN defect, which any NaN or
+    inf entry produces, fails the test at no extra cost.
+    """
+    if cov.size and not (np.max(np.abs(cov - cov.T)) <= SYMMETRY_TOL):
+        raise ValueError("covariance matrix is not symmetric and finite")
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One homodyne measurement: node, basis angle, outcome, feedforward.
 
-    ``angle`` is normalized to [0, pi); 0 means q, pi/2 means p.
-    ``feedforward`` is the displacement actually applied to the survivors to
-    cancel the conditional mean shift (pinned convention), so its length is
-    2 * (surviving mode count).
+    ``angle`` is normalized to [0, pi); 0 means q, pi/2 means p, and
+    ``outcome`` is the value of x_angle at that normalized angle.
+    ``feedforward`` is the displacement applied to the survivors to cancel
+    the conditional mean shift (pinned convention), so its length is
+    2 * (surviving mode count).  It is recorded here; the zero-mean state
+    never holds it.
     """
 
     node: Label
@@ -107,14 +115,13 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance matrix over an ordered set of labeled modes.
+    """Zero-mean Gaussian state: covariance over an ordered set of labeled modes.
 
-    ``mean`` has length 2n and ``cov`` is 2n x 2n, both in block ordering
-    (q_1 .. q_n, p_1 .. p_n) following the order of ``labels``.
+    ``cov`` is 2n x 2n in block ordering (q_1 .. q_n, p_1 .. p_n) following
+    the order of ``labels``.
     """
 
     labels: tuple
-    mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self) -> None:
@@ -122,18 +129,13 @@ class GaussianState:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate mode labels in {labels}")
         n = len(labels)
-        mean = np.array(self.mean, dtype=float).ravel()
-        cov = np.array(self.cov, dtype=float)
-        if mean.shape != (2 * n,):
-            raise ValueError(f"mean must have length {2 * n}, got {mean.shape}")
+        cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (2 * n, 2 * n):
             raise ValueError(f"cov must be {2 * n} x {2 * n}, got {cov.shape}")
-        if n and np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
-            raise ValueError("covariance matrix is not symmetric")
-        cov = 0.5 * (cov + cov.T)
+        _check_symmetric(cov)
+        # The symmetrized sum is a fresh array, so the input is never aliased.
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
 
     @property
     def n_modes(self) -> int:
@@ -154,7 +156,7 @@ class GaussianState:
 
 
 def vacuum_state(n: int, labels: Optional[Sequence[Label]] = None) -> GaussianState:
-    """n-mode vacuum: zero mean, cov = (1/2) I.  Labels default to 1..n."""
+    """n-mode vacuum: cov = (1/2) I.  Labels default to 1..n."""
     if n < 0:
         raise ValueError("mode count must be nonnegative")
     if labels is None:
@@ -162,7 +164,7 @@ def vacuum_state(n: int, labels: Optional[Sequence[Label]] = None) -> GaussianSt
     labels = tuple(labels)
     if len(labels) != n:
         raise ValueError(f"expected {n} labels, got {len(labels)}")
-    return GaussianState(labels, np.zeros(2 * n), VACUUM_VARIANCE * np.eye(2 * n))
+    return GaussianState(labels, VACUUM_VARIANCE * np.eye(2 * n))
 
 
 def p_squeezed_state(r: float, label: Label = 1) -> GaussianState:
@@ -174,11 +176,11 @@ def p_squeezed_state(r: float, label: Label = 1) -> GaussianState:
     if r < 0:
         raise ValueError("squeezing parameter must be nonnegative")
     cov = np.diag([VACUUM_VARIANCE * math.exp(2 * r), VACUUM_VARIANCE * math.exp(-2 * r)])
-    return GaussianState((label,), np.zeros(2), cov)
+    return GaussianState((label,), cov)
 
 
 def append_modes(state: GaussianState, other: GaussianState) -> GaussianState:
-    """Tensor product: block-direct-sum of means and covariances.
+    """Tensor product: block-direct-sum of covariances.
 
     Label sets must be disjoint; block (q, p) ordering is re-established.
     """
@@ -187,28 +189,19 @@ def append_modes(state: GaussianState, other: GaussianState) -> GaussianState:
         raise ValueError(f"duplicate mode labels {sorted(map(repr, overlap))}")
     na, nb = state.n_modes, other.n_modes
     n = na + nb
-    mean = np.zeros(2 * n)
-    mean[:na] = state.mean[:na]
-    mean[na:n] = other.mean[:nb]
-    mean[n:n + na] = state.mean[na:]
-    mean[n + na:] = other.mean[nb:]
     cov = np.zeros((2 * n, 2 * n))
     idx_a = np.r_[0:na, n:n + na]
     idx_b = np.r_[na:n, n + na:2 * n]
     cov[np.ix_(idx_a, idx_a)] = state.cov
     cov[np.ix_(idx_b, idx_b)] = other.cov
-    return GaussianState(state.labels + other.labels, mean, cov)
+    return GaussianState(state.labels + other.labels, cov)
 
 
 def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
-    """Evolve the state: mean -> S mean + d, cov -> S cov S^T."""
+    """Evolve the state: cov -> S cov S^T."""
     if op.n_modes != state.n_modes:
         raise ValueError("operation and state mode counts differ")
-    mean = op.matrix @ state.mean
-    if op.displacement is not None:
-        mean = mean + op.displacement
-    cov = op.matrix @ state.cov @ op.matrix.T
-    return GaussianState(state.labels, mean, cov)
+    return GaussianState(state.labels, op.matrix @ state.cov @ op.matrix.T)
 
 
 def cz_matrix(n: int, i: int, j: int) -> np.ndarray:
@@ -229,15 +222,12 @@ def apply_cz(state: GaussianState, a: Label, b: Label) -> GaussianState:
         raise ValueError("CZ requires two distinct modes")
     i, j = state.index(a), state.index(b)
     n = state.n_modes
-    mean = state.mean.copy()
-    mean[n + i] += mean[j]
-    mean[n + j] += mean[i]
     cov = state.cov.copy()
     cov[n + i, :] += cov[j, :]
     cov[n + j, :] += cov[i, :]
     cov[:, n + i] += cov[:, j]
     cov[:, n + j] += cov[:, i]
-    return GaussianState(state.labels, mean, cov)
+    return GaussianState(state.labels, cov)
 
 
 def rotation_matrix(n: int, i: int, theta: float) -> np.ndarray:
@@ -255,14 +245,6 @@ def apply_phase_rotation(state: GaussianState, mode: Label, theta: float) -> Gau
     """Rotate the quadratures of one mode by angle theta."""
     i = state.index(mode)
     return apply_symplectic(state, SymplecticOp(rotation_matrix(state.n_modes, i, theta)))
-
-
-def apply_displacement(state: GaussianState, d: np.ndarray) -> GaussianState:
-    """Shift the mean by d; the covariance is unchanged."""
-    d = np.asarray(d, dtype=float).ravel()
-    if d.shape != state.mean.shape:
-        raise ValueError(f"displacement length {d.shape[0]} != {state.mean.shape[0]}")
-    return GaussianState(state.labels, state.mean + d, state.cov)
 
 
 def _drop_modes(labels: tuple, positions: Iterable[int]) -> tuple:
@@ -283,46 +265,43 @@ def measure_quadrature(
 ):
     """Homodyne-measure x_theta = q cos(theta) + p sin(theta) on one mode.
 
-    The outcome is drawn from the Gaussian marginal using ``rng`` unless a
-    forced ``outcome`` is given (post-selection for tests).  Survivors are
-    updated by Gaussian conditioning on the measured quadrature; the
-    conditional mean shift is recorded and actively cancelled by a
-    displacement, so surviving means return to their pre-measurement values
-    (pinned feedforward convention).  Returns (reduced state, record).
+    The outcome of x_theta is drawn from its zero-mean marginal using ``rng``
+    unless a forced ``outcome`` is given (post-selection for tests).
+    Survivors are updated by Gaussian conditioning on the measured
+    quadrature; the conditional mean shift is cancelled by feedforward and
+    recorded, so survivors stay at zero mean (pinned convention).  The record
+    holds the normalized angle theta mod pi, and since x_theta = -x_{theta-pi}
+    its outcome is negated when floor(theta / pi) is odd.  Returns (reduced
+    state, record).
     """
-    pos = state.index(mode)
+    k = state.index(mode)  # q index of the (rotated) measured quadrature
     if angle != 0.0:
         state = apply_phase_rotation(state, mode, angle)
-    n = state.n_modes
-    k = pos  # q index of the (rotated) measured quadrature
     var = state.cov[k, k]
     if var < MARGINAL_FLOOR:
         raise ValueError(f"degenerate marginal variance {var:.3e} on mode {mode!r}")
-    mu = state.mean[k]
     if outcome is None:
         if rng is None:
             raise ValueError("either a forced outcome or an rng is required")
-        outcome = float(mu + math.sqrt(var) * rng.standard_normal())
-    survivors, keep_idx = _drop_modes(state.labels, [pos])
+        outcome = math.sqrt(var) * rng.standard_normal()
+    survivors, keep_idx = _drop_modes(state.labels, [k])
     b = state.cov[keep_idx, k]
-    shift = b * ((outcome - mu) / var)
+    shift = b * (outcome / var)
     cond_cov = state.cov[np.ix_(keep_idx, keep_idx)] - np.outer(b, b) / var
-    # Pinned convention: apply -shift on top of the conditional mean, which
-    # restores the pre-measurement survivor means.
-    new_state = GaussianState(survivors, state.mean[keep_idx], cond_cov)
+    half_turns, angle = divmod(angle, math.pi)
+    if half_turns % 2:
+        outcome = -outcome
     record = MeasurementRecord(
-        node=mode, angle=angle % math.pi, outcome=float(outcome), feedforward=-shift
+        node=mode, angle=angle, outcome=float(outcome), feedforward=-shift
     )
-    return new_state, record
+    return GaussianState(survivors, cond_cov), record
 
 
 def trace_out(state: GaussianState, modes: Iterable[Label]) -> GaussianState:
-    """Discard modes: delete their rows/columns from mean and cov."""
+    """Discard modes: delete their rows/columns from cov."""
     positions = [state.index(m) for m in modes]
     survivors, keep_idx = _drop_modes(state.labels, positions)
-    return GaussianState(
-        survivors, state.mean[keep_idx], state.cov[np.ix_(keep_idx, keep_idx)]
-    )
+    return GaussianState(survivors, state.cov[np.ix_(keep_idx, keep_idx)])
 
 
 def check_physicality(state_or_cov) -> float:
@@ -338,8 +317,7 @@ def check_physicality(state_or_cov) -> float:
         cov = np.asarray(state_or_cov, dtype=float)
     if cov.size == 0:
         return math.inf
-    if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
-        raise ValueError("covariance matrix is not symmetric")
+    _check_symmetric(cov)
     n = cov.shape[0] // 2
     eigs = np.linalg.eigvals(1j * symplectic_form(n) @ cov)
     return float(np.min(np.abs(eigs)))
@@ -352,7 +330,7 @@ def permute_modes(state: GaussianState, new_order: Sequence[Label]) -> GaussianS
     n = state.n_modes
     pos = [state.index(lbl) for lbl in new_order]
     idx = np.array([*pos, *(n + p for p in pos)], dtype=int)
-    return GaussianState(tuple(new_order), state.mean[idx], state.cov[np.ix_(idx, idx)])
+    return GaussianState(tuple(new_order), state.cov[np.ix_(idx, idx)])
 
 
 def states_equal(
@@ -361,7 +339,7 @@ def states_equal(
     mapping: Optional[Mapping[Label, Label]] = None,
     tol: float = 1e-9,
 ) -> bool:
-    """Entrywise equality of means and covariances under a label bijection.
+    """Entrywise equality of covariances under a label bijection.
 
     ``mapping`` sends a's labels to b's; identity by default.
     """
@@ -372,7 +350,4 @@ def states_equal(
     b_aligned = permute_modes(b, [mapping[lbl] for lbl in a.labels])
     if a.n_modes == 0:
         return True
-    return bool(
-        np.max(np.abs(a.mean - b_aligned.mean)) <= tol
-        and np.max(np.abs(a.cov - b_aligned.cov)) <= tol
-    )
+    return bool(np.max(np.abs(a.cov - b_aligned.cov)) <= tol)

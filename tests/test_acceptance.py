@@ -14,7 +14,6 @@ from tcsim.cli import main
 from tcsim.gaussian import (
     append_modes,
     apply_cz,
-    apply_displacement,
     apply_phase_rotation,
     check_physicality,
     cz_matrix,
@@ -66,8 +65,6 @@ def test_criterion_1_symplecticity_and_physicality():
                 theta = float(rng.uniform(0, 2 * math.pi))
                 max_defect = max(max_defect, symplectic_defect(rotation_matrix(n, i, theta)))
                 state = apply_phase_rotation(state, state.labels[i], theta)
-            elif choice == 3:
-                state = apply_displacement(state, rng.normal(size=2 * n))
             elif choice == 4 and n >= 2:
                 mode = state.labels[int(rng.integers(n))]
                 theta = float(rng.uniform(0, math.pi))
@@ -158,7 +155,7 @@ def test_criterion_5_deletion_and_unfolding():
     variances = nullifier_variances(state, reduced_graph)
     bound = 0.5 * math.exp(-2 * r) + 1e-9
     worst = max(variances.values())
-    ok = unfold_ok and worst <= bound and np.max(np.abs(state.mean)) < 1e-12
+    ok = unfold_ok and worst <= bound
     report(
         5,
         "deletion & unfolding",
@@ -180,7 +177,7 @@ def test_criterion_6_measurement_update_vs_monte_carlo():
         """Independent oracle: regression residual covariance of the
         survivors against the measured quadrature, from joint samples."""
         rng = np.random.default_rng(seed)
-        x = rng.multivariate_normal(state.mean, state.cov, size=samples)
+        x = rng.multivariate_normal(np.zeros(2 * state.n_modes), state.cov, size=samples)
         n = state.n_modes
         k = state.index(mode)
         y = math.cos(theta) * x[:, k] + math.sin(theta) * x[:, n + k]

@@ -56,7 +56,6 @@ class TestClosedForm:
         r = float(rng.uniform(0, 1.2))
         state = build_canonical_cluster(g, r)
         assert np.max(np.abs(state.cov - canonical_covariance(g, r))) < 1e-12
-        assert np.max(np.abs(state.mean)) == 0.0
 
 
 class TestOrderIndependence:

@@ -124,8 +124,13 @@ class TestErrors:
     )
     @pytest.mark.parametrize(
         "squeezing",
-        [["--squeezing-r", "nan"], ["--squeezing-db", "inf"], ["--squeezing-r", "400"]],
-        ids=["r-nan", "db-inf", "r-400"],
+        [
+            ["--squeezing-r", "nan"],
+            ["--squeezing-db", "inf"],
+            ["--squeezing-r", "400"],
+            ["--squeezing-r", "200"],
+        ],
+        ids=["r-nan", "db-inf", "r-400", "r-200"],
     )
     def test_unusable_squeezing_returns_2(self, command, squeezing, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcsim.canonical import build_canonical_cluster
 from tcsim.gaussian import (
     GaussianState,
     SymplecticOp,
     append_modes,
     apply_cz,
-    apply_displacement,
     apply_phase_rotation,
     apply_symplectic,
     check_physicality,
@@ -26,6 +26,7 @@ from tcsim.gaussian import (
     trace_out,
     vacuum_state,
 )
+from tcsim.graphs import wire_graph
 
 
 def two_mode_cz_on_vacua():
@@ -36,12 +37,11 @@ class TestConstructors:
     def test_single_mode_vacuum(self):
         s = vacuum_state(1)
         assert np.array_equal(s.cov, np.diag([0.5, 0.5]))
-        assert np.array_equal(s.mean, np.zeros(2))
 
     def test_empty_state(self):
         s = vacuum_state(0)
         assert s.labels == ()
-        assert s.mean.shape == (0,)
+        assert s.cov.shape == (0, 0)
 
     def test_two_mode_vacuum(self):
         assert np.array_equal(vacuum_state(2).cov, 0.5 * np.eye(4))
@@ -72,13 +72,20 @@ class TestConstructors:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
-            GaussianState(("a", "a"), np.zeros(4), 0.5 * np.eye(4))
+            GaussianState(("a", "a"), 0.5 * np.eye(4))
 
     def test_asymmetric_cov_rejected(self):
         cov = 0.5 * np.eye(2)
         cov[0, 1] = 1e-3
         with pytest.raises(ValueError):
-            GaussianState(("a",), np.zeros(2), cov)
+            GaussianState(("a",), cov)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cov_rejected(self, bad):
+        cov = 0.5 * np.eye(2)
+        cov[1, 1] = bad
+        with pytest.raises(ValueError):
+            GaussianState(("a",), cov)
 
 
 class TestAppend:
@@ -96,7 +103,7 @@ class TestAppend:
 
     def test_empty_is_identity(self):
         x = p_squeezed_state(0.4, label="x")
-        s = append_modes(GaussianState((), np.zeros(0), np.zeros((0, 0))), x)
+        s = append_modes(GaussianState((), np.zeros((0, 0))), x)
         assert states_equal(s, x, tol=0.0)
 
     def test_duplicate_label_error(self):
@@ -122,10 +129,6 @@ class TestCZ:
             [[0.5, 0, 0, 0.5], [0, 0.5, 0.5, 0], [0, 0.5, 1, 0], [0.5, 0, 0, 1]]
         )
         assert np.allclose(state.cov, expected, atol=1e-15)
-
-    def test_zero_mean_stays_zero(self):
-        state = two_mode_cz_on_vacua()
-        assert np.array_equal(state.mean, np.zeros(4))
 
     def test_matches_symplectic_path(self):
         state = vacuum_state(3)
@@ -165,7 +168,6 @@ class TestCZ:
         for a, b in reversed(pairs):
             backward = apply_cz(backward, a, b)
         assert np.max(np.abs(forward.cov - backward.cov)) < 1e-12
-        assert np.max(np.abs(forward.mean - backward.mean)) < 1e-12
 
 
 class TestRotationAndDisplacement:
@@ -183,23 +185,6 @@ class TestRotationAndDisplacement:
         s = apply_phase_rotation(vacuum_state(1), 1, math.pi / 4)
         assert np.allclose(s.cov, 0.5 * np.eye(2), atol=1e-15)
 
-    def test_zero_displacement(self):
-        s = vacuum_state(1)
-        assert states_equal(apply_displacement(s, np.zeros(2)), s, tol=0.0)
-
-    def test_displacement_moves_mean_only(self):
-        s = apply_displacement(vacuum_state(1), [1.0, 0.0])
-        assert np.array_equal(s.mean, [1.0, 0.0])
-        assert np.array_equal(s.cov, 0.5 * np.eye(2))
-
-    def test_displacements_compose_additively(self):
-        s = apply_displacement(apply_displacement(vacuum_state(1), [1.0, 2.0]), [0.5, -1.0])
-        assert np.array_equal(s.mean, [1.5, 1.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_displacement(vacuum_state(1), [1.0, 0.0, 0.0])
-
 
 class TestMeasurement:
     def test_vacuum_forced_zero(self):
@@ -216,7 +201,6 @@ class TestMeasurement:
         state = two_mode_cz_on_vacua()
         reduced, rec = measure_quadrature(state, "b", 0.0, outcome=m)
         assert np.allclose(reduced.cov, 0.5 * np.eye(2), atol=1e-14)
-        assert np.array_equal(reduced.mean, np.zeros(2))  # pinned
         # feedforward cancels the shift, so the shift itself is -feedforward
         assert -rec.feedforward[1] == pytest.approx(m, abs=1e-14)
         assert -rec.feedforward[0] == pytest.approx(0.0, abs=1e-14)
@@ -247,6 +231,18 @@ class TestMeasurement:
         _, rec = measure_quadrature(vacuum_state(1), 1, math.pi + 0.25, outcome=0.0)
         assert rec.angle == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [math.pi, math.pi + 0.25, -0.25])
+    def test_record_replays_outside_half_turn(self, theta):
+        # x_theta = -x_{theta - pi}: measuring at the recorded (normalized)
+        # angle with the recorded outcome must reproduce the same update.
+        state = build_canonical_cluster(wire_graph(3), 0.5)
+        reduced, rec = measure_quadrature(state, 2, theta, outcome=0.8)
+        replayed, again = measure_quadrature(state, 2, rec.angle, outcome=rec.outcome)
+        assert 0.0 <= rec.angle < math.pi
+        assert np.max(np.abs(again.feedforward - rec.feedforward)) < 1e-12
+        assert np.max(np.abs(replayed.cov - reduced.cov)) < 1e-12
+        assert again.outcome == rec.outcome
+
     def test_requires_outcome_or_rng(self):
         with pytest.raises(ValueError):
             measure_quadrature(vacuum_state(1), 1, 0.0)
@@ -256,7 +252,7 @@ class TestMeasurement:
             measure_quadrature(vacuum_state(1), "nope", 0.0, outcome=0.0)
 
     def test_degenerate_marginal_rejected(self):
-        state = GaussianState((1,), np.zeros(2), np.diag([1e-15, 1e15]))
+        state = GaussianState((1,), np.diag([1e-15, 1e15]))
         with pytest.raises(ValueError):
             measure_quadrature(state, 1, 0.0, outcome=0.0)
 
@@ -295,6 +291,13 @@ class TestPhysicality:
         bad = np.array([[0.5, 0.1], [0.0, 0.5]])
         with pytest.raises(ValueError):
             check_physicality(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        cov = 0.5 * np.eye(2)
+        cov[0, 0] = bad
+        with pytest.raises(ValueError):
+            check_physicality(cov)
 
     @given(
         rs=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=4),
