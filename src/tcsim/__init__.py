@@ -9,12 +9,10 @@ keeping only a constant number of modes live.
 from .gaussian import (
     GaussianState,
     MeasurementRecord,
-    SymplecticOp,
     VACUUM_VARIANCE,
     append_modes,
     apply_cz,
     apply_phase_rotation,
-    apply_symplectic,
     check_physicality,
     db_to_r,
     measure_quadrature,

@@ -16,6 +16,8 @@ import os
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from .gaussian import VACUUM_VARIANCE, db_to_r, r_to_db
 from .graphs import delete_nodes, sheared_cylinder_graph, unfolds_to_grid
 from .pipeline import PipelineConfig, equivalence_check, run_pipeline
@@ -224,15 +226,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("wire", "lattice"):
-            config = _config_from_args(args, args.command)
-            report = _run_report(config, args.emit_records)
-        elif args.command == "compare":
-            report = _compare_report(args)
-        else:
-            report = _unfold_report(args)
-        _write_outputs(report, args)
-    except (ValueError, KeyError, OverflowError) as exc:
+        # A squeezing so large that the covariance overflows is a usage error,
+        # not a result: raise on it instead of printing numpy warnings.
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command in ("wire", "lattice"):
+                config = _config_from_args(args, args.command)
+                report = _run_report(config, args.emit_records)
+            elif args.command == "compare":
+                report = _compare_report(args)
+            else:
+                report = _unfold_report(args)
+            _write_outputs(report, args)
+    except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if all(c["pass"] for c in report["checks"]) else 1

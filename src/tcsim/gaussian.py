@@ -21,9 +21,6 @@ Label = Hashable
 #: Quadrature variance of the vacuum state (hbar = 1 convention).
 VACUUM_VARIANCE = 0.5
 
-#: Max allowed defect in S^T Omega S - Omega for a symplectic matrix.
-SYMPLECTIC_TOL = 1e-10
-
 #: Covariances are re-symmetrized after every update; beyond this we refuse.
 SYMMETRY_TOL = 1e-12
 
@@ -60,29 +57,6 @@ def symplectic_defect(matrix: np.ndarray) -> float:
     n = matrix.shape[0] // 2
     omega = symplectic_form(n)
     return float(np.max(np.abs(matrix.T @ omega @ matrix - omega))) if n else 0.0
-
-
-@dataclass(frozen=True)
-class SymplecticOp:
-    """A linear quadrature map.
-
-    The matrix must preserve the symplectic form to within SYMPLECTIC_TOL.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
-            raise ValueError(f"symplectic matrix must be 2n x 2n, got {matrix.shape}")
-        defect = symplectic_defect(matrix)
-        if defect > SYMPLECTIC_TOL:
-            raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
 
 
 def _check_symmetric(cov: np.ndarray) -> None:
@@ -182,11 +156,9 @@ def p_squeezed_state(r: float, label: Label = 1) -> GaussianState:
 def append_modes(state: GaussianState, other: GaussianState) -> GaussianState:
     """Tensor product: block-direct-sum of covariances.
 
-    Label sets must be disjoint; block (q, p) ordering is re-established.
+    Label sets must be disjoint (GaussianState rejects a repeated label);
+    block (q, p) ordering is re-established.
     """
-    overlap = set(state.labels) & set(other.labels)
-    if overlap:
-        raise ValueError(f"duplicate mode labels {sorted(map(repr, overlap))}")
     na, nb = state.n_modes, other.n_modes
     n = na + nb
     cov = np.zeros((2 * n, 2 * n))
@@ -195,13 +167,6 @@ def append_modes(state: GaussianState, other: GaussianState) -> GaussianState:
     cov[np.ix_(idx_a, idx_a)] = state.cov
     cov[np.ix_(idx_b, idx_b)] = other.cov
     return GaussianState(state.labels + other.labels, cov)
-
-
-def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
-    """Evolve the state: cov -> S cov S^T."""
-    if op.n_modes != state.n_modes:
-        raise ValueError("operation and state mode counts differ")
-    return GaussianState(state.labels, op.matrix @ state.cov @ op.matrix.T)
 
 
 def cz_matrix(n: int, i: int, j: int) -> np.ndarray:
@@ -215,8 +180,8 @@ def cz_matrix(n: int, i: int, j: int) -> np.ndarray:
 def apply_cz(state: GaussianState, a: Label, b: Label) -> GaussianState:
     """Unit-weight CZ gate: p_a -> p_a + q_b, p_b -> p_b + q_a, q's unchanged.
 
-    Equivalent to apply_symplectic with cz_matrix, but applied as direct
-    row/column updates; the gate sits in the streaming hot loop.
+    Equal to S cov S^T with S = cz_matrix, but applied as direct row/column
+    updates; the gate sits in the streaming hot loop.
     """
     if a == b:
         raise ValueError("CZ requires two distinct modes")
@@ -242,9 +207,23 @@ def rotation_matrix(n: int, i: int, theta: float) -> np.ndarray:
 
 
 def apply_phase_rotation(state: GaussianState, mode: Label, theta: float) -> GaussianState:
-    """Rotate the quadratures of one mode by angle theta."""
+    """Rotate one mode's quadratures: q -> q cos + p sin, p -> -q sin + p cos.
+
+    Equal to S cov S^T with S = rotation_matrix, but applied to one copy of
+    cov as a 2 x 2 mix of the mode's q and p rows, then of its q and p
+    columns, with no dense matrix product.
+    """
     i = state.index(mode)
-    return apply_symplectic(state, SymplecticOp(rotation_matrix(state.n_modes, i, theta)))
+    j = state.n_modes + i
+    c, s = math.cos(theta), math.sin(theta)
+    cov = state.cov.copy()
+    q, p = cov[i, :].copy(), cov[j, :].copy()
+    cov[i, :] = c * q + s * p
+    cov[j, :] = c * p - s * q
+    q, p = cov[:, i].copy(), cov[:, j].copy()
+    cov[:, i] = c * q + s * p
+    cov[:, j] = c * p - s * q
+    return GaussianState(state.labels, cov)
 
 
 def _drop_modes(labels: tuple, positions: Iterable[int]) -> tuple:
@@ -266,13 +245,15 @@ def measure_quadrature(
     """Homodyne-measure x_theta = q cos(theta) + p sin(theta) on one mode.
 
     The outcome of x_theta is drawn from its zero-mean marginal using ``rng``
-    unless a forced ``outcome`` is given (post-selection for tests).
-    Survivors are updated by Gaussian conditioning on the measured
-    quadrature; the conditional mean shift is cancelled by feedforward and
-    recorded, so survivors stay at zero mean (pinned convention).  The record
-    holds the normalized angle theta mod pi, and since x_theta = -x_{theta-pi}
-    its outcome is negated when floor(theta / pi) is odd.  Returns (reduced
-    state, record).
+    unless a forced ``outcome`` is given (post-selection for tests).  A
+    nonzero angle first rotates the mode by theta with
+    :func:`apply_phase_rotation`, which turns x_theta into its q quadrature;
+    angle 0 skips the rotation.  Survivors are then conditioned on that q by
+    a rank-1 Schur complement.  The conditional mean shift is cancelled by
+    feedforward and recorded, so survivors stay at zero mean (pinned
+    convention).  The record holds the normalized angle theta mod pi, and
+    since x_theta = -x_{theta-pi} its outcome is negated when
+    floor(theta / pi) is odd.  Returns (reduced state, record).
     """
     k = state.index(mode)  # q index of the (rotated) measured quadrature
     if angle != 0.0:

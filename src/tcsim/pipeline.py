@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -46,19 +46,13 @@ logger = logging.getLogger("tcsim.pipeline")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Declarative description of one streaming run.
-
-    ``window`` (verify mode) is the deferral between a node's last CZ and its
-    measurement, in ticks; it defaults to the structural reach (1 for a wire,
-    M for a lattice) and must not be smaller.
-    """
+    """Declarative description of one streaming run."""
 
     topology: str  # "wire" | "lattice"
     n_pulses: int
     width: int = 0  # lattice stripe height M
     squeezing_r: float = 0.0
     mode: str = "compute"  # | "verify"
-    window: Optional[int] = None
     seed: int = 0
 
     def validate(self) -> None:
@@ -77,10 +71,6 @@ class PipelineConfig:
                 raise ValueError("lattice width must be at least 2")
             if self.n_pulses < 2 * self.width:
                 raise ValueError("lattice needs at least 2 * width pulses")
-        if self.window is not None and self.window < self.reach:
-            raise ValueError(
-                f"verification window {self.window} smaller than reach {self.reach}"
-            )
 
     @property
     def offsets(self) -> Tuple[int, ...]:
@@ -99,8 +89,6 @@ class PipelineConfig:
         One tick more than the reach (the pulse in flight to the detector),
         so the live register holds reach + 2 modes at its high-water mark.
         """
-        if self.mode == "verify" and self.window is not None:
-            return self.window + 1
         return self.reach + 1
 
     @property
@@ -176,8 +164,8 @@ class TemporalPipeline:
     In compute mode each node is q-measured as soon as its slot comes up,
     with the conditional mean shift cancelled by feedforward (pinned
     convention).  In verify mode the nullifier variance of each non-boundary
-    node is evaluated on the live window just before the node is measured in
-    the q basis.
+    node is evaluated on the live register just before the node is measured
+    in the q basis.
     """
 
     def __init__(self, config: PipelineConfig):

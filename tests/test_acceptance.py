@@ -44,13 +44,22 @@ def test_criterion_1_symplecticity_and_physicality():
     t0 = time.perf_counter()
     min_eig = math.inf
     max_defect = 0.0
+    # max |applied cov - S cov S^T| / max(1, max |cov|) over every CZ and
+    # rotation, against the dense cz_matrix / rotation_matrix route
+    max_gap = 0.0
+
+    def dense_gap(applied, before, s_mat):
+        dense = s_mat @ before.cov @ s_mat.T
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        return float(np.max(np.abs(applied.cov - dense))) / scale
+
     fresh = 0
     for _ in range(1000):
         state = p_squeezed_state(float(rng.uniform(0, 1.2)), label=fresh)
         fresh += 1
         for _ in range(int(rng.integers(4, 8))):
             n = state.n_modes
-            choice = rng.integers(0, 5)
+            choice = rng.integers(0, 4)
             if choice == 0 and n < 8:
                 state = append_modes(
                     state, p_squeezed_state(float(rng.uniform(0, 1.2)), label=fresh)
@@ -58,25 +67,35 @@ def test_criterion_1_symplecticity_and_physicality():
                 fresh += 1
             elif choice == 1 and n >= 2:
                 i, j = map(int, rng.choice(n, size=2, replace=False))
-                max_defect = max(max_defect, symplectic_defect(cz_matrix(n, i, j)))
-                state = apply_cz(state, state.labels[i], state.labels[j])
+                s_mat = cz_matrix(n, i, j)
+                max_defect = max(max_defect, symplectic_defect(s_mat))
+                before, state = state, apply_cz(state, state.labels[i], state.labels[j])
+                max_gap = max(max_gap, dense_gap(state, before, s_mat))
             elif choice == 2:
                 i = int(rng.integers(n))
                 theta = float(rng.uniform(0, 2 * math.pi))
-                max_defect = max(max_defect, symplectic_defect(rotation_matrix(n, i, theta)))
-                state = apply_phase_rotation(state, state.labels[i], theta)
-            elif choice == 4 and n >= 2:
+                s_mat = rotation_matrix(n, i, theta)
+                max_defect = max(max_defect, symplectic_defect(s_mat))
+                before, state = state, apply_phase_rotation(state, state.labels[i], theta)
+                max_gap = max(max_gap, dense_gap(state, before, s_mat))
+            elif choice == 3 and n >= 2:
                 mode = state.labels[int(rng.integers(n))]
                 theta = float(rng.uniform(0, math.pi))
                 state, _ = measure_quadrature(state, mode, theta, rng=rng)
             min_eig = min(min_eig, check_physicality(state))
     elapsed = time.perf_counter() - t0
-    ok = min_eig >= 0.5 - 1e-9 and max_defect < 1e-10 and elapsed < 10.0
+    ok = (
+        min_eig >= 0.5 - 1e-9
+        and max_defect < 1e-10
+        and max_gap <= 1e-12
+        and elapsed < 10.0
+    )
     report(
         1,
         "symplecticity & physicality",
         ok,
-        f"min sympl eig {min_eig:.12f}, max defect {max_defect:.2e}, {elapsed:.1f}s",
+        f"min sympl eig {min_eig:.12f}, max defect {max_defect:.2e}, "
+        f"max gap to S cov S^T {max_gap:.2e}, {elapsed:.1f}s",
     )
 
 

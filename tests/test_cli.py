@@ -135,5 +135,7 @@ class TestErrors:
     def test_unusable_squeezing_returns_2(self, command, squeezing, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main(command + squeezing + ["--out", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "RuntimeWarning" not in err
         assert not out.exists()

@@ -34,10 +34,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig("lattice", 5, width=4).validate()
 
-    def test_window_below_reach(self):
-        with pytest.raises(ValueError):
-            lattice_config(40, 4, mode="verify", window=3).validate()
-
     def test_unknown_topology(self):
         with pytest.raises(ValueError):
             PipelineConfig("ring", 5).validate()
@@ -153,13 +149,6 @@ class TestVerifyMode:
         report = run_pipeline(lattice_config(24, 3, mode="verify"))
         assert report.config.boundary_nodes == frozenset({1, 2, 3})
         assert all(n not in report.config.boundary_nodes for n, _ in report.nullifier_checks)
-
-    def test_wider_window_still_exact(self):
-        report = run_pipeline(lattice_config(30, 3, r=0.5, mode="verify", window=5))
-        target = math.exp(-1.0) / 2
-        for _, v in report.nullifier_checks:
-            assert v == pytest.approx(target, abs=1e-9)
-        assert report.high_water == 5 + 2
 
 
 class TestMemoryBound:
