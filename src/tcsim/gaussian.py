@@ -245,30 +245,36 @@ def measure_quadrature(
     """Homodyne-measure x_theta = q cos(theta) + p sin(theta) on one mode.
 
     The outcome of x_theta is drawn from its zero-mean marginal using ``rng``
-    unless a forced ``outcome`` is given (post-selection for tests).  A
-    nonzero angle first rotates the mode by theta with
-    :func:`apply_phase_rotation`, which turns x_theta into its q quadrature;
-    angle 0 skips the rotation.  Survivors are then conditioned on that q by
-    a rank-1 Schur complement.  The conditional mean shift is cancelled by
-    feedforward and recorded, so survivors stay at zero mean (pinned
-    convention).  The record holds the normalized angle theta mod pi, and
-    since x_theta = -x_{theta-pi} its outcome is negated when
-    floor(theta / pi) is odd.  Returns (reduced state, record).
+    unless a forced ``outcome`` is given (post-selection for tests).
+    Survivors are conditioned on x_theta by a rank-1 Schur complement.
+    Rotating the measured mode never changes the survivors' block, so a
+    nonzero angle only mixes the mode's q and p columns into the
+    cross-covariance b and the variance var; angle 0 reads them off q.  The
+    conditional mean shift is cancelled by feedforward and recorded, so
+    survivors stay at zero mean (pinned convention).  The record holds the
+    normalized angle theta mod pi, and since x_theta = -x_{theta-pi} its
+    outcome is negated when floor(theta / pi) is odd.  Returns
+    (reduced state, record).
     """
-    k = state.index(mode)  # q index of the (rotated) measured quadrature
-    if angle != 0.0:
-        state = apply_phase_rotation(state, mode, angle)
-    var = state.cov[k, k]
+    k = state.index(mode)
+    cov = state.cov
+    survivors, keep_idx = _drop_modes(state.labels, [k])
+    if angle == 0.0:
+        var = cov[k, k]
+        b = cov[keep_idx, k]
+    else:
+        j = state.n_modes + k
+        c, s = math.cos(angle), math.sin(angle)
+        var = c * c * cov[k, k] + 2 * c * s * cov[k, j] + s * s * cov[j, j]
+        b = c * cov[keep_idx, k] + s * cov[keep_idx, j]
     if var < MARGINAL_FLOOR:
         raise ValueError(f"degenerate marginal variance {var:.3e} on mode {mode!r}")
     if outcome is None:
         if rng is None:
             raise ValueError("either a forced outcome or an rng is required")
         outcome = math.sqrt(var) * rng.standard_normal()
-    survivors, keep_idx = _drop_modes(state.labels, [k])
-    b = state.cov[keep_idx, k]
     shift = b * (outcome / var)
-    cond_cov = state.cov[np.ix_(keep_idx, keep_idx)] - np.outer(b, b) / var
+    cond_cov = cov[np.ix_(keep_idx, keep_idx)] - np.outer(b, b) / var
     half_turns, angle = divmod(angle, math.pi)
     if half_turns % 2:
         outcome = -outcome

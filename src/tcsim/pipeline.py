@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .gaussian import (
     trace_out,
     vacuum_state,
 )
-from .graphs import Graph, make_graph, nullifier_variance
+from .graphs import Graph, delete_nodes, make_graph, nullifier_variance
 
 logger = logging.getLogger("tcsim.pipeline")
 
@@ -251,12 +251,13 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     """Max discrepancy between the pipeline output and the canonical cluster.
 
     Runs the pipeline with measurements of nodes in ``node_range`` deferred
-    (everything earlier is q-measured as usual), stops once all CZ gates
-    among nodes up to the range end have fired, and compares the surviving
-    register against the canonical construction on the same interaction
-    graph, with the ancillas traced and the same q measurements replayed at
-    the pipeline's recorded outcomes.  Returns the max entrywise difference
-    between the covariances (both states are zero-mean).
+    (everything earlier is q-measured as usual) and with no pulse beyond the
+    range end, until every remaining slot has come up.  The oracle is the
+    closed-form canonical cluster on the same interaction graph, with the
+    ancillas at r = 0 and then traced out.  A q measurement deletes its node
+    from the graph, so the measured nodes are simply deleted; no outcome is
+    replayed.  Returns the max entrywise difference between the covariances
+    (both states are zero-mean).
     """
     config.validate()
     first, last = node_range
@@ -266,31 +267,24 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     base = replace(config, mode="compute")
     pipe = TemporalPipeline(base)
     deferred = set(range(first, last + 1))
-    for t in range(1, last + 1):
+    for t in range(1, last + base.delay + 1):
         pipe.execute(
             [
                 e
                 for e in tick_events(base, t)
-                if not (e.kind == "measure" and e.labels[0] in deferred)
+                if max(e.labels) <= last
+                and not (e.kind == "measure" and e.labels[0] in deferred)
             ]
         )
-    # Flush: ancillas and pre-range nodes whose slots fall beyond the stop tick.
-    leftovers = [lbl for lbl in pipe.state.labels if lbl <= 0]
-    if leftovers:
-        pipe.state = trace_out(pipe.state, leftovers)
-    for node in sorted(lbl for lbl in pipe.state.labels if lbl < first):
-        pipe._finalize(node)
     if set(pipe.state.labels) != deferred:
         raise RuntimeError(f"unexpected live register {pipe.state.labels}")
 
-    squeezing: Dict[int, float] = {
-        lbl: 0.0 for lbl in config.ancilla_labels
-    }
+    squeezing = {lbl: 0.0 for lbl in config.ancilla_labels}
     squeezing.update({node: config.squeezing_r for node in range(1, last + 1)})
-    oracle = build_canonical_cluster(pipeline_interaction_graph(config, last), squeezing)
-    oracle = trace_out(oracle, config.ancilla_labels)
-    for record in pipe.records:
-        oracle, _ = measure_quadrature(oracle, record.node, 0.0, outcome=record.outcome)
+    graph = delete_nodes(
+        pipeline_interaction_graph(config, last), [rec.node for rec in pipe.records]
+    )
+    oracle = trace_out(build_canonical_cluster(graph, squeezing), config.ancilla_labels)
 
     order = sorted(deferred)
     got = permute_modes(pipe.state, order)

@@ -59,13 +59,16 @@ def test_criterion_1_symplecticity_and_physicality():
         fresh += 1
         for _ in range(int(rng.integers(4, 8))):
             n = state.n_modes
-            choice = rng.integers(0, 4)
-            if choice == 0 and n < 8:
+            # draw only the steps that act at this size: append below 8
+            # modes, CZ and measurement from 2 modes up, rotation always
+            valid = [c for c, ok in ((0, n < 8), (1, n >= 2), (2, True), (3, n >= 2)) if ok]
+            choice = valid[int(rng.integers(len(valid)))]
+            if choice == 0:
                 state = append_modes(
                     state, p_squeezed_state(float(rng.uniform(0, 1.2)), label=fresh)
                 )
                 fresh += 1
-            elif choice == 1 and n >= 2:
+            elif choice == 1:
                 i, j = map(int, rng.choice(n, size=2, replace=False))
                 s_mat = cz_matrix(n, i, j)
                 max_defect = max(max_defect, symplectic_defect(s_mat))
@@ -78,7 +81,7 @@ def test_criterion_1_symplecticity_and_physicality():
                 max_defect = max(max_defect, symplectic_defect(s_mat))
                 before, state = state, apply_phase_rotation(state, state.labels[i], theta)
                 max_gap = max(max_gap, dense_gap(state, before, s_mat))
-            elif choice == 3 and n >= 2:
+            elif choice == 3:
                 mode = state.labels[int(rng.integers(n))]
                 theta = float(rng.uniform(0, math.pi))
                 state, _ = measure_quadrature(state, mode, theta, rng=rng)

@@ -3,13 +3,26 @@ import math
 import numpy as np
 import pytest
 
+import tcsim
+import tcsim.canonical
+import tcsim.gaussian
+import tcsim.pipeline
 from tcsim.canonical import (
     build_canonical_cluster,
     canonical_covariance,
     canonical_nullifier_report,
 )
-from tcsim.gaussian import check_physicality, db_to_r, states_equal
+from tcsim.gaussian import (
+    GaussianState,
+    append_modes,
+    apply_cz,
+    check_physicality,
+    db_to_r,
+    p_squeezed_state,
+    states_equal,
+)
 from tcsim.graphs import make_graph, sheared_cylinder_graph, wire_graph
+from tcsim.pipeline import PipelineConfig, equivalence_check
 
 
 def random_graph(n_nodes, edge_prob, rng):
@@ -21,6 +34,22 @@ def random_graph(n_nodes, edge_prob, rng):
         if i < j and rng.random() < edge_prob
     ]
     return make_graph(nodes, edges)
+
+
+def constructive_cluster(graph, r, edges=None):
+    """The canonical cluster by its definition, gate by gate: one p-squeezed
+    mode per node, then one CZ per edge (in ``edges`` order if given)."""
+    per_node = r if isinstance(r, dict) else {v: r for v in graph.nodes}
+    state = GaussianState((), np.zeros((0, 0)))
+    for node in graph.nodes:
+        state = append_modes(state, p_squeezed_state(per_node[node], label=node))
+    for u, v in graph.sorted_edges() if edges is None else edges:
+        state = apply_cz(state, u, v)
+    return state
+
+
+def max_gap(cov, reference):
+    return float(np.max(np.abs(cov - reference)))
 
 
 class TestClosedForm:
@@ -45,8 +74,7 @@ class TestClosedForm:
     def test_empty_graph_is_product_state(self):
         g = make_graph([1, 2, 3], [])
         state = build_canonical_cluster(g, 0.9)
-        expected = canonical_covariance(g, 0.9)
-        assert np.allclose(state.cov, expected, atol=1e-14)
+        assert max_gap(state.cov, constructive_cluster(g, 0.9).cov) < 1e-14
         assert np.count_nonzero(state.cov - np.diag(np.diagonal(state.cov))) == 0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -54,22 +82,56 @@ class TestClosedForm:
         rng = np.random.default_rng(seed)
         g = random_graph(rng.integers(2, 13), 0.4, rng)
         r = float(rng.uniform(0, 1.2))
-        state = build_canonical_cluster(g, r)
-        assert np.max(np.abs(state.cov - canonical_covariance(g, r))) < 1e-12
+        reference = constructive_cluster(g, r).cov
+        assert max_gap(canonical_covariance(g, r), reference) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_per_node_squeezing_matches_construction(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        g = random_graph(rng.integers(2, 13), 0.4, rng)
+        # about a third of the nodes, and always the first, are vacuum (r = 0)
+        r = {v: float(rng.uniform(0, 1.2)) if rng.random() > 0.3 else 0.0 for v in g.nodes}
+        r[g.nodes[0]] = 0.0
+        reference = constructive_cluster(g, r).cov
+        assert max_gap(canonical_covariance(g, r), reference) < 1e-12
+
+    def test_negative_squeezing_rejected(self):
+        with pytest.raises(ValueError):
+            canonical_covariance(wire_graph(3), {1: 0.5, 2: -0.1, 3: 0.5})
 
 
 class TestOrderIndependence:
     def test_shuffled_edge_order(self):
         rng = np.random.default_rng(7)
         g = sheared_cylinder_graph(10, 4)
-        reference = build_canonical_cluster(g, 1.0)
+        closed = canonical_covariance(g, 1.0)
         edges = g.sorted_edges()
         for _ in range(3):
             perm = [edges[i] for i in rng.permutation(len(edges))]
-            shuffled = build_canonical_cluster(
-                make_graph(g.nodes, perm), 1.0
-            )
-            assert np.max(np.abs(shuffled.cov - reference.cov)) < 1e-12
+            shuffled = constructive_cluster(g, 1.0, edges=perm)
+            assert max_gap(shuffled.cov, closed) < 1e-12
+
+
+class TestIndependentOracle:
+    def test_shared_cz_fault_is_caught(self, monkeypatch):
+        """A CZ of weight 1 + 1e-3 patched into every module that binds
+        ``apply_cz``: an oracle built from the same gate would share the
+        fault and report 0."""
+
+        def skewed_cz(state, a, b):
+            n = state.n_modes
+            i, j = state.index(a), state.index(b)
+            s = np.eye(2 * n)
+            s[n + i, j] = s[n + j, i] = 1.0 + 1e-3
+            return GaussianState(state.labels, s @ state.cov @ s.T)
+
+        for module in (tcsim, tcsim.gaussian, tcsim.canonical, tcsim.pipeline):
+            monkeypatch.setattr(module, "apply_cz", skewed_cz, raising=False)
+        for config, node_range in (
+            (PipelineConfig("wire", 20, squeezing_r=1.0, seed=5), (5, 10)),
+            (PipelineConfig("lattice", 30, width=3, squeezing_r=1.0, seed=5), (7, 12)),
+        ):
+            assert equivalence_check(config, node_range) > 1e-6
 
 
 class TestPurityAndNullifiers:

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tcsim.gaussian import states_equal, vacuum_state
+from tcsim.gaussian import db_to_r, states_equal, vacuum_state
 from tcsim.graphs import sheared_cylinder_graph, wire_graph
 from tcsim.pipeline import (
     PipelineConfig,
@@ -198,7 +198,7 @@ class TestSnapshot:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("r", [0.0, 1.0])
+    @pytest.mark.parametrize("r", [0.0, 1.0, db_to_r(40)])
     def test_wire(self, r):
         assert equivalence_check(wire_config(20, r=r, seed=5), (5, 10)) < 1e-9
 
