@@ -6,6 +6,10 @@ which keeps the symplectic form in the block shape Omega = [[0, I], [-I, 0]]
 and makes the CZ matrix sparse and readable.  States are zero-mean: every
 input is squeezed vacuum, and each homodyne outcome's conditional mean shift
 is cancelled by feedforward and recorded, not stored.
+
+Emit, CZ, measurement and trace are in-place kernels on a covariance buffer
+and mode slots; the ``GaussianState`` operations run them on a copy, and the
+streaming pipeline runs them on its preallocated live register.
 """
 
 from __future__ import annotations
@@ -87,6 +91,86 @@ class MeasurementRecord:
     feedforward: np.ndarray
 
 
+# In-place kernels.  Each acts on a 2n x 2n covariance buffer in block
+# ordering and on mode slots 0..n-1 of it; a slot that holds no mode is all
+# zeros.  They neither check nor re-symmetrize the buffer; each maps an
+# exactly symmetric buffer to an exactly symmetric one.
+
+
+def squeeze_slot(cov: np.ndarray, k: int, r: float) -> None:
+    """Write a p-squeezed vacuum, diag(e^{2r}/2, e^{-2r}/2), into empty slot k."""
+    if r < 0:
+        raise ValueError("squeezing parameter must be nonnegative")
+    n = len(cov) // 2
+    cov[k, k] = VACUUM_VARIANCE * math.exp(2 * r)
+    cov[n + k, n + k] = VACUUM_VARIANCE * math.exp(-2 * r)
+
+
+def cz_slots(cov: np.ndarray, i: int, j: int) -> None:
+    """Unit-weight CZ on slots i and j: two row adds, then two column adds.
+
+    The (p_i, p_j) entry sums the same four terms as (p_j, p_i) in another
+    order, so it is mirrored to keep the buffer exactly symmetric.
+    """
+    n = len(cov) // 2
+    cov[n + i, :] += cov[j, :]
+    cov[n + j, :] += cov[i, :]
+    cov[:, n + i] += cov[:, j]
+    cov[:, n + j] += cov[:, i]
+    cov[n + j, n + i] = cov[n + i, n + j]
+
+
+def clear_slot(cov: np.ndarray, k: int) -> None:
+    """Discard the mode in slot k: zero its q and p rows and columns."""
+    n = len(cov) // 2
+    cov[k, :] = 0.0
+    cov[n + k, :] = 0.0
+    cov[:, k] = 0.0
+    cov[:, n + k] = 0.0
+
+
+def measure_slot(
+    cov: np.ndarray,
+    k: int,
+    keep: np.ndarray,
+    mode: Label,
+    angle: float = 0.0,
+    outcome: Optional[float] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> MeasurementRecord:
+    """Homodyne-measure x_theta on slot k: see :func:`measure_quadrature`.
+
+    Conditions the whole buffer by one rank-1 Schur downdate
+    cov -= b b^T / var, then clears slot k.  ``keep`` lists the survivors'
+    q and p positions in the order the record's feedforward follows;
+    ``mode`` is the measured mode's label, for the record.
+    """
+    n = len(cov) // 2
+    if angle == 0.0:
+        var = cov[k, k]
+        b = cov[:, k].copy()
+    else:
+        j = n + k
+        c, s = math.cos(angle), math.sin(angle)
+        var = c * c * cov[k, k] + 2 * c * s * cov[k, j] + s * s * cov[j, j]
+        b = c * cov[:, k] + s * cov[:, j]
+    if var < MARGINAL_FLOOR:
+        raise ValueError(f"degenerate marginal variance {var:.3e} on mode {mode!r}")
+    if outcome is None:
+        if rng is None:
+            raise ValueError("either a forced outcome or an rng is required")
+        outcome = math.sqrt(var) * rng.standard_normal()
+    shift = b[keep] * (outcome / var)
+    downdate = np.outer(b, b)
+    downdate /= var
+    cov -= downdate
+    clear_slot(cov, k)
+    half_turns, angle = divmod(angle, math.pi)
+    if half_turns % 2:
+        outcome = -outcome
+    return MeasurementRecord(node=mode, angle=angle, outcome=float(outcome), feedforward=-shift)
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Zero-mean Gaussian state: covariance over an ordered set of labeled modes.
@@ -147,9 +231,8 @@ def p_squeezed_state(r: float, label: Label = 1) -> GaussianState:
     cov = diag(e^{2r}/2, e^{-2r}/2); r = 0 is the vacuum.  Negative r
     (q-squeezing) is rejected.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
-    cov = np.diag([VACUUM_VARIANCE * math.exp(2 * r), VACUUM_VARIANCE * math.exp(-2 * r)])
+    cov = np.zeros((2, 2))
+    squeeze_slot(cov, 0, r)
     return GaussianState((label,), cov)
 
 
@@ -180,18 +263,14 @@ def cz_matrix(n: int, i: int, j: int) -> np.ndarray:
 def apply_cz(state: GaussianState, a: Label, b: Label) -> GaussianState:
     """Unit-weight CZ gate: p_a -> p_a + q_b, p_b -> p_b + q_a, q's unchanged.
 
-    Equal to S cov S^T with S = cz_matrix, but applied as direct row/column
-    updates; the gate sits in the streaming hot loop.
+    Equal to S cov S^T with S = cz_matrix, but applied by the row/column
+    kernel :func:`cz_slots` on a copy of cov, the kernel the streaming
+    register runs.
     """
     if a == b:
         raise ValueError("CZ requires two distinct modes")
-    i, j = state.index(a), state.index(b)
-    n = state.n_modes
     cov = state.cov.copy()
-    cov[n + i, :] += cov[j, :]
-    cov[n + j, :] += cov[i, :]
-    cov[:, n + i] += cov[:, j]
-    cov[:, n + j] += cov[:, i]
+    cz_slots(cov, state.index(a), state.index(b))
     return GaussianState(state.labels, cov)
 
 
@@ -253,35 +332,17 @@ def measure_quadrature(
     conditional mean shift is cancelled by feedforward and recorded, so
     survivors stay at zero mean (pinned convention).  The record holds the
     normalized angle theta mod pi, and since x_theta = -x_{theta-pi} its
-    outcome is negated when floor(theta / pi) is odd.  Returns
-    (reduced state, record).
+    outcome is negated when floor(theta / pi) is odd.
+
+    Runs :func:`measure_slot` on a copy of cov, then drops the measured
+    mode's cleared rows and columns; the streaming register runs the same
+    kernel on its own buffer.  Returns (reduced state, record).
     """
     k = state.index(mode)
-    cov = state.cov
     survivors, keep_idx = _drop_modes(state.labels, [k])
-    if angle == 0.0:
-        var = cov[k, k]
-        b = cov[keep_idx, k]
-    else:
-        j = state.n_modes + k
-        c, s = math.cos(angle), math.sin(angle)
-        var = c * c * cov[k, k] + 2 * c * s * cov[k, j] + s * s * cov[j, j]
-        b = c * cov[keep_idx, k] + s * cov[keep_idx, j]
-    if var < MARGINAL_FLOOR:
-        raise ValueError(f"degenerate marginal variance {var:.3e} on mode {mode!r}")
-    if outcome is None:
-        if rng is None:
-            raise ValueError("either a forced outcome or an rng is required")
-        outcome = math.sqrt(var) * rng.standard_normal()
-    shift = b * (outcome / var)
-    cond_cov = cov[np.ix_(keep_idx, keep_idx)] - np.outer(b, b) / var
-    half_turns, angle = divmod(angle, math.pi)
-    if half_turns % 2:
-        outcome = -outcome
-    record = MeasurementRecord(
-        node=mode, angle=angle, outcome=float(outcome), feedforward=-shift
-    )
-    return GaussianState(survivors, cond_cov), record
+    cov = state.cov.copy()
+    record = measure_slot(cov, k, keep_idx, mode, angle, outcome, rng)
+    return GaussianState(survivors, cov[np.ix_(keep_idx, keep_idx)]), record
 
 
 def trace_out(state: GaussianState, modes: Iterable[Label]) -> GaussianState:

@@ -31,15 +31,15 @@ from .canonical import build_canonical_cluster
 from .gaussian import (
     GaussianState,
     MeasurementRecord,
-    append_modes,
-    apply_cz,
-    measure_quadrature,
-    p_squeezed_state,
+    _check_symmetric,
+    clear_slot,
+    cz_slots,
+    measure_slot,
     permute_modes,
+    squeeze_slot,
     trace_out,
-    vacuum_state,
 )
-from .graphs import Graph, delete_nodes, make_graph, nullifier_variance
+from .graphs import Graph, delete_nodes, make_graph
 
 logger = logging.getLogger("tcsim.pipeline")
 
@@ -159,28 +159,47 @@ def build_schedule(config: PipelineConfig) -> List[PipelineEvent]:
 
 
 class TemporalPipeline:
-    """Executes the run tick by tick against the Gaussian-state substrate.
+    """Executes the run tick by tick on a ring-buffer live register.
+
+    The live labels always form one consecutive window, so the mode with
+    label l lives in slot l mod K of one preallocated 2K x 2K covariance
+    (block ordering), with no label map and no free list; slots outside the
+    window hold zeros.  K is reach + 2, the high-water mark, or, for the
+    deferred run of :func:`equivalence_check`, enough slots to also hold the
+    ``deferred`` labels.  Every event is one in-place kernel of
+    :mod:`tcsim.gaussian`: emit writes two diagonal entries, CZ adds two rows
+    and two columns, measure is one rank-1 downdate of the buffer, and both
+    measure and trace then clear the slot.  The kernels keep the buffer
+    exactly symmetric; it is checked (symmetric and finite) once per tick,
+    before the tick's measurement.
 
     In compute mode each node is q-measured as soon as its slot comes up,
     with the conditional mean shift cancelled by feedforward (pinned
-    convention).  In verify mode the nullifier variance of each non-boundary
-    node is evaluated on the live register just before the node is measured
-    in the q basis.
+    convention), and the feedforward lists the survivors in ascending label
+    order.  In verify mode the nullifier variance of each non-boundary node
+    is evaluated on the live register just before the node is measured in
+    the q basis.
     """
 
-    def __init__(self, config: PipelineConfig):
+    def __init__(self, config: PipelineConfig, deferred: range = range(0)):
         config.validate()
         self.config = config
         self.rng = np.random.default_rng(config.seed)
+        self.slots = max(len(deferred), config.reach + 2)
+        self.cov = np.zeros((2 * self.slots, 2 * self.slots))
         ancillas = config.ancilla_labels
-        self.state = vacuum_state(len(ancillas), labels=ancillas)
+        # the live window is lo..hi; it is empty when hi < lo
+        self.lo, self.hi = ancillas[0], ancillas[-1]
+        for label in ancillas:
+            squeeze_slot(self.cov, label % self.slots, 0.0)
         self.records: List[MeasurementRecord] = []
         self.nullifier_checks: List[Tuple[int, float]] = []
-        self.high_water = self.state.n_modes
+        self.high_water = len(ancillas)
 
     def snapshot(self) -> GaussianState:
-        """The live register (GaussianState values are immutable)."""
-        return self.state
+        """A copy of the live register, modes in ascending label order."""
+        idx = self._indices(self.lo, self.hi)
+        return GaussianState(range(self.lo, self.hi + 1), self.cov[np.ix_(idx, idx)])
 
     def execute(self, events: List[PipelineEvent]) -> None:
         for event in events:
@@ -189,8 +208,8 @@ class TemporalPipeline:
     def run(self) -> RunReport:
         for t in self.config.ticks:
             self.execute(tick_events(self.config, t))
-        if self.state.n_modes:
-            raise RuntimeError(f"schedule left live modes {self.state.labels}")
+        if self.hi >= self.lo:
+            raise RuntimeError(f"schedule left live modes {self.snapshot().labels}")
         return RunReport(
             config=self.config,
             records=self.records,
@@ -198,38 +217,68 @@ class TemporalPipeline:
             nullifier_checks=self.nullifier_checks,
         )
 
+    def _indices(self, lo: int, hi: int) -> np.ndarray:
+        """Buffer positions of labels lo..hi: their q slots, then their p slots."""
+        q = np.arange(lo, hi + 1) % self.slots
+        return np.concatenate((q, q + self.slots))
+
     def _apply(self, event: PipelineEvent) -> None:
-        if event.kind == "emit":
-            pulse = p_squeezed_state(self.config.squeezing_r, label=event.labels[0])
-            self.state = append_modes(self.state, pulse)
-        elif event.kind == "cz":
-            self.state = apply_cz(self.state, *event.labels)
-        elif event.kind == "trace":
-            self.state = trace_out(self.state, event.labels)
-        elif event.kind == "measure":
-            self._finalize(event.labels[0])
+        kind, labels = event.kind, event.labels
+        if kind == "cz":
+            cz_slots(self.cov, labels[0] % self.slots, labels[1] % self.slots)
+        elif kind == "emit":
+            self._emit(labels[0], event.tick)
+        elif kind == "measure":
+            self._finalize(labels[0])
+        elif kind == "trace":
+            clear_slot(self.cov, self._retire(labels[0]))
         else:
-            raise ValueError(f"unknown event kind {event.kind!r}")
-        if self.state.n_modes > self.high_water:
-            self.high_water = self.state.n_modes
-            logger.debug("high water %d at tick %d", self.high_water, event.tick)
+            raise ValueError(f"unknown event kind {kind!r}")
+
+    def _emit(self, label: int, tick: int) -> None:
+        if label != self.hi + 1 or label - self.lo >= self.slots:
+            raise RuntimeError(f"cannot emit {label} into window {self.lo}..{self.hi}")
+        self.hi = label
+        squeeze_slot(self.cov, label % self.slots, self.config.squeezing_r)
+        if label - self.lo + 1 > self.high_water:
+            self.high_water = label - self.lo + 1
+            logger.debug("high water %d at tick %d", self.high_water, tick)
+
+    def _retire(self, label: int) -> int:
+        """Take the oldest live label out of the window; returns its slot.
+
+        The slot's rows and columns still hold the mode until a kernel
+        clears them.
+        """
+        if label != self.lo or label > self.hi:
+            raise RuntimeError(f"cannot finalize {label} in window {self.lo}..{self.hi}")
+        self.lo = label + 1
+        return label % self.slots
 
     def _finalize(self, node: int) -> None:
         config = self.config
+        slot = self._retire(node)
+        _check_symmetric(self.cov)
         if config.mode == "verify" and node not in config.boundary_nodes:
             variance = self.live_nullifier_variance(node)
             self.nullifier_checks.append((node, variance))
-        self.state, record = measure_quadrature(self.state, node, 0.0, rng=self.rng)
+        keep = self._indices(self.lo, self.hi)
+        record = measure_slot(self.cov, slot, keep, node, 0.0, rng=self.rng)
         self.records.append(record)
 
     def live_nullifier_variance(self, node: int) -> float:
         """Variance of p_node - sum(q over live graph neighbors).
 
         Already-measured neighbors drop out of the reduced nullifier; since
-        they were measured in the q basis, the variance is unchanged.
+        they were measured in the q basis, the variance is unchanged.  The
+        quadratic form runs over the gathered q slots of the live neighbors,
+        in ascending label order, and then the node's p slot.
         """
-        live_neighbors = self.config.node_neighbors(node) & set(self.state.labels)
-        return nullifier_variance(self.state, node, live_neighbors)
+        live = sorted(nb for nb in self.config.node_neighbors(node) if self.lo <= nb <= self.hi)
+        idx = [nb % self.slots for nb in live] + [self.slots + node % self.slots]
+        v = np.full(len(idx), -1.0)
+        v[-1] = 1.0
+        return float(v @ self.cov[idx][:, idx] @ v)
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
@@ -247,48 +296,52 @@ def pipeline_interaction_graph(config: PipelineConfig, up_to: int) -> Graph:
     return make_graph(nodes, edges)
 
 
+def _deferred_run(config: PipelineConfig, deferred: range) -> Tuple[GaussianState, List[int]]:
+    """Run with the measurements of ``deferred`` skipped and no pulse beyond
+    its end; return the live register, which then holds exactly the deferred
+    nodes, and the nodes that were measured."""
+    base = replace(config, mode="compute")
+    pipe = TemporalPipeline(base, deferred)
+    for t in range(1, deferred[-1] + base.delay + 1):
+        pipe.execute(
+            [
+                e
+                for e in tick_events(base, t)
+                if max(e.labels) <= deferred[-1]
+                and not (e.kind == "measure" and e.labels[0] in deferred)
+            ]
+        )
+    state = pipe.snapshot()
+    if state.labels != tuple(deferred):
+        raise RuntimeError(f"unexpected live register {state.labels}")
+    return state, [rec.node for rec in pipe.records]
+
+
 def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> float:
     """Max discrepancy between the pipeline output and the canonical cluster.
 
     Runs the pipeline with measurements of nodes in ``node_range`` deferred
     (everything earlier is q-measured as usual) and with no pulse beyond the
-    range end, until every remaining slot has come up.  The oracle is the
-    closed-form canonical cluster on the same interaction graph, with the
-    ancillas at r = 0 and then traced out.  A q measurement deletes its node
-    from the graph, so the measured nodes are simply deleted; no outcome is
-    replayed.  Returns the max entrywise difference between the covariances
-    (both states are zero-mean).
+    range end, until every remaining slot has come up.  The deferred run goes
+    through the same ``execute`` dispatch and ring register as any run; its
+    capacity, max(last - first + 1, reach + 2) slots, follows from the range.
+    The oracle is the closed-form canonical cluster on the same interaction
+    graph, with the ancillas at r = 0 and then traced out.  A q measurement
+    deletes its node from the graph, so the measured nodes are simply
+    deleted; no outcome is replayed.  Returns the max entrywise difference
+    between the covariances (both states are zero-mean).
     """
     config.validate()
     first, last = node_range
     if not (1 <= first <= last <= config.n_pulses):
         raise ValueError(f"node range {node_range} outside 1..{config.n_pulses}")
 
-    base = replace(config, mode="compute")
-    pipe = TemporalPipeline(base)
-    deferred = set(range(first, last + 1))
-    for t in range(1, last + base.delay + 1):
-        pipe.execute(
-            [
-                e
-                for e in tick_events(base, t)
-                if max(e.labels) <= last
-                and not (e.kind == "measure" and e.labels[0] in deferred)
-            ]
-        )
-    if set(pipe.state.labels) != deferred:
-        raise RuntimeError(f"unexpected live register {pipe.state.labels}")
-
+    got, measured = _deferred_run(config, range(first, last + 1))
     squeezing = {lbl: 0.0 for lbl in config.ancilla_labels}
     squeezing.update({node: config.squeezing_r for node in range(1, last + 1)})
-    graph = delete_nodes(
-        pipeline_interaction_graph(config, last), [rec.node for rec in pipe.records]
-    )
+    graph = delete_nodes(pipeline_interaction_graph(config, last), measured)
     oracle = trace_out(build_canonical_cluster(graph, squeezing), config.ancilla_labels)
-
-    order = sorted(deferred)
-    got = permute_modes(pipe.state, order)
-    want = permute_modes(oracle, order)
+    want = permute_modes(oracle, got.labels)
     return float(np.max(np.abs(got.cov - want.cov)))
 
 

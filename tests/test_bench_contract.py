@@ -6,13 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_benchmark_run_is_correct():
+@pytest.mark.parametrize("workload", ["wire-stream", "lattice-verify", "compare-oracle"])
+def test_traced_benchmark_run_is_correct(workload):
     result = subprocess.run(
         [
-            sys.executable, "bench/run.py", "--workload", "compare-oracle",
+            sys.executable, "bench/run.py", "--workload", workload,
             "--seconds", "0", "--trace", "1",
         ],
         cwd=ROOT,

@@ -114,19 +114,18 @@ class TestOrderIndependence:
 
 class TestIndependentOracle:
     def test_shared_cz_fault_is_caught(self, monkeypatch):
-        """A CZ of weight 1 + 1e-3 patched into every module that binds
-        ``apply_cz``: an oracle built from the same gate would share the
-        fault and report 0."""
+        """A CZ of weight 1 + 1e-3 patched into every module that binds the
+        in-place CZ kernel ``cz_slots`` (which ``apply_cz`` also runs): an
+        oracle built from the same gate would share the fault and report 0."""
 
-        def skewed_cz(state, a, b):
-            n = state.n_modes
-            i, j = state.index(a), state.index(b)
+        def skewed_cz(cov, i, j):
+            n = len(cov) // 2
             s = np.eye(2 * n)
             s[n + i, j] = s[n + j, i] = 1.0 + 1e-3
-            return GaussianState(state.labels, s @ state.cov @ s.T)
+            cov[:] = s @ cov @ s.T
 
         for module in (tcsim, tcsim.gaussian, tcsim.canonical, tcsim.pipeline):
-            monkeypatch.setattr(module, "apply_cz", skewed_cz, raising=False)
+            monkeypatch.setattr(module, "cz_slots", skewed_cz, raising=False)
         for config, node_range in (
             (PipelineConfig("wire", 20, squeezing_r=1.0, seed=5), (5, 10)),
             (PipelineConfig("lattice", 30, width=3, squeezing_r=1.0, seed=5), (7, 12)),

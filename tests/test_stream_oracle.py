@@ -1,0 +1,149 @@
+"""The ring-buffer live register along the whole stream.
+
+Two references that do not use the register: the closed-form canonical
+cluster after every tick, and a tick-by-tick replay of the same events on
+``GaussianState`` values, which must match ``run_pipeline`` bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from tcsim.canonical import build_canonical_cluster
+from tcsim.gaussian import (
+    append_modes,
+    apply_cz,
+    db_to_r,
+    measure_quadrature,
+    p_squeezed_state,
+    permute_modes,
+    trace_out,
+    vacuum_state,
+)
+from tcsim.graphs import delete_nodes, nullifier_variance
+from tcsim.pipeline import (
+    PipelineConfig,
+    TemporalPipeline,
+    pipeline_interaction_graph,
+    run_pipeline,
+    tick_events,
+)
+
+#: Max |register - closed form| / max |closed form| along a stream, set from
+#: float64 rounding (about 100 eps) before measuring; a relative fault of
+#: 1e-3 in any update is ten orders of magnitude above it.
+STREAM_REL_TOL = 100 * np.finfo(float).eps
+
+
+def wire(n, db, mode="compute", seed=1):
+    return PipelineConfig("wire", n, squeezing_r=db_to_r(db), mode=mode, seed=seed)
+
+
+def lattice(m, db, mode="compute", seed=1):
+    return PipelineConfig("lattice", 10 * m, width=m, squeezing_r=db_to_r(db), mode=mode, seed=seed)
+
+
+STREAMS = [wire(60, db) for db in (10, 40)] + [lattice(m, db) for m in (3, 4, 8) for db in (10, 40)]
+STREAM_IDS = [f"{c.topology}-{c.width}-{c.squeezing_r:.2f}" for c in STREAMS]
+
+
+def stream_gap(config: PipelineConfig) -> float:
+    """Worst relative gap between the live register and the closed form,
+    over every tick of the run."""
+    pipe = TemporalPipeline(config)
+    n = config.n_pulses
+    squeezing = {a: 0.0 for a in config.ancilla_labels}
+    squeezing.update({node: config.squeezing_r for node in range(1, n + 1)})
+    worst = 0.0
+    for t in config.ticks:
+        pipe.execute(tick_events(config, t))
+        got = pipe.snapshot()
+        if not got.labels:
+            continue
+        measured = [rec.node for rec in pipe.records]
+        graph = delete_nodes(pipeline_interaction_graph(config, min(t, n)), measured)
+        traced = [a for a in config.ancilla_labels if a not in got.labels]
+        oracle = trace_out(build_canonical_cluster(graph, squeezing), traced)
+        assert set(oracle.labels) == set(got.labels), t
+        want = permute_modes(oracle, got.labels)
+        scale = float(np.max(np.abs(want.cov)))
+        worst = max(worst, float(np.max(np.abs(got.cov - want.cov))) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("config", STREAMS, ids=STREAM_IDS)
+def test_register_matches_closed_form_after_every_tick(config):
+    assert stream_gap(config) <= STREAM_REL_TOL
+
+
+def reference_run(config: PipelineConfig):
+    """The copy-per-op register: one GaussianState per event, the same
+    events and the same generator; nullifiers through graphs."""
+    rng = np.random.default_rng(config.seed)
+    ancillas = config.ancilla_labels
+    state = vacuum_state(len(ancillas), labels=ancillas)
+    records, nullifiers = [], []
+    for t in config.ticks:
+        for event in tick_events(config, t):
+            if event.kind == "emit":
+                pulse = p_squeezed_state(config.squeezing_r, label=event.labels[0])
+                state = append_modes(state, pulse)
+            elif event.kind == "cz":
+                state = apply_cz(state, *event.labels)
+            elif event.kind == "trace":
+                state = trace_out(state, event.labels)
+            else:
+                node = event.labels[0]
+                if config.mode == "verify" and node not in config.boundary_nodes:
+                    live = config.node_neighbors(node) & set(state.labels)
+                    nullifiers.append((node, nullifier_variance(state, node, live)))
+                state, record = measure_quadrature(state, node, 0.0, rng=rng)
+                records.append(record)
+    assert state.n_modes == 0
+    return records, nullifiers
+
+
+REPLAYS = [
+    config
+    for mode in ("compute", "verify")
+    for config in (wire(40, 10, mode, seed=3), lattice(3, 20, mode, seed=4), lattice(8, 10, mode, seed=5))
+]
+
+
+@pytest.mark.parametrize(
+    "config", REPLAYS, ids=[f"{c.topology}-{c.width}-{c.mode}" for c in REPLAYS]
+)
+def test_run_matches_copy_per_op_replay_bitwise(config):
+    records, nullifiers = reference_run(config)
+    report = run_pipeline(config)
+    assert [r.node for r in report.records] == [r.node for r in records]
+    for got, want in zip(report.records, records):
+        assert got.outcome.hex() == want.outcome.hex()
+        assert got.angle == want.angle == 0.0
+        assert got.feedforward.tobytes() == want.feedforward.tobytes()
+    assert [(n, v.hex()) for n, v in report.nullifier_checks] == [
+        (n, v.hex()) for n, v in nullifiers
+    ]
+    assert len(nullifiers) == (config.n_pulses - config.reach if config.mode == "verify" else 0)
+
+
+class TestRegisterChecks:
+    def test_corrupted_register_rejected_at_next_measurement(self):
+        config = lattice(3, 10)
+        pipe = TemporalPipeline(config)
+        for t in range(1, 5):
+            pipe.execute(tick_events(config, t))
+        pipe.cov[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            pipe.execute(tick_events(config, 5))
+
+    @pytest.mark.parametrize("topology", ["wire", "lattice"])
+    def test_overflowing_squeezing_rejected(self, topology):
+        config = PipelineConfig(topology, 8, width=4, squeezing_r=200.0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            run_pipeline(config)
+
+    def test_register_keeps_reach_plus_two_slots(self):
+        pipe = TemporalPipeline(lattice(8, 10))
+        assert pipe.cov.shape == (20, 20)
+        pipe.run()
+        assert not np.any(pipe.cov)
