@@ -26,20 +26,14 @@ from .gaussian import (
 from .graphs import (
     Graph,
     delete_nodes,
-    from_edge_list,
     make_graph,
     nullifier_variances,
     sheared_cylinder_graph,
     square_lattice_graph,
-    to_edge_list,
     unfolds_to_grid,
     wire_graph,
 )
-from .canonical import (
-    build_canonical_cluster,
-    canonical_covariance,
-    canonical_nullifier_report,
-)
+from .canonical import build_canonical_cluster, canonical_covariance
 from .pipeline import (
     PipelineConfig,
     PipelineEvent,
@@ -47,7 +41,6 @@ from .pipeline import (
     TemporalPipeline,
     build_schedule,
     equivalence_check,
-    events_to_text,
     run_pipeline,
     tick_events,
 )

@@ -10,12 +10,12 @@ which check the closed form against it.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
 from .gaussian import GaussianState, VACUUM_VARIANCE
-from .graphs import Graph, nullifier_variances
+from .graphs import Graph
 
 Squeezing = Union[float, Mapping]
 
@@ -44,11 +44,3 @@ def build_canonical_cluster(graph: Graph, r: Squeezing) -> GaussianState:
     """Cluster state on ``graph`` at squeezing ``r`` (uniform or per node)."""
     return GaussianState(graph.nodes, canonical_covariance(graph, r))
 
-
-def canonical_nullifier_report(graph: Graph, r: float) -> Dict:
-    """Per-node nullifier variances of the canonical cluster.
-
-    All entries equal e^{-2r}/2 by construction (each nullifier maps back to
-    the squeezed input p of its node).
-    """
-    return nullifier_variances(build_canonical_cluster(graph, r), graph)

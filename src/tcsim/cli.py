@@ -2,17 +2,14 @@
 
 Subcommands: wire, lattice, compare, unfold.  Structured output is JSON
 (``--out``), per-node nullifier variances go to CSV (``--csv``).  Exit code 0
-iff every check passed, 1 on a failed check, 2 on usage errors.  Set the
-``TCS_LOG`` environment variable (DEBUG/INFO/...) for log verbosity.
+iff every check passed, 1 on a failed check, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
-import os
 import sys
 from typing import List, Optional
 
@@ -220,9 +217,6 @@ def _write_outputs(report: dict, args) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    level = os.environ.get("TCS_LOG")
-    if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -7,16 +7,17 @@ and makes the CZ matrix sparse and readable.  States are zero-mean: every
 input is squeezed vacuum, and each homodyne outcome's conditional mean shift
 is cancelled by feedforward and recorded, not stored.
 
-Emit, CZ, measurement and trace are in-place kernels on a covariance buffer
-and mode slots; the ``GaussianState`` operations run them on a copy, and the
-streaming pipeline runs them on its preallocated live register.
+Emit, CZ, phase rotation, q measurement and trace are in-place kernels on a
+covariance buffer and mode slots; the ``GaussianState`` operations run them
+on a copy, and the streaming pipeline runs them on its preallocated live
+register.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +26,9 @@ Label = Hashable
 #: Quadrature variance of the vacuum state (hbar = 1 convention).
 VACUUM_VARIANCE = 0.5
 
-#: Covariances are re-symmetrized after every update; beyond this we refuse.
+#: Largest |cov - cov^T| entry accepted.  ``GaussianState`` construction
+#: checks and then re-symmetrizes; the streaming register's kernels keep it
+#: exactly symmetric, so it is only checked, once per tick.
 SYMMETRY_TOL = 1e-12
 
 #: Marginal variances below this are treated as degenerate (no pseudo-inverse
@@ -129,46 +132,56 @@ def clear_slot(cov: np.ndarray, k: int) -> None:
     cov[:, n + k] = 0.0
 
 
+def rotate_slot(cov: np.ndarray, k: int, theta: float) -> None:
+    """Phase-rotate slot k: q -> q cos + p sin, p -> -q sin + p cos.
+
+    Equal to S cov S^T with S = rotation_matrix: a 2 x 2 mix of the slot's q
+    and p rows, then of its q and p columns.  The (p_k, q_k) entry sums the
+    same four terms as (q_k, p_k) in another order, so it is mirrored.
+    """
+    n = len(cov) // 2
+    j = n + k
+    c, s = math.cos(theta), math.sin(theta)
+    q, p = cov[k, :].copy(), cov[j, :].copy()
+    cov[k, :] = c * q + s * p
+    cov[j, :] = c * p - s * q
+    q, p = cov[:, k].copy(), cov[:, j].copy()
+    cov[:, k] = c * q + s * p
+    cov[:, j] = c * p - s * q
+    cov[j, k] = cov[k, j]
+
+
 def measure_slot(
     cov: np.ndarray,
     k: int,
     keep: np.ndarray,
     mode: Label,
-    angle: float = 0.0,
     outcome: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> MeasurementRecord:
-    """Homodyne-measure x_theta on slot k: see :func:`measure_quadrature`.
+    """Homodyne-measure q on slot k: see :func:`measure_quadrature`.
 
     Conditions the whole buffer by one rank-1 Schur downdate
-    cov -= b b^T / var, then clears slot k.  ``keep`` lists the survivors'
-    q and p positions in the order the record's feedforward follows;
-    ``mode`` is the measured mode's label, for the record.
+    cov -= b b^T / var, with b the q column of slot k and var its variance,
+    then clears slot k.  ``keep`` lists the survivors' q and p positions in
+    the order the record's feedforward follows; ``mode`` is the measured
+    mode's label, for the record.  Another quadrature is measured by
+    rotating the slot first (:func:`rotate_slot`).
     """
-    n = len(cov) // 2
-    if angle == 0.0:
-        var = cov[k, k]
-        b = cov[:, k].copy()
-    else:
-        j = n + k
-        c, s = math.cos(angle), math.sin(angle)
-        var = c * c * cov[k, k] + 2 * c * s * cov[k, j] + s * s * cov[j, j]
-        b = c * cov[:, k] + s * cov[:, j]
+    var = cov[k, k]
     if var < MARGINAL_FLOOR:
         raise ValueError(f"degenerate marginal variance {var:.3e} on mode {mode!r}")
     if outcome is None:
         if rng is None:
             raise ValueError("either a forced outcome or an rng is required")
         outcome = math.sqrt(var) * rng.standard_normal()
+    b = cov[:, k].copy()
     shift = b[keep] * (outcome / var)
     downdate = np.outer(b, b)
     downdate /= var
     cov -= downdate
     clear_slot(cov, k)
-    half_turns, angle = divmod(angle, math.pi)
-    if half_turns % 2:
-        outcome = -outcome
-    return MeasurementRecord(node=mode, angle=angle, outcome=float(outcome), feedforward=-shift)
+    return MeasurementRecord(node=mode, angle=0.0, outcome=float(outcome), feedforward=-shift)
 
 
 @dataclass(frozen=True)
@@ -205,9 +218,6 @@ class GaussianState:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"unknown mode label {label!r}") from None
-
-    def q_index(self, label: Label) -> int:
-        return self.index(label)
 
     def p_index(self, label: Label) -> int:
         return self.n_modes + self.index(label)
@@ -288,20 +298,10 @@ def rotation_matrix(n: int, i: int, theta: float) -> np.ndarray:
 def apply_phase_rotation(state: GaussianState, mode: Label, theta: float) -> GaussianState:
     """Rotate one mode's quadratures: q -> q cos + p sin, p -> -q sin + p cos.
 
-    Equal to S cov S^T with S = rotation_matrix, but applied to one copy of
-    cov as a 2 x 2 mix of the mode's q and p rows, then of its q and p
-    columns, with no dense matrix product.
+    Runs the kernel :func:`rotate_slot` on a copy of cov.
     """
-    i = state.index(mode)
-    j = state.n_modes + i
-    c, s = math.cos(theta), math.sin(theta)
     cov = state.cov.copy()
-    q, p = cov[i, :].copy(), cov[j, :].copy()
-    cov[i, :] = c * q + s * p
-    cov[j, :] = c * p - s * q
-    q, p = cov[:, i].copy(), cov[:, j].copy()
-    cov[:, i] = c * q + s * p
-    cov[:, j] = c * p - s * q
+    rotate_slot(cov, state.index(mode), theta)
     return GaussianState(state.labels, cov)
 
 
@@ -325,23 +325,24 @@ def measure_quadrature(
 
     The outcome of x_theta is drawn from its zero-mean marginal using ``rng``
     unless a forced ``outcome`` is given (post-selection for tests).
-    Survivors are conditioned on x_theta by a rank-1 Schur complement.
-    Rotating the measured mode never changes the survivors' block, so a
-    nonzero angle only mixes the mode's q and p columns into the
-    cross-covariance b and the variance var; angle 0 reads them off q.  The
-    conditional mean shift is cancelled by feedforward and recorded, so
+    Rotating the mode by theta turns x_theta into its q, so this runs
+    :func:`rotate_slot` on a copy of cov and then the q measurement
+    :func:`measure_slot`, which conditions the survivors by a rank-1 Schur
+    complement and clears the mode; its rows and columns are then dropped.
+    The conditional mean shift is cancelled by feedforward and recorded, so
     survivors stay at zero mean (pinned convention).  The record holds the
     normalized angle theta mod pi, and since x_theta = -x_{theta-pi} its
-    outcome is negated when floor(theta / pi) is odd.
-
-    Runs :func:`measure_slot` on a copy of cov, then drops the measured
-    mode's cleared rows and columns; the streaming register runs the same
-    kernel on its own buffer.  Returns (reduced state, record).
+    outcome is negated when floor(theta / pi) is odd.  Returns (reduced
+    state, record).
     """
     k = state.index(mode)
     survivors, keep_idx = _drop_modes(state.labels, [k])
     cov = state.cov.copy()
-    record = measure_slot(cov, k, keep_idx, mode, angle, outcome, rng)
+    rotate_slot(cov, k, angle)
+    record = measure_slot(cov, k, keep_idx, mode, outcome, rng)
+    half_turns, angle = divmod(angle, math.pi)
+    sign = -1.0 if half_turns % 2 else 1.0
+    record = MeasurementRecord(mode, angle, sign * record.outcome, record.feedforward)
     return GaussianState(survivors, cov[np.ix_(keep_idx, keep_idx)]), record
 
 
@@ -381,21 +382,14 @@ def permute_modes(state: GaussianState, new_order: Sequence[Label]) -> GaussianS
     return GaussianState(tuple(new_order), state.cov[np.ix_(idx, idx)])
 
 
-def states_equal(
-    a: GaussianState,
-    b: GaussianState,
-    mapping: Optional[Mapping[Label, Label]] = None,
-    tol: float = 1e-9,
-) -> bool:
-    """Entrywise equality of covariances under a label bijection.
+def states_equal(a: GaussianState, b: GaussianState, tol: float = 1e-9) -> bool:
+    """Entrywise equality of covariances over the same label set.
 
-    ``mapping`` sends a's labels to b's; identity by default.
+    b's modes are matched to a's by label, in any order.
     """
-    if mapping is None:
-        mapping = {lbl: lbl for lbl in a.labels}
-    if set(mapping.keys()) != set(a.labels) or set(mapping.values()) != set(b.labels):
-        raise ValueError("label bijection does not cover both states")
-    b_aligned = permute_modes(b, [mapping[lbl] for lbl in a.labels])
+    if set(a.labels) != set(b.labels):
+        raise ValueError("the states have different label sets")
     if a.n_modes == 0:
         return True
+    b_aligned = permute_modes(b, a.labels)
     return bool(np.max(np.abs(a.cov - b_aligned.cov)) <= tol)

@@ -143,7 +143,7 @@ def nullifier_variance(state: GaussianState, node, neighbors: Iterable) -> float
     v = np.zeros(2 * state.n_modes)
     v[state.p_index(node)] = 1.0
     for nb in neighbors:
-        v[state.q_index(nb)] -= 1.0
+        v[state.index(nb)] -= 1.0
     return float(v @ state.cov @ v)
 
 
@@ -155,9 +155,6 @@ class UnfoldResult:
     mapping: Optional[Dict] = None  # node -> (row, col) when unfolds
     grid_shape: Optional[Tuple[int, int]] = None
     offending_edge: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.unfolds
 
 
 def unfolds_to_grid(graph: Graph, m: int) -> UnfoldResult:
@@ -191,28 +188,3 @@ def unfolds_to_grid(graph: Graph, m: int) -> UnfoldResult:
     )
     return UnfoldResult(False, offending_edge=diff[0] if diff else None)
 
-
-def to_edge_list(graph: Graph) -> str:
-    """Serialize to the text format: header ``# nodes=N``, one ``u v`` per line.
-
-    Only graphs with the integer node set 1..N are representable.
-    """
-    n = graph.n_nodes
-    if set(graph.nodes) != set(range(1, n + 1)):
-        raise ValueError("edge-list format requires integer nodes 1..N")
-    lines = [f"# nodes={n}"]
-    lines += [f"{u} {v}" for u, v in graph.sorted_edges()]
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_list(text: str) -> Graph:
-    """Parse the format written by :func:`to_edge_list`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# nodes="):
-        raise ValueError("missing '# nodes=N' header")
-    n = int(lines[0].split("=", 1)[1])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return make_graph(range(1, n + 1), edges)

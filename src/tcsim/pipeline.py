@@ -20,7 +20,6 @@ is terminated the same way.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from typing import List, Set, Tuple
@@ -35,13 +34,10 @@ from .gaussian import (
     clear_slot,
     cz_slots,
     measure_slot,
-    permute_modes,
     squeeze_slot,
     trace_out,
 )
 from .graphs import Graph, delete_nodes, make_graph
-
-logger = logging.getLogger("tcsim.pipeline")
 
 
 @dataclass(frozen=True)
@@ -116,7 +112,6 @@ class PipelineConfig:
 class PipelineEvent:
     """One scheduled step: emit | cz | measure | trace."""
 
-    tick: int
     kind: str
     labels: Tuple[int, ...]
 
@@ -141,14 +136,14 @@ def tick_events(config: PipelineConfig, t: int) -> List[PipelineEvent]:
     """
     events: List[PipelineEvent] = []
     if t <= config.n_pulses:
-        events.append(PipelineEvent(t, "emit", (t,)))
+        events.append(PipelineEvent("emit", (t,)))
         for d in config.offsets:
-            events.append(PipelineEvent(t, "cz", (t - d, t)))
+            events.append(PipelineEvent("cz", (t - d, t)))
     slot = t - config.delay
     if 1 <= slot <= config.n_pulses:
-        events.append(PipelineEvent(t, "measure", (slot,)))
+        events.append(PipelineEvent("measure", (slot,)))
     elif slot in config.ancilla_labels:
-        events.append(PipelineEvent(t, "trace", (slot,)))
+        events.append(PipelineEvent("trace", (slot,)))
     return events
 
 
@@ -227,7 +222,7 @@ class TemporalPipeline:
         if kind == "cz":
             cz_slots(self.cov, labels[0] % self.slots, labels[1] % self.slots)
         elif kind == "emit":
-            self._emit(labels[0], event.tick)
+            self._emit(labels[0])
         elif kind == "measure":
             self._finalize(labels[0])
         elif kind == "trace":
@@ -235,14 +230,13 @@ class TemporalPipeline:
         else:
             raise ValueError(f"unknown event kind {kind!r}")
 
-    def _emit(self, label: int, tick: int) -> None:
+    def _emit(self, label: int) -> None:
         if label != self.hi + 1 or label - self.lo >= self.slots:
             raise RuntimeError(f"cannot emit {label} into window {self.lo}..{self.hi}")
         self.hi = label
         squeeze_slot(self.cov, label % self.slots, self.config.squeezing_r)
         if label - self.lo + 1 > self.high_water:
             self.high_water = label - self.lo + 1
-            logger.debug("high water %d at tick %d", self.high_water, tick)
 
     def _retire(self, label: int) -> int:
         """Take the oldest live label out of the window; returns its slot.
@@ -263,7 +257,7 @@ class TemporalPipeline:
             variance = self.live_nullifier_variance(node)
             self.nullifier_checks.append((node, variance))
         keep = self._indices(self.lo, self.hi)
-        record = measure_slot(self.cov, slot, keep, node, 0.0, rng=self.rng)
+        record = measure_slot(self.cov, slot, keep, node, rng=self.rng)
         self.records.append(record)
 
     def live_nullifier_variance(self, node: int) -> float:
@@ -341,11 +335,7 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     squeezing.update({node: config.squeezing_r for node in range(1, last + 1)})
     graph = delete_nodes(pipeline_interaction_graph(config, last), measured)
     oracle = trace_out(build_canonical_cluster(graph, squeezing), config.ancilla_labels)
-    want = permute_modes(oracle, got.labels)
-    return float(np.max(np.abs(got.cov - want.cov)))
+    if oracle.labels != got.labels:
+        raise RuntimeError(f"oracle modes {oracle.labels} differ from {got.labels}")
+    return float(np.max(np.abs(got.cov - oracle.cov)))
 
-
-def events_to_text(events: List[PipelineEvent]) -> str:
-    """Line-oriented event log: ``tick kind labels...``."""
-    lines = [f"{e.tick} {e.kind} " + " ".join(map(str, e.labels)) for e in events]
-    return "\n".join(lines) + "\n"

@@ -7,11 +7,7 @@ import tcsim
 import tcsim.canonical
 import tcsim.gaussian
 import tcsim.pipeline
-from tcsim.canonical import (
-    build_canonical_cluster,
-    canonical_covariance,
-    canonical_nullifier_report,
-)
+from tcsim.canonical import build_canonical_cluster, canonical_covariance
 from tcsim.gaussian import (
     GaussianState,
     append_modes,
@@ -21,7 +17,7 @@ from tcsim.gaussian import (
     p_squeezed_state,
     states_equal,
 )
-from tcsim.graphs import make_graph, sheared_cylinder_graph, wire_graph
+from tcsim.graphs import make_graph, nullifier_variances, sheared_cylinder_graph, wire_graph
 from tcsim.pipeline import PipelineConfig, equivalence_check
 
 
@@ -140,17 +136,20 @@ class TestPurityAndNullifiers:
         assert check_physicality(state) == pytest.approx(0.5, abs=1e-9)
 
     def test_wire_10db(self):
-        report = canonical_nullifier_report(wire_graph(10), db_to_r(10.0))
+        g = wire_graph(10)
+        report = nullifier_variances(build_canonical_cluster(g, db_to_r(10.0)), g)
         for v in report.values():
             assert v == pytest.approx(0.05, abs=1e-10)
 
     def test_any_graph_r0(self):
-        report = canonical_nullifier_report(sheared_cylinder_graph(9, 3), 0.0)
+        g = sheared_cylinder_graph(9, 3)
+        report = nullifier_variances(build_canonical_cluster(g, 0.0), g)
         for v in report.values():
             assert v == pytest.approx(0.5, abs=1e-12)
 
     def test_cylinder_r1(self):
-        report = canonical_nullifier_report(sheared_cylinder_graph(20, 4), 1.0)
+        g = sheared_cylinder_graph(20, 4)
+        report = nullifier_variances(build_canonical_cluster(g, 1.0), g)
         for v in report.values():
             assert v == pytest.approx(math.exp(-2.0) / 2, abs=1e-10)
 

@@ -399,11 +399,11 @@ class TestStatesEqual:
     def test_vacuum_under_swap(self):
         a = vacuum_state(2, labels=("x", "y"))
         b = vacuum_state(2, labels=("y", "x"))
-        assert states_equal(a, b, {"x": "y", "y": "x"})
+        assert states_equal(a, b)
 
     def test_distinct_states(self):
         assert not states_equal(p_squeezed_state(1.0), vacuum_state(1), tol=1e-9)
 
     def test_bijection_mismatch(self):
         with pytest.raises(ValueError):
-            states_equal(vacuum_state(1), vacuum_state(1), {1: 2})
+            states_equal(vacuum_state(1), vacuum_state(1, labels=(2,)))

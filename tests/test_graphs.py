@@ -8,12 +8,10 @@ from tcsim.gaussian import vacuum_state
 from tcsim.graphs import (
     Graph,
     delete_nodes,
-    from_edge_list,
     make_graph,
     nullifier_variances,
     sheared_cylinder_graph,
     square_lattice_graph,
-    to_edge_list,
     unfolds_to_grid,
     wire_graph,
 )
@@ -174,21 +172,3 @@ class TestUnfolding:
                 reduced = delete_nodes(g, [j for j in g.nodes if j % m == 0])
                 assert unfolds_to_grid(reduced, m).unfolds, (m, k)
 
-
-class TestSerialization:
-    def test_roundtrip(self):
-        g = sheared_cylinder_graph(9, 3)
-        assert from_edge_list(to_edge_list(g)) == g
-
-    def test_header(self):
-        text = to_edge_list(wire_graph(3))
-        assert text.splitlines()[0] == "# nodes=3"
-        assert "1 2" in text
-
-    def test_non_contiguous_labels_rejected(self):
-        with pytest.raises(ValueError):
-            to_edge_list(make_graph([2, 5], [(2, 5)]))
-
-    def test_missing_header(self):
-        with pytest.raises(ValueError):
-            from_edge_list("1 2\n")

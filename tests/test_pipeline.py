@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,12 +9,13 @@ from tcsim.gaussian import db_to_r, states_equal, vacuum_state
 from tcsim.graphs import sheared_cylinder_graph, wire_graph
 from tcsim.pipeline import (
     PipelineConfig,
+    PipelineEvent,
     TemporalPipeline,
     build_schedule,
     equivalence_check,
-    events_to_text,
     pipeline_interaction_graph,
     run_pipeline,
+    tick_events,
 )
 
 
@@ -83,17 +85,10 @@ class TestSchedule:
 
     def test_tick_ordering(self):
         order = {"emit": 0, "cz": 1, "measure": 2, "trace": 2}
-        events = build_schedule(lattice_config(20, 4))
-        by_tick = {}
-        for e in events:
-            by_tick.setdefault(e.tick, []).append(order[e.kind])
-        for phases in by_tick.values():
+        config = lattice_config(20, 4)
+        for t in config.ticks:
+            phases = [order[e.kind] for e in tick_events(config, t)]
             assert phases == sorted(phases)
-
-    def test_event_log_text(self):
-        text = events_to_text(build_schedule(wire_config(2)))
-        assert text.splitlines()[0] == "1 emit 1"
-        assert "1 cz 0 1" in text
 
 
 class TestTopologyRule:
@@ -183,6 +178,43 @@ class TestDeterminism:
         assert any(ra.outcome != rb.outcome for ra, rb in zip(a.records, b.records))
 
 
+class TestWindowGuards:
+    """The ring register refuses events that would leave its one window."""
+
+    @staticmethod
+    def refuses(events, exc, message):
+        pipe = TemporalPipeline(wire_config(10))  # ancilla 0 live, K = 3 slots
+        with pytest.raises(exc, match=re.escape(message)):
+            pipe.execute([PipelineEvent(kind, labels) for kind, labels in events])
+
+    def test_out_of_order_emit(self):
+        self.refuses([("emit", (2,))], RuntimeError, "cannot emit 2 into window 0..0")
+
+    def test_measure_of_a_newer_label(self):
+        self.refuses(
+            [("emit", (1,)), ("measure", (1,))],
+            RuntimeError,
+            "cannot finalize 1 in window 0..1",
+        )
+
+    def test_trace_of_a_newer_label(self):
+        self.refuses(
+            [("emit", (1,)), ("trace", (1,))],
+            RuntimeError,
+            "cannot finalize 1 in window 0..1",
+        )
+
+    def test_emit_past_the_ring(self):
+        self.refuses(
+            [("emit", (1,)), ("emit", (2,)), ("emit", (3,))],
+            RuntimeError,
+            "cannot emit 3 into window 0..2",
+        )
+
+    def test_unknown_event_kind(self):
+        self.refuses([("divert", (0,))], ValueError, "unknown event kind 'divert'")
+
+
 class TestSnapshot:
     def test_initial_snapshot_is_loop_vacua(self):
         pipe = TemporalPipeline(lattice_config(20, 4))
@@ -192,8 +224,7 @@ class TestSnapshot:
     def test_snapshot_tracks_live_register(self):
         config = wire_config(5)
         pipe = TemporalPipeline(config)
-        first_tick = [e for e in build_schedule(config) if e.tick == 1]
-        pipe.execute(first_tick)
+        pipe.execute(tick_events(config, 1))
         assert set(pipe.snapshot().labels) == {0, 1}
 
 
