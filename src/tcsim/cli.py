@@ -1,8 +1,10 @@
 """Command-line front end: configure runs, verify, and emit reports.
 
 Subcommands: wire, lattice, compare, unfold.  Structured output is JSON
-(``--out``), per-node nullifier variances go to CSV (``--csv``).  Exit code 0
-iff every check passed, 1 on a failed check, 2 on usage errors.
+(``--out``); a wire or lattice run can also write per-node nullifier
+variances to CSV (``--csv``) and add its measurement records to the JSON
+(``--emit-records``).  Exit code 0 iff every check passed, 1 on a failed
+check, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -23,20 +25,6 @@ NULLIFIER_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-9
 
 
-def _add_squeezing_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--squeezing-db", type=float, help="squeezing in decibels")
-    group.add_argument("--squeezing-r", type=float, help="squeezing parameter r")
-
-
-def _add_report_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="FILE.json", help="write JSON report")
-    parser.add_argument("--csv", metavar="FILE.csv", help="write per-node variances")
-    parser.add_argument(
-        "--emit-records", action="store_true", help="include measurement records"
-    )
-
-
 def _parse_range(text: str):
     try:
         lo, hi = text.split("..")
@@ -52,42 +40,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    wire = sub.add_parser("wire", help="run a quantum-wire pipeline")
-    wire.add_argument("--nodes", type=int, required=True)
-    wire.add_argument("--seed", type=int, default=0)
-    wire.add_argument("--verify", action="store_true")
-    _add_squeezing_args(wire)
-    _add_report_args(wire)
+    # Shared options: every subcommand writes a report; compare configures a
+    # pipeline; wire and lattice run one and can also write what it produced.
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", metavar="FILE.json", help="write JSON report")
+    pipeline = argparse.ArgumentParser(add_help=False, parents=[report])
+    pipeline.add_argument("--nodes", type=int, required=True)
+    pipeline.add_argument("--seed", type=int, default=0)
+    squeezing = pipeline.add_mutually_exclusive_group()
+    squeezing.add_argument("--squeezing-db", type=float, help="squeezing in decibels")
+    squeezing.add_argument("--squeezing-r", type=float, help="squeezing parameter r")
+    run = argparse.ArgumentParser(add_help=False, parents=[pipeline])
+    run.add_argument("--verify", action="store_true")
+    run.add_argument("--csv", metavar="FILE.csv", help="write per-node variances")
+    run.add_argument(
+        "--emit-records", action="store_true", help="include measurement records"
+    )
 
-    lattice = sub.add_parser("lattice", help="run a square-lattice pipeline")
-    lattice.add_argument("--nodes", type=int, required=True)
+    sub.add_parser("wire", parents=[run], help="run a quantum-wire pipeline")
+    lattice = sub.add_parser("lattice", parents=[run], help="run a square-lattice pipeline")
     lattice.add_argument("--width", type=int, required=True)
-    lattice.add_argument("--seed", type=int, default=0)
-    lattice.add_argument("--verify", action="store_true")
-    _add_squeezing_args(lattice)
-    _add_report_args(lattice)
 
-    compare = sub.add_parser("compare", help="pipeline vs canonical construction")
+    compare = sub.add_parser(
+        "compare", parents=[pipeline], help="pipeline vs canonical construction"
+    )
     compare.add_argument("--topology", choices=("wire", "lattice"), required=True)
-    compare.add_argument("--nodes", type=int, required=True)
     compare.add_argument("--width", type=int, default=0)
     compare.add_argument("--range", type=_parse_range, required=True, dest="node_range")
-    compare.add_argument("--seed", type=int, default=0)
-    _add_squeezing_args(compare)
-    _add_report_args(compare)
 
-    unfold = sub.add_parser("unfold", help="sheared-cylinder unfolding check")
+    unfold = sub.add_parser(
+        "unfold", parents=[report], help="sheared-cylinder unfolding check"
+    )
     unfold.add_argument("--width", type=int, required=True)
     unfold.add_argument("--cols", type=int, required=True)
-    _add_report_args(unfold)
 
     return parser
 
 
 def _squeezing(args) -> float:
-    if getattr(args, "squeezing_db", None) is not None:
+    if args.squeezing_db is not None:
         return db_to_r(args.squeezing_db)
-    if getattr(args, "squeezing_r", None) is not None:
+    if args.squeezing_r is not None:
         return args.squeezing_r
     return 0.0
 
@@ -96,10 +89,10 @@ def _config_from_args(args, topology: str) -> PipelineConfig:
     return PipelineConfig(
         topology=topology,
         n_pulses=args.nodes,
-        width=getattr(args, "width", 0) or 0,
+        width=getattr(args, "width", 0),
         squeezing_r=_squeezing(args),
         mode="verify" if getattr(args, "verify", False) else "compute",
-        seed=getattr(args, "seed", 0),
+        seed=args.seed,
     )
 
 
@@ -202,17 +195,17 @@ def _unfold_report(args) -> dict:
     }
 
 
-def _write_outputs(report: dict, args) -> None:
+def _write_outputs(report: dict, out: Optional[str], csv: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if getattr(args, "csv", None):
+    if csv:
         rows = ["node,variance"]
-        rows += [f"{n['node']},{n['variance']}" for n in report.get("nullifiers", [])]
-        with open(args.csv, "w") as fh:
+        rows += [f"{n['node']},{n['variance']}" for n in report["nullifiers"]]
+        with open(csv, "w") as fh:
             fh.write("\n".join(rows) + "\n")
 
 
@@ -223,14 +216,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         # A squeezing so large that the covariance overflows is a usage error,
         # not a result: raise on it instead of printing numpy warnings.
         with np.errstate(over="raise", invalid="raise"):
+            csv = None
             if args.command in ("wire", "lattice"):
                 config = _config_from_args(args, args.command)
                 report = _run_report(config, args.emit_records)
+                csv = args.csv
             elif args.command == "compare":
                 report = _compare_report(args)
             else:
                 report = _unfold_report(args)
-            _write_outputs(report, args)
+            _write_outputs(report, args.out, csv)
     except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -162,29 +162,20 @@ def unfolds_to_grid(graph: Graph, m: int) -> UnfoldResult:
 
     Surviving node j maps to row = j mod m, col = ceil(j / m); verification is
     exact edge-set equality against :func:`square_lattice_graph` under this
-    relabeling, not a general isomorphism search.  On mismatch the first
-    offending edge (in deterministic order) is reported.
+    relabeling, not a general isomorphism search.  An undeleted m-th node
+    lands in row 0, outside the grid.  On mismatch the first edge of the
+    symmetric difference is reported, in (row, col) grid coordinates.
     """
     if m < 2:
         raise ValueError("width must be at least 2")
     if not graph.nodes:
         return UnfoldResult(False)
     mapping = {j: (j % m, math.ceil(j / m)) for j in graph.nodes}
-    rows = {rc[0] for rc in mapping.values()}
-    cols = {rc[1] for rc in mapping.values()}
-    if 0 in rows:
-        # An undeleted every-m-th node; its edges cannot match the grid.
-        bad = min(j for j in graph.nodes if j % m == 0)
-        first = sorted(graph.sorted_edges())
-        offending = next((e for e in first if bad in e), None)
-        return UnfoldResult(False, offending_edge=offending)
-    k = max(cols)
+    k = max(col for _, col in mapping.values())
     expected = square_lattice_graph(m - 1, k)
     mapped_edges = {frozenset((mapping[u], mapping[v])) for u, v in graph.sorted_edges()}
     if set(mapping.values()) == set(expected.nodes) and mapped_edges == expected.edges:
         return UnfoldResult(True, mapping=mapping, grid_shape=(m - 1, k))
-    diff = sorted(
-        tuple(sorted(e)) for e in mapped_edges.symmetric_difference(expected.edges)
-    )
-    return UnfoldResult(False, offending_edge=diff[0] if diff else None)
+    offending = min((tuple(sorted(e)) for e in mapped_edges ^ expected.edges), default=None)
+    return UnfoldResult(False, offending_edge=offending)
 

@@ -62,6 +62,8 @@ class PipelineConfig:
             raise ValueError(f"squeezing parameter must be finite, got {self.squeezing_r}")
         if self.squeezing_r < 0:
             raise ValueError("squeezing parameter must be nonnegative")
+        if self.topology == "wire" and self.width:
+            raise ValueError("width applies only to a lattice")
         if self.topology == "lattice":
             if self.width < 2:
                 raise ValueError("lattice width must be at least 2")
@@ -126,21 +128,26 @@ class RunReport:
     nullifier_checks: List[Tuple[int, float]]
 
 
-def tick_events(config: PipelineConfig, t: int) -> List[PipelineEvent]:
+def tick_events(
+    config: PipelineConfig, t: int, deferred: range = range(0)
+) -> List[PipelineEvent]:
     """The events of tick t, in order.
 
     While pulses remain, tick t emits pulse t and applies cz(t-d, t) for each
     topology offset d; then the measurement slot finalizes the pulse emitted
     ``delay`` ticks earlier (a trace for ancillas).  Ticks beyond the last
-    emission only flush the remaining pulses.
+    emission only flush the remaining pulses.  A nonempty ``deferred`` range
+    makes its last label the last pulse and withholds the measurements of its
+    labels, which then stay live.
     """
+    last = deferred[-1] if deferred else config.n_pulses
     events: List[PipelineEvent] = []
-    if t <= config.n_pulses:
+    if t <= last:
         events.append(PipelineEvent("emit", (t,)))
         for d in config.offsets:
             events.append(PipelineEvent("cz", (t - d, t)))
     slot = t - config.delay
-    if 1 <= slot <= config.n_pulses:
+    if 1 <= slot <= last and slot not in deferred:
         events.append(PipelineEvent("measure", (slot,)))
     elif slot in config.ancilla_labels:
         events.append(PipelineEvent("trace", (slot,)))
@@ -159,9 +166,9 @@ class TemporalPipeline:
     The live labels always form one consecutive window, so the mode with
     label l lives in slot l mod K of one preallocated 2K x 2K covariance
     (block ordering), with no label map and no free list; slots outside the
-    window hold zeros.  K is reach + 2, the high-water mark, or, for the
-    deferred run of :func:`equivalence_check`, enough slots to also hold the
-    ``deferred`` labels.  Every event is one in-place kernel of
+    window hold zeros.  K is reach + 2, the high-water mark, or, for a run
+    with a nonempty ``deferred`` range (see :func:`tick_events`), enough
+    slots to also hold it.  Every event is one in-place kernel of
     :mod:`tcsim.gaussian`: emit writes two diagonal entries, CZ adds two rows
     and two columns, measure is one rank-1 downdate of the buffer, and both
     measure and trace then clear the slot.  The kernels keep the buffer
@@ -179,6 +186,7 @@ class TemporalPipeline:
     def __init__(self, config: PipelineConfig, deferred: range = range(0)):
         config.validate()
         self.config = config
+        self.deferred = deferred
         self.rng = np.random.default_rng(config.seed)
         self.slots = max(len(deferred), config.reach + 2)
         self.cov = np.zeros((2 * self.slots, 2 * self.slots))
@@ -198,37 +206,35 @@ class TemporalPipeline:
 
     def execute(self, events: List[PipelineEvent]) -> None:
         for event in events:
-            self._apply(event)
+            kind, labels = event.kind, event.labels
+            if kind == "cz":
+                cz_slots(self.cov, labels[0] % self.slots, labels[1] % self.slots)
+            elif kind == "emit":
+                self._emit(labels[0])
+            elif kind == "measure":
+                self._finalize(labels[0])
+            elif kind == "trace":
+                clear_slot(self.cov, self._retire(labels[0]))
+            else:
+                raise ValueError(f"unknown event kind {kind!r}")
 
     def run(self) -> RunReport:
-        for t in self.config.ticks:
-            self.execute(tick_events(self.config, t))
-        if self.hi >= self.lo:
+        """The one run loop, for a stream and for a deferred run alike.
+
+        A deferred run stops once its last slot has come up.  Either way the
+        run must end with exactly ``deferred`` live (nothing, for a stream).
+        """
+        stop = self.deferred[-1] + self.config.delay if self.deferred else None
+        for t in self.config.ticks[:stop]:
+            self.execute(tick_events(self.config, t, self.deferred))
+        if range(self.lo, self.hi + 1) != self.deferred:
             raise RuntimeError(f"schedule left live modes {self.snapshot().labels}")
-        return RunReport(
-            config=self.config,
-            records=self.records,
-            high_water=self.high_water,
-            nullifier_checks=self.nullifier_checks,
-        )
+        return RunReport(self.config, self.records, self.high_water, self.nullifier_checks)
 
     def _indices(self, lo: int, hi: int) -> np.ndarray:
         """Buffer positions of labels lo..hi: their q slots, then their p slots."""
         q = np.arange(lo, hi + 1) % self.slots
         return np.concatenate((q, q + self.slots))
-
-    def _apply(self, event: PipelineEvent) -> None:
-        kind, labels = event.kind, event.labels
-        if kind == "cz":
-            cz_slots(self.cov, labels[0] % self.slots, labels[1] % self.slots)
-        elif kind == "emit":
-            self._emit(labels[0])
-        elif kind == "measure":
-            self._finalize(labels[0])
-        elif kind == "trace":
-            clear_slot(self.cov, self._retire(labels[0]))
-        else:
-            raise ValueError(f"unknown event kind {kind!r}")
 
     def _emit(self, label: int) -> None:
         if label != self.hi + 1 or label - self.lo >= self.slots:
@@ -290,47 +296,27 @@ def pipeline_interaction_graph(config: PipelineConfig, up_to: int) -> Graph:
     return make_graph(nodes, edges)
 
 
-def _deferred_run(config: PipelineConfig, deferred: range) -> Tuple[GaussianState, List[int]]:
-    """Run with the measurements of ``deferred`` skipped and no pulse beyond
-    its end; return the live register, which then holds exactly the deferred
-    nodes, and the nodes that were measured."""
-    base = replace(config, mode="compute")
-    pipe = TemporalPipeline(base, deferred)
-    for t in range(1, deferred[-1] + base.delay + 1):
-        pipe.execute(
-            [
-                e
-                for e in tick_events(base, t)
-                if max(e.labels) <= deferred[-1]
-                and not (e.kind == "measure" and e.labels[0] in deferred)
-            ]
-        )
-    state = pipe.snapshot()
-    if state.labels != tuple(deferred):
-        raise RuntimeError(f"unexpected live register {state.labels}")
-    return state, [rec.node for rec in pipe.records]
-
-
 def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> float:
     """Max discrepancy between the pipeline output and the canonical cluster.
 
-    Runs the pipeline with measurements of nodes in ``node_range`` deferred
-    (everything earlier is q-measured as usual) and with no pulse beyond the
-    range end, until every remaining slot has come up.  The deferred run goes
-    through the same ``execute`` dispatch and ring register as any run; its
-    capacity, max(last - first + 1, reach + 2) slots, follows from the range.
-    The oracle is the closed-form canonical cluster on the same interaction
-    graph, with the ancillas at r = 0 and then traced out.  A q measurement
-    deletes its node from the graph, so the measured nodes are simply
-    deleted; no outcome is replayed.  Returns the max entrywise difference
-    between the covariances (both states are zero-mean).
+    Runs :meth:`TemporalPipeline.run` in compute mode with ``node_range``
+    deferred (see :func:`tick_events`), so it ends holding exactly the
+    range's nodes, and releases its register before building the oracle:
+    the closed-form canonical cluster on the same interaction graph, with
+    the ancillas at r = 0 and then traced out.  A q measurement deletes its
+    node from the graph, so the measured nodes are simply deleted; no
+    outcome is replayed.  Returns the max entrywise difference between the
+    covariances (both states are zero-mean).
     """
     config.validate()
     first, last = node_range
     if not (1 <= first <= last <= config.n_pulses):
         raise ValueError(f"node range {node_range} outside 1..{config.n_pulses}")
 
-    got, measured = _deferred_run(config, range(first, last + 1))
+    pipe = TemporalPipeline(replace(config, mode="compute"), range(first, last + 1))
+    measured = [rec.node for rec in pipe.run().records]
+    got = pipe.snapshot()
+    del pipe
     squeezing = {lbl: 0.0 for lbl in config.ancilla_labels}
     squeezing.update({node: config.squeezing_r for node in range(1, last + 1)})
     graph = delete_nodes(pipeline_interaction_graph(config, last), measured)
@@ -338,4 +324,3 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     if oracle.labels != got.labels:
         raise RuntimeError(f"oracle modes {oracle.labels} differ from {got.labels}")
     return float(np.max(np.abs(got.cov - oracle.cov)))
-

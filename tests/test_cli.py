@@ -93,7 +93,50 @@ class TestUnfoldCommand:
         assert report["grid"] == "3x4"
 
 
+class TestReportFlags:
+    """--out on every subcommand; --csv and --emit-records on runs only."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compare", "--topology", "wire", "--nodes", "6", "--range", "2..4"],
+            ["unfold", "--width", "3", "--cols", "2"],
+        ],
+        ids=["compare", "unfold"],
+    )
+    @pytest.mark.parametrize(
+        "flag", [["--csv", "v.csv"], ["--emit-records"]], ids=["csv", "emit-records"]
+    )
+    def test_check_commands_reject_run_flags(self, command, flag, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag + ["--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [["wire", "--nodes", "6"], ["lattice", "--nodes", "8", "--width", "4"]],
+        ids=["wire", "lattice"],
+    )
+    def test_run_commands_keep_csv_and_records(self, command, tmp_path):
+        csv_path = tmp_path / "v.csv"
+        code, report = run_json(
+            command + ["--verify", "--emit-records", "--csv", str(csv_path)], tmp_path
+        )
+        assert code == 0
+        assert len(report["records"]) == report["config"]["nodes"]
+        rows = csv_path.read_text().splitlines()[1:]
+        assert len(rows) == len(report["nullifiers"])
+
+
 class TestErrors:
+    def test_wire_compare_with_width_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["compare", "--topology", "wire", "--nodes", "20", "--width", "5",
+                "--range", "5..10", "--out", str(out)]
+        assert main(argv) == 2
+        assert "width applies only to a lattice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["wire", "--nodes", "3", "--bogus"])

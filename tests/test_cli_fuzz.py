@@ -49,7 +49,7 @@ def argvs(draw):
             argv += [flag, draw(SQUEEZING)]
         if command != "compare" and draw(st.booleans()):
             argv.append("--verify")
-    if draw(st.booleans()):
+    if command in ("wire", "lattice") and draw(st.booleans()):
         argv.append("--emit-records")
     return argv
 

@@ -16,6 +16,7 @@ from tcsim.gaussian import (
     db_to_r,
     measure_quadrature,
     p_squeezed_state,
+    permute_modes,
     r_to_db,
     rotation_matrix,
     states_equal,
@@ -86,6 +87,18 @@ class TestConstructors:
         cov[1, 1] = bad
         with pytest.raises(ValueError):
             GaussianState(("a",), cov)
+
+    def test_wrong_cov_shape_rejected(self):
+        with pytest.raises(ValueError, match="cov must be 2 x 2"):
+            GaussianState(("a",), 0.5 * np.eye(4))
+
+    def test_negative_mode_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            vacuum_state(-1)
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="expected 2 labels, got 1"):
+            vacuum_state(2, labels=(1,))
 
 
 class TestAppend:
@@ -407,3 +420,16 @@ class TestStatesEqual:
     def test_bijection_mismatch(self):
         with pytest.raises(ValueError):
             states_equal(vacuum_state(1), vacuum_state(1, labels=(2,)))
+
+    def test_empty_states_equal(self):
+        assert states_equal(vacuum_state(0), vacuum_state(0)) is True
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("order", [(1, 1), (1, 3), (1,), (1, 2, 3)])
+    def test_permute_modes_needs_a_permutation(self, order):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permute_modes(vacuum_state(2), order)
+
+    def test_physicality_of_empty_state_is_inf(self):
+        assert check_physicality(vacuum_state(0)) == math.inf

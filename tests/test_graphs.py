@@ -89,6 +89,14 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             make_graph([1, 2], [(1, 3)])
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="duplicate node labels"):
+            make_graph([1, 2, 1], [(1, 2)])
+
+    def test_neighbors_of_unknown_node(self):
+        with pytest.raises(KeyError):
+            wire_graph(2).neighbors(9)
+
 
 class TestNullifierVariances:
     def test_isolated_vacuum_node(self):
@@ -160,10 +168,28 @@ class TestUnfolding:
         assert result.mapping[m - 1] == (m - 1, 1)
 
     def test_undeleted_cylinder_fails(self):
+        # the undeleted m-th nodes 4, 8, ... land in row 0, outside the grid
         g = sheared_cylinder_graph(16, 4)
         result = unfolds_to_grid(g, 4)
         assert not result.unfolds
-        assert result.offending_edge is not None
+        assert result.offending_edge == ((0, 1), (0, 2))
+
+    def test_extra_deleted_node_fails(self):
+        m, k = 4, 4
+        g = sheared_cylinder_graph(m * k, m)
+        reduced = delete_nodes(g, [j for j in g.nodes if j % m == 0] + [6])
+        result = unfolds_to_grid(reduced, m)
+        assert not result.unfolds
+        assert result.mapping is None
+        # node 6 was grid point (2, 2); the smallest missing edge joins it to (1, 2)
+        assert result.offending_edge == ((1, 2), (2, 2))
+
+    def test_width_below_two_rejected(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            unfolds_to_grid(wire_graph(4), 1)
+
+    def test_empty_graph_does_not_unfold(self):
+        assert unfolds_to_grid(make_graph([], []), 3).unfolds is False
 
     def test_all_small_cases(self):
         for m in range(2, 7):

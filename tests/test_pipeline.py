@@ -40,6 +40,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig("ring", 5).validate()
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'replay'"):
+            PipelineConfig("wire", 5, mode="replay").validate()
+
+    def test_wire_rejects_width(self):
+        with pytest.raises(ValueError, match="width applies only to a lattice"):
+            PipelineConfig("wire", 20, width=5).validate()
+
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_non_finite_squeezing(self, r):
         with pytest.raises(ValueError):
@@ -82,6 +90,23 @@ class TestSchedule:
         ancillas = lattice_config(30, 3).ancilla_labels
         assert all(counts[a] == 1 for a in ancillas)
         assert sum(counts.values()) == len(emitted) + len(ancillas)
+
+    def test_deferred_range_stops_emission_and_withholds_measurements(self):
+        config = wire_config(20)
+        deferred = range(5, 11)
+        events = [e for t in config.ticks for e in tick_events(config, t, deferred)]
+        emitted = [e.labels[0] for e in events if e.kind == "emit"]
+        measured = [e.labels[0] for e in events if e.kind == "measure"]
+        assert emitted == list(range(1, 11))
+        assert max(max(e.labels) for e in events) == 10
+        assert measured == [1, 2, 3, 4]
+
+    def test_deferred_run_ends_holding_the_range(self):
+        config = lattice_config(30, 3)
+        pipe = TemporalPipeline(config, range(7, 13))
+        report = pipe.run()
+        assert pipe.snapshot().labels == tuple(range(7, 13))
+        assert [r.node for r in report.records] == list(range(1, 7))
 
     def test_tick_ordering(self):
         order = {"emit": 0, "cz": 1, "measure": 2, "trace": 2}

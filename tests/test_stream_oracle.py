@@ -138,8 +138,9 @@ class TestRegisterChecks:
 
     @pytest.mark.parametrize("topology", ["wire", "lattice"])
     def test_overflowing_squeezing_rejected(self, topology):
-        config = PipelineConfig(topology, 8, width=4, squeezing_r=200.0)
-        with np.errstate(all="ignore"), pytest.raises(ValueError):
+        width = 4 if topology == "lattice" else 0
+        config = PipelineConfig(topology, 8, width=width, squeezing_r=200.0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="symmetric and finite"):
             run_pipeline(config)
 
     def test_register_keeps_reach_plus_two_slots(self):
