@@ -28,7 +28,8 @@ VACUUM_VARIANCE = 0.5
 
 #: Largest |cov - cov^T| entry accepted.  ``GaussianState`` construction
 #: checks and then re-symmetrizes; the streaming register's kernels keep it
-#: exactly symmetric, so it is only checked, once per tick.
+#: exactly symmetric (``measure_slot`` relies on that to read a row as its
+#: column), so the whole buffer is only checked, once per tick.
 SYMMETRY_TOL = 1e-12
 
 #: Marginal variances below this are treated as degenerate (no pseudo-inverse
@@ -72,7 +73,11 @@ def _check_symmetric(cov: np.ndarray) -> None:
     Written as ``not (defect <= tol)`` so that a NaN defect, which any NaN or
     inf entry produces, fails the test at no extra cost.
     """
-    if cov.size and not (np.max(np.abs(cov - cov.T)) <= SYMMETRY_TOL):
+    if not cov.size:
+        return
+    defect = cov - cov.T
+    np.abs(defect, out=defect)
+    if not (defect.max() <= SYMMETRY_TOL):
         raise ValueError("covariance matrix is not symmetric and finite")
 
 
@@ -161,12 +166,18 @@ def measure_slot(
 ) -> MeasurementRecord:
     """Homodyne-measure q on slot k: see :func:`measure_quadrature`.
 
-    Conditions the whole buffer by one rank-1 Schur downdate
+    Conditions the buffer by one rank-1 Schur downdate
     cov -= b b^T / var, with b the q column of slot k and var its variance,
-    then clears slot k.  ``keep`` lists the survivors' q and p positions in
-    the order the record's feedforward follows; ``mode`` is the measured
-    mode's label, for the record.  Another quadrature is measured by
-    rotating the slot first (:func:`rotate_slot`).
+    then clears slot k.  Only the rows in b's support change, so only they
+    are downdated: a measurement costs the measured mode's graph
+    neighbourhood, not the whole buffer.  Each entry is (b_i b_j) / var
+    subtracted as in the dense downdate, so on a buffer whose zeros are all
+    +0.0 the result is bitwise equal to it.  b is read as row k, which is
+    contiguous, since the buffer is exactly symmetric.  ``keep`` lists the
+    survivors' q and p positions in the order the record's feedforward
+    follows; ``mode`` is the measured mode's label, for the record.
+    Another quadrature is measured by rotating the slot first
+    (:func:`rotate_slot`).
     """
     var = cov[k, k]
     if var < MARGINAL_FLOOR:
@@ -175,11 +186,12 @@ def measure_slot(
         if rng is None:
             raise ValueError("either a forced outcome or an rng is required")
         outcome = math.sqrt(var) * rng.standard_normal()
-    b = cov[:, k].copy()
+    b = cov[k].copy()
     shift = b[keep] * (outcome / var)
-    downdate = np.outer(b, b)
+    support = b.nonzero()[0]
+    downdate = b[support, None] * b
     downdate /= var
-    cov -= downdate
+    cov[support] -= downdate
     clear_slot(cov, k)
     return MeasurementRecord(node=mode, angle=0.0, outcome=float(outcome), feedforward=-shift)
 

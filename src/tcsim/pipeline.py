@@ -170,10 +170,11 @@ class TemporalPipeline:
     with a nonempty ``deferred`` range (see :func:`tick_events`), enough
     slots to also hold it.  Every event is one in-place kernel of
     :mod:`tcsim.gaussian`: emit writes two diagonal entries, CZ adds two rows
-    and two columns, measure is one rank-1 downdate of the buffer, and both
-    measure and trace then clear the slot.  The kernels keep the buffer
-    exactly symmetric; it is checked (symmetric and finite) once per tick,
-    before the tick's measurement.
+    and two columns, measure is one rank-1 downdate of the rows in the
+    measured q column's support (the node and its live graph neighbours),
+    and both measure and trace then clear the slot.  The kernels keep the
+    buffer exactly symmetric; the whole buffer is checked (symmetric and
+    finite) once per tick, before the tick's measurement.
 
     In compute mode each node is q-measured as soon as its slot comes up,
     with the conditional mean shift cancelled by feedforward (pinned
@@ -259,7 +260,7 @@ class TemporalPipeline:
         config = self.config
         slot = self._retire(node)
         _check_symmetric(self.cov)
-        if config.mode == "verify" and node not in config.boundary_nodes:
+        if config.mode == "verify" and node > config.reach:  # not a boundary node
             variance = self.live_nullifier_variance(node)
             self.nullifier_checks.append((node, variance))
         keep = self._indices(self.lo, self.hi)

@@ -15,6 +15,7 @@ from tcsim.gaussian import (
     cz_matrix,
     db_to_r,
     measure_quadrature,
+    measure_slot,
     p_squeezed_state,
     permute_modes,
     r_to_db,
@@ -250,6 +251,59 @@ class TestRotationMatchesDense:
         reduced, rec = measure_quadrature(state, mode, theta, outcome=x)
         assert_close_rel(reduced.cov, want_cov)
         assert_close_rel(rec.feedforward, want_feedforward)
+
+
+@st.composite
+def measure_slot_cases(draw):
+    """An exactly symmetric 2-8 slot buffer, a slot to measure and an outcome.
+
+    The buffer is 0.5 (M + M^T) with some slots empty and the measured q
+    column cut to a drawn support, from its diagonal alone to fully dense;
+    every zero is +0.0, as in the streaming register.
+    """
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(0, n - 1))
+    m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((2 * n, 2 * n))
+    cov = 0.5 * (m + m.T)
+    empty = draw(st.sets(st.integers(0, n - 1).filter(lambda s: s != k)))
+    for s in empty:
+        cov[[s, n + s], :] = 0.0
+        cov[:, [s, n + s]] = 0.0
+    others = [i for i in range(2 * n) if i != k]
+    cut = draw(st.permutations(others))[: draw(st.integers(0, len(others)))]
+    cov[cut, k] = cov[k, cut] = 0.0
+    cov[k, k] = abs(cov[k, k]) + 0.1
+    keep = np.array([s for s in range(2 * n) if s % n != k], dtype=int)
+    return cov, k, keep, draw(st.floats(-5.0, 5.0))
+
+
+def dense_measure_slot(cov, k, keep, outcome):
+    """Reference q measurement: a dense rank-1 downdate of the whole buffer."""
+    n = len(cov) // 2
+    var = cov[k, k]
+    b = cov[:, k].copy()
+    shift = b[keep] * (outcome / var)
+    downdate = np.outer(b, b)
+    downdate /= var
+    cov -= downdate
+    cov[[k, n + k], :] = 0.0
+    cov[:, [k, n + k]] = 0.0
+    return -shift
+
+
+class TestMeasureSlotMatchesDense:
+    """The support-restricted downdate against the dense one, bit for bit."""
+
+    @given(case=measure_slot_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal(self, case):
+        cov, k, keep, x = case
+        want_cov = cov.copy()
+        want_feedforward = dense_measure_slot(want_cov, k, keep, x)
+        rec = measure_slot(cov, k, keep, "m", outcome=x)
+        assert cov.tobytes() == want_cov.tobytes()
+        assert rec.outcome == x
+        assert rec.feedforward.tobytes() == want_feedforward.tobytes()
 
 
 class TestMeasurement:

@@ -136,6 +136,21 @@ class TestRegisterChecks:
         with pytest.raises(ValueError, match="symmetric"):
             pipe.execute(tick_events(config, 5))
 
+    @pytest.mark.parametrize("poke", ["nudge", "nan", "inf"])
+    def test_guard_covers_the_whole_buffer(self, poke):
+        # Tick 5 measures node 1 (slot 1: rows and columns 1 and K + 1).
+        # (q_3, p_4) lies outside them, and tick 5's CZs only add a zero to
+        # it, so a check of the measured rows alone would miss the fault.
+        config = lattice(3, 10)
+        pipe = TemporalPipeline(config)
+        for t in range(1, 5):
+            pipe.execute(tick_events(config, t))
+        k = pipe.slots
+        i, j = 3 % k, k + 4 % k
+        pipe.cov[i, j] = {"nudge": pipe.cov[i, j] + 1e-6, "nan": np.nan, "inf": np.inf}[poke]
+        with pytest.raises(ValueError, match="symmetric"):
+            pipe.execute(tick_events(config, 5))
+
     @pytest.mark.parametrize("topology", ["wire", "lattice"])
     def test_overflowing_squeezing_rejected(self, topology):
         width = 4 if topology == "lattice" else 0
