@@ -213,8 +213,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # A squeezing so large that the covariance overflows is a usage error,
-        # not a result: raise on it instead of printing numpy warnings.
+        # Squeezing that overflows the covariance, or a register too large to
+        # allocate, is a usage error: raise instead of printing numpy warnings.
         with np.errstate(over="raise", invalid="raise"):
             csv = None
             if args.command in ("wire", "lattice"):
@@ -226,7 +226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 report = _unfold_report(args)
             _write_outputs(report, args.out, csv)
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, KeyError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if all(c["pass"] for c in report["checks"]) else 1

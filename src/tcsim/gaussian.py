@@ -10,7 +10,7 @@ is cancelled by feedforward and recorded, not stored.
 Emit, CZ, phase rotation, q measurement and trace are in-place kernels on a
 covariance buffer and mode slots; the ``GaussianState`` operations run them
 on a copy, and the streaming pipeline runs them on its preallocated live
-register.
+register.  ``nullifier_slot`` is the one nullifier evaluator for both.
 """
 
 from __future__ import annotations
@@ -196,6 +196,15 @@ def measure_slot(
     return MeasurementRecord(node=mode, angle=0.0, outcome=float(outcome), feedforward=-shift)
 
 
+def nullifier_slot(cov: np.ndarray, k: int, neighbours: Sequence[int]) -> float:
+    """Variance v^T cov v of p_k minus the q of the ``neighbours`` slots, taken
+    over their q rows in the order given, then p_k (gathered rows, then columns)."""
+    idx = [*neighbours, len(cov) // 2 + k]
+    v = np.full(len(idx), -1.0)
+    v[-1] = 1.0
+    return float(v @ cov[idx][:, idx] @ v)
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Zero-mean Gaussian state: covariance over an ordered set of labeled modes.
@@ -230,9 +239,6 @@ class GaussianState:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"unknown mode label {label!r}") from None
-
-    def p_index(self, label: Label) -> int:
-        return self.n_modes + self.index(label)
 
 
 def vacuum_state(n: int, labels: Optional[Sequence[Label]] = None) -> GaussianState:

@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .gaussian import GaussianState
+from .gaussian import GaussianState, nullifier_slot
 
 Edge = FrozenSet
 
@@ -139,12 +139,10 @@ def nullifier_variances(state: GaussianState, graph: Graph) -> Dict:
 
 
 def nullifier_variance(state: GaussianState, node, neighbors: Iterable) -> float:
-    """Variance v^T cov v of n = p_node - sum of q over ``neighbors``."""
-    v = np.zeros(2 * state.n_modes)
-    v[state.p_index(node)] = 1.0
-    for nb in neighbors:
-        v[state.index(nb)] -= 1.0
-    return float(v @ state.cov @ v)
+    """Variance of n = p_node - sum of q over ``neighbors``: ``nullifier_slot``
+    on their positions in ascending order."""
+    positions = sorted(state.index(nb) for nb in neighbors)
+    return nullifier_slot(state.cov, state.index(node), positions)
 
 
 @dataclass(frozen=True)

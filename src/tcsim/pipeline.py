@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .gaussian import (
     clear_slot,
     cz_slots,
     measure_slot,
+    nullifier_slot,
     squeeze_slot,
     trace_out,
 )
@@ -42,7 +43,8 @@ from .graphs import Graph, delete_nodes, make_graph
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Declarative description of one streaming run."""
+    """Declarative description of one streaming run, valid by construction:
+    ``__post_init__`` runs :meth:`validate`, so no consumer re-checks it."""
 
     topology: str  # "wire" | "lattice"
     n_pulses: int
@@ -50,6 +52,9 @@ class PipelineConfig:
     squeezing_r: float = 0.0
     mode: str = "compute"  # | "verify"
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.topology not in ("wire", "lattice"):
@@ -104,11 +109,6 @@ class PipelineConfig:
         """Every tick of the run: N emissions, then ``delay`` flush ticks."""
         return range(1, self.n_pulses + self.delay + 1)
 
-    def node_neighbors(self, node: int) -> Set[int]:
-        """Graph neighbors of a node among 1..N: node -/+ each offset."""
-        partners = {node + s * d for d in self.offsets for s in (-1, 1)}
-        return {nb for nb in partners if 1 <= nb <= self.n_pulses}
-
 
 @dataclass(frozen=True)
 class PipelineEvent:
@@ -156,7 +156,6 @@ def tick_events(
 
 def build_schedule(config: PipelineConfig) -> List[PipelineEvent]:
     """The whole run's event stream: :func:`tick_events` over every tick."""
-    config.validate()
     return [e for t in config.ticks for e in tick_events(config, t)]
 
 
@@ -180,12 +179,11 @@ class TemporalPipeline:
     with the conditional mean shift cancelled by feedforward (pinned
     convention), and the feedforward lists the survivors in ascending label
     order.  In verify mode the nullifier variance of each non-boundary node
-    is evaluated on the live register just before the node is measured in
-    the q basis.
+    is read on the live register just before the node is measured in the q
+    basis, by one more kernel, ``nullifier_slot``.
     """
 
     def __init__(self, config: PipelineConfig, deferred: range = range(0)):
-        config.validate()
         self.config = config
         self.deferred = deferred
         self.rng = np.random.default_rng(config.seed)
@@ -222,11 +220,11 @@ class TemporalPipeline:
     def run(self) -> RunReport:
         """The one run loop, for a stream and for a deferred run alike.
 
-        A deferred run stops once its last slot has come up.  Either way the
-        run must end with exactly ``deferred`` live (nothing, for a stream).
+        It runs every tick: past a deferred run's last slot,
+        :func:`tick_events` emits nothing.  Either way the run must end with
+        exactly ``deferred`` live (nothing, for a stream).
         """
-        stop = self.deferred[-1] + self.config.delay if self.deferred else None
-        for t in self.config.ticks[:stop]:
+        for t in self.config.ticks:
             self.execute(tick_events(self.config, t, self.deferred))
         if range(self.lo, self.hi + 1) != self.deferred:
             raise RuntimeError(f"schedule left live modes {self.snapshot().labels}")
@@ -270,16 +268,13 @@ class TemporalPipeline:
     def live_nullifier_variance(self, node: int) -> float:
         """Variance of p_node - sum(q over live graph neighbors).
 
-        Already-measured neighbors drop out of the reduced nullifier; since
-        they were measured in the q basis, the variance is unchanged.  The
-        quadratic form runs over the gathered q slots of the live neighbors,
-        in ascending label order, and then the node's p slot.
+        Read once the node is retired: its neighbours node - d are measured,
+        in the q basis, so they drop out and the variance is unchanged.  The
+        live ones, node + d up to ``hi``, go to ``nullifier_slot`` in
+        ascending label order.
         """
-        live = sorted(nb for nb in self.config.node_neighbors(node) if self.lo <= nb <= self.hi)
-        idx = [nb % self.slots for nb in live] + [self.slots + node % self.slots]
-        v = np.full(len(idx), -1.0)
-        v[-1] = 1.0
-        return float(v @ self.cov[idx][:, idx] @ v)
+        live = [(node + d) % self.slots for d in self.config.offsets if node + d <= self.hi]
+        return nullifier_slot(self.cov, node % self.slots, live)
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
@@ -309,7 +304,6 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     outcome is replayed.  Returns the max entrywise difference between the
     covariances (both states are zero-mean).
     """
-    config.validate()
     first, last = node_range
     if not (1 <= first <= last <= config.n_pulses):
         raise ValueError(f"node range {node_range} outside 1..{config.n_pulses}")

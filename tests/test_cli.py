@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import tcsim.cli
 from tcsim.cli import main
 
 
@@ -92,6 +93,14 @@ class TestUnfoldCommand:
         assert report["unfolds"] is True
         assert report["grid"] == "3x4"
 
+    def test_undeleted_stripe_fails_the_check(self, tmp_path, monkeypatch):
+        # Without the q deletions every 4th node stays and lands in row 0.
+        monkeypatch.setattr(tcsim.cli, "delete_nodes", lambda graph, targets: graph)
+        code, report = run_json(["unfold", "--width", "4", "--cols", "4"], tmp_path)
+        assert code == 1
+        assert report["unfolds"] is False
+        assert report["checks"][0]["value"] == "offending edge ((0, 1), (0, 2))"
+
 
 class TestReportFlags:
     """--out on every subcommand; --csv and --emit-records on runs only."""
@@ -155,6 +164,17 @@ class TestErrors:
     def test_invalid_config_returns_2(self, capsys):
         assert main(["lattice", "--nodes", "5", "--width", "4"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unallocatable_register_returns_2(self, tmp_path, capsys):
+        # A 2e8-slot register needs 284 PiB, beyond any 64-bit address space,
+        # so the allocation fails at once without touching memory.
+        out = tmp_path / "r.json"
+        argv = ["lattice", "--width", "100000000", "--nodes", "200000000", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command",

@@ -16,6 +16,7 @@ from tcsim.gaussian import (
     db_to_r,
     measure_quadrature,
     measure_slot,
+    nullifier_slot,
     p_squeezed_state,
     permute_modes,
     r_to_db,
@@ -304,6 +305,40 @@ class TestMeasureSlotMatchesDense:
         assert cov.tobytes() == want_cov.tobytes()
         assert rec.outcome == x
         assert rec.feedforward.tobytes() == want_feedforward.tobytes()
+
+
+@st.composite
+def nullifier_cases(draw):
+    """2-8 p-squeezed modes after random CZs, a node and some of the other
+    modes' slots, in a drawn order (possibly none)."""
+    n = draw(st.integers(2, 8))
+    state = vacuum_state(0, labels=())
+    for label in range(n):
+        state = append_modes(state, p_squeezed_state(draw(st.floats(0.0, 1.5)), label=label))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    for a, b in draw(st.lists(pair, max_size=12)):
+        state = apply_cz(state, a, b)
+    k = draw(st.integers(0, n - 1))
+    others = draw(st.permutations([i for i in range(n) if i != k]))
+    return state.cov, k, others[: draw(st.integers(0, n - 1))]
+
+
+class TestNullifierSlotMatchesDense:
+    """The gathered quadratic form against v^T cov v over the whole buffer."""
+
+    @given(case=nullifier_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_length_form(self, case):
+        cov, k, neighbours = case
+        n = len(cov) // 2
+        v = np.zeros(2 * n)
+        v[n + k] = 1.0
+        v[neighbours] = -1.0
+        want = v @ cov @ v
+        # relative to the form's own scale |v|^T |cov| |v|, which bounds the
+        # rounding of either summation order
+        scale = np.abs(v) @ np.abs(cov) @ np.abs(v)
+        assert abs(nullifier_slot(cov, k, neighbours) - want) <= 1e-12 * scale
 
 
 class TestMeasurement:

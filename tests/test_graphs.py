@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcsim.canonical import build_canonical_cluster
-from tcsim.gaussian import vacuum_state
+from tcsim.gaussian import permute_modes, vacuum_state
 from tcsim.graphs import (
     Graph,
     delete_nodes,
@@ -118,6 +118,15 @@ class TestNullifierVariances:
     def test_missing_node(self):
         with pytest.raises(KeyError):
             nullifier_variances(vacuum_state(1), wire_graph(2))
+
+    @given(order=st.permutations(range(1, 10)))
+    @settings(max_examples=30, deadline=None)
+    def test_label_order_differs_from_position_order(self, order):
+        r = 0.8
+        g = sheared_cylinder_graph(9, 3)
+        state = permute_modes(build_canonical_cluster(g, r), order)
+        for v in nullifier_variances(state, g).values():
+            assert v == pytest.approx(np.exp(-2 * r) / 2, abs=1e-12)
 
 
 class TestDeleteNodes:

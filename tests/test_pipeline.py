@@ -117,7 +117,7 @@ class TestSchedule:
 
 
 class TestTopologyRule:
-    """The one offsets rule, read three ways, against the graph builders."""
+    """The one offsets rule, read two ways, against the graph builders."""
 
     @pytest.mark.parametrize(
         "config, reference",
@@ -141,7 +141,6 @@ class TestTopologyRule:
         for node in range(1, n + 1):
             expected = reference.neighbors(node)
             assert partners[node] == expected
-            assert config.node_neighbors(node) == expected
             assert {nb for nb in interaction.neighbors(node) if nb >= 1} == expected
         assert {e.kind for e in events} == {"emit", "cz", "measure", "trace"}
 

@@ -19,7 +19,7 @@ from tcsim.gaussian import (
     trace_out,
     vacuum_state,
 )
-from tcsim.graphs import delete_nodes, nullifier_variance
+from tcsim.graphs import delete_nodes, nullifier_variance, sheared_cylinder_graph, wire_graph
 from tcsim.pipeline import (
     PipelineConfig,
     TemporalPipeline,
@@ -77,8 +77,14 @@ def test_register_matches_closed_form_after_every_tick(config):
 
 def reference_run(config: PipelineConfig):
     """The copy-per-op register: one GaussianState per event, the same
-    events and the same generator; nullifiers through graphs."""
+    events and the same generator; nullifiers through graphs, with the
+    neighbours taken from the graph builders, not from ``config.offsets``."""
     rng = np.random.default_rng(config.seed)
+    n = config.n_pulses
+    if config.topology == "wire":
+        graph = wire_graph(n)
+    else:
+        graph = sheared_cylinder_graph(n, config.width)
     ancillas = config.ancilla_labels
     state = vacuum_state(len(ancillas), labels=ancillas)
     records, nullifiers = [], []
@@ -94,7 +100,7 @@ def reference_run(config: PipelineConfig):
             else:
                 node = event.labels[0]
                 if config.mode == "verify" and node not in config.boundary_nodes:
-                    live = config.node_neighbors(node) & set(state.labels)
+                    live = graph.neighbors(node) & set(state.labels)
                     nullifiers.append((node, nullifier_variance(state, node, live)))
                 state, record = measure_quadrature(state, node, 0.0, rng=rng)
                 records.append(record)
