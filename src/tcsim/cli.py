@@ -4,7 +4,10 @@ Subcommands: wire, lattice, compare, unfold.  Structured output is JSON
 (``--out``); a wire or lattice run can also write per-node nullifier
 variances to CSV (``--csv``) and add its measurement records to the JSON
 (``--emit-records``).  Exit code 0 iff every check passed, 1 on a failed
-check, 2 on usage errors.
+check, 2 on usage errors (an output that cannot be written is one).
+
+``build_parser`` states each subcommand once: its subparser sets the report
+builder ``main`` calls and the config values the subcommand implies.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ def _parse_range(text: str):
         raise argparse.ArgumentTypeError(f"range must look like A..B, got {text!r}")
 
 
+def decibels(text: str) -> float:
+    """``--squeezing-db`` as the squeezing parameter r (argparse names the
+    converter in its error, so a bad value reads "invalid decibels value")."""
+    return db_to_r(float(text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcsim",
@@ -48,8 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--nodes", type=int, required=True)
     pipeline.add_argument("--seed", type=int, default=0)
     squeezing = pipeline.add_mutually_exclusive_group()
-    squeezing.add_argument("--squeezing-db", type=float, help="squeezing in decibels")
+    squeezing.add_argument(
+        "--squeezing-db", type=decibels, dest="squeezing_r", metavar="SQUEEZING_DB",
+        help="squeezing in decibels",
+    )
     squeezing.add_argument("--squeezing-r", type=float, help="squeezing parameter r")
+    pipeline.set_defaults(squeezing_r=0.0)
     run = argparse.ArgumentParser(add_help=False, parents=[pipeline])
     run.add_argument("--verify", action="store_true")
     run.add_argument("--csv", metavar="FILE.csv", help="write per-node variances")
@@ -57,9 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit-records", action="store_true", help="include measurement records"
     )
 
-    sub.add_parser("wire", parents=[run], help="run a quantum-wire pipeline")
+    wire = sub.add_parser("wire", parents=[run], help="run a quantum-wire pipeline")
+    wire.set_defaults(build=_run_report, topology="wire", width=0)
     lattice = sub.add_parser("lattice", parents=[run], help="run a square-lattice pipeline")
     lattice.add_argument("--width", type=int, required=True)
+    lattice.set_defaults(build=_run_report, topology="lattice")
 
     compare = sub.add_parser(
         "compare", parents=[pipeline], help="pipeline vs canonical construction"
@@ -67,31 +82,25 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--topology", choices=("wire", "lattice"), required=True)
     compare.add_argument("--width", type=int, default=0)
     compare.add_argument("--range", type=_parse_range, required=True, dest="node_range")
+    compare.set_defaults(build=_compare_report, verify=False, csv=None)
 
     unfold = sub.add_parser(
         "unfold", parents=[report], help="sheared-cylinder unfolding check"
     )
     unfold.add_argument("--width", type=int, required=True)
     unfold.add_argument("--cols", type=int, required=True)
+    unfold.set_defaults(build=_unfold_report, csv=None)
 
     return parser
 
 
-def _squeezing(args) -> float:
-    if args.squeezing_db is not None:
-        return db_to_r(args.squeezing_db)
-    if args.squeezing_r is not None:
-        return args.squeezing_r
-    return 0.0
-
-
-def _config_from_args(args, topology: str) -> PipelineConfig:
+def _config_from_args(args) -> PipelineConfig:
     return PipelineConfig(
-        topology=topology,
+        topology=args.topology,
         n_pulses=args.nodes,
-        width=getattr(args, "width", 0),
-        squeezing_r=_squeezing(args),
-        mode="verify" if getattr(args, "verify", False) else "compute",
+        width=args.width,
+        squeezing_r=args.squeezing_r,
+        mode="verify" if args.verify else "compute",
         seed=args.seed,
     )
 
@@ -108,31 +117,19 @@ def _config_dict(config: PipelineConfig) -> dict:
     }
 
 
-def _run_report(config: PipelineConfig, emit_records: bool) -> dict:
+def _check(name: str, passed: bool, value, tolerance) -> dict:
+    return {"name": name, "pass": passed, "value": value, "tolerance": tolerance}
+
+
+def _run_report(args) -> dict:
+    config = _config_from_args(args)
     report = run_pipeline(config)
     target = VACUUM_VARIANCE * math.exp(-2 * config.squeezing_r)
-    checks = []
-    expected_high = config.reach + 2
-    checks.append(
-        {
-            "name": "memory_bound",
-            "pass": report.high_water <= expected_high,
-            "value": report.high_water,
-            "tolerance": expected_high,
-        }
-    )
+    high = config.reach + 2
+    checks = [_check("memory_bound", report.high_water <= high, report.high_water, high)]
     if config.mode == "verify":
-        max_err = max(
-            (abs(v - target) for _, v in report.nullifier_checks), default=0.0
-        )
-        checks.append(
-            {
-                "name": "nullifier_exactness",
-                "pass": max_err <= NULLIFIER_TOL,
-                "value": max_err,
-                "tolerance": NULLIFIER_TOL,
-            }
-        )
+        err = max((abs(v - target) for _, v in report.nullifier_checks), default=0.0)
+        checks.append(_check("nullifier_exactness", err <= NULLIFIER_TOL, err, NULLIFIER_TOL))
     out = {
         "config": _config_dict(config),
         "high_water": report.high_water,
@@ -141,7 +138,7 @@ def _run_report(config: PipelineConfig, emit_records: bool) -> dict:
         ],
         "checks": checks,
     }
-    if emit_records:
+    if args.emit_records:
         out["records"] = [
             {
                 "node": rec.node,
@@ -155,7 +152,7 @@ def _run_report(config: PipelineConfig, emit_records: bool) -> dict:
 
 
 def _compare_report(args) -> dict:
-    config = _config_from_args(args, args.topology)
+    config = _config_from_args(args)
     discrepancy = equivalence_check(config, args.node_range)
     return {
         "config": {
@@ -164,12 +161,8 @@ def _compare_report(args) -> dict:
         },
         "max_discrepancy": discrepancy,
         "checks": [
-            {
-                "name": "pipeline_matches_canonical",
-                "pass": discrepancy <= EQUIVALENCE_TOL,
-                "value": discrepancy,
-                "tolerance": EQUIVALENCE_TOL,
-            }
+            _check("pipeline_matches_canonical", discrepancy <= EQUIVALENCE_TOL,
+                   discrepancy, EQUIVALENCE_TOL)
         ],
     }
 
@@ -185,48 +178,39 @@ def _unfold_report(args) -> dict:
         "unfolds": result.unfolds,
         "grid": grid,
         "checks": [
-            {
-                "name": "unfolds_to_grid",
-                "pass": result.unfolds,
-                "value": grid or f"offending edge {result.offending_edge}",
-                "tolerance": "exact edge-set equality",
-            }
+            _check("unfolds_to_grid", result.unfolds,
+                   grid or f"offending edge {result.offending_edge}",
+                   "exact edge-set equality")
         ],
     }
 
 
 def _write_outputs(report: dict, out: Optional[str], csv: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if csv:
         rows = ["node,variance"]
         rows += [f"{n['node']},{n['variance']}" for n in report["nullifiers"]]
         with open(csv, "w") as fh:
             fh.write("\n".join(rows) + "\n")
+    # The report goes last, so a run whose CSV cannot be written leaves no
+    # report claiming it passed.
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        # Squeezing that overflows the covariance, or a register too large to
-        # allocate, is a usage error: raise instead of printing numpy warnings.
+        # Squeezing that overflows the covariance, a register too large to
+        # allocate, or an output that cannot be written is a usage error:
+        # raise instead of printing numpy warnings or a traceback.
         with np.errstate(over="raise", invalid="raise"):
-            csv = None
-            if args.command in ("wire", "lattice"):
-                config = _config_from_args(args, args.command)
-                report = _run_report(config, args.emit_records)
-                csv = args.csv
-            elif args.command == "compare":
-                report = _compare_report(args)
-            else:
-                report = _unfold_report(args)
-            _write_outputs(report, args.out, csv)
-    except (ValueError, KeyError, ArithmeticError, MemoryError) as exc:
+            report = args.build(args)
+            _write_outputs(report, args.out, args.csv)
+    except (ValueError, KeyError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if all(c["pass"] for c in report["checks"]) else 1

@@ -44,7 +44,7 @@ from .graphs import Graph, delete_nodes, make_graph
 @dataclass(frozen=True)
 class PipelineConfig:
     """Declarative description of one streaming run, valid by construction:
-    ``__post_init__`` runs :meth:`validate`, so no consumer re-checks it."""
+    ``__post_init__`` rejects a bad one, so no consumer re-checks it."""
 
     topology: str  # "wire" | "lattice"
     n_pulses: int
@@ -54,9 +54,6 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.topology not in ("wire", "lattice"):
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.mode not in ("compute", "verify"):

@@ -1,5 +1,7 @@
-"""The benchmark's traced mode wraps tcsim entry points by name; a rename that
-breaks it must fail here, not only when someone runs ``--trace 1``."""
+"""The benchmark calls tcsim entry points by name: its traced mode wraps them,
+and its end-to-end mode imports ``tcsim.cli`` and builds its parser in fresh
+interpreters.  A rename that breaks either must fail here, not only when
+someone runs the benchmark."""
 
 import json
 import subprocess
@@ -25,3 +27,21 @@ def test_traced_benchmark_run_is_correct(workload):
     assert result.returncode == 0, result.stderr
     summary = json.loads(result.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True, summary
+
+
+def test_end_to_end_benchmark_run_is_correct():
+    result = subprocess.run(
+        [
+            sys.executable, "bench/run.py", "--workload", "compare-oracle",
+            "--seconds", "0", "--trace", "0",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True, summary
+    metrics = summary["metrics"]
+    for name in ("pulses_per_s", "peak_mem_mb", "mem_bytes_per_pulse", "setup_s"):
+        assert metrics[name]["value"] > 0, (name, metrics)

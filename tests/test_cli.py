@@ -4,6 +4,7 @@ import pytest
 
 import tcsim.cli
 from tcsim.cli import main
+from tcsim.gaussian import db_to_r
 
 
 def run_json(args, tmp_path, name="report.json"):
@@ -137,6 +138,41 @@ class TestReportFlags:
         assert len(rows) == len(report["nullifiers"])
 
 
+class TestCheckRecords:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["wire", "--nodes", "6", "--verify"],
+            ["lattice", "--nodes", "8", "--width", "4", "--verify"],
+            ["compare", "--topology", "wire", "--nodes", "6", "--range", "2..4"],
+            ["unfold", "--width", "3", "--cols", "2"],
+        ],
+        ids=["wire", "lattice", "compare", "unfold"],
+    )
+    def test_every_check_has_the_same_keys(self, command, tmp_path):
+        _, report = run_json(command, tmp_path)
+        assert report["checks"]
+        for check in report["checks"]:
+            assert set(check) == {"name", "pass", "value", "tolerance"}
+            assert check["pass"] is True
+
+
+class TestSqueezingFlags:
+    @pytest.mark.parametrize("flag", ["--squeezing-db", "--squeezing-r"])
+    def test_non_numeric_value_names_the_flag(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["wire", "--nodes", "3", flag, "abc"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+    def test_db_and_r_echo_the_same_r(self, tmp_path):
+        _, by_db = run_json(["wire", "--nodes", "3", "--squeezing-db", "10"], tmp_path)
+        _, by_r = run_json(
+            ["wire", "--nodes", "3", "--squeezing-r", repr(db_to_r(10))], tmp_path
+        )
+        assert by_db["config"]["squeezing_r"] == by_r["config"]["squeezing_r"] == db_to_r(10)
+
+
 class TestErrors:
     def test_wire_compare_with_width_exits_2(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -201,4 +237,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "RuntimeWarning" not in err
+        assert not out.exists()
+
+    def test_unwritable_out_returns_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["wire", "--nodes", "3", "--out", str(missing / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_unwritable_csv_returns_2_and_writes_no_report(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["wire", "--nodes", "3", "--verify", "--out", str(out),
+                "--csv", str(tmp_path / "missing" / "v.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
         assert not out.exists()

@@ -30,28 +30,28 @@ def lattice_config(n, m, r=1.0, mode="compute", seed=0, **kw):
 class TestConfig:
     def test_lattice_needs_width(self):
         with pytest.raises(ValueError):
-            PipelineConfig("lattice", 20, width=1).validate()
+            PipelineConfig("lattice", 20, width=1)
 
     def test_lattice_needs_enough_pulses(self):
         with pytest.raises(ValueError):
-            PipelineConfig("lattice", 5, width=4).validate()
+            PipelineConfig("lattice", 5, width=4)
 
     def test_unknown_topology(self):
         with pytest.raises(ValueError):
-            PipelineConfig("ring", 5).validate()
+            PipelineConfig("ring", 5)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode 'replay'"):
-            PipelineConfig("wire", 5, mode="replay").validate()
+            PipelineConfig("wire", 5, mode="replay")
 
     def test_wire_rejects_width(self):
         with pytest.raises(ValueError, match="width applies only to a lattice"):
-            PipelineConfig("wire", 20, width=5).validate()
+            PipelineConfig("wire", 20, width=5)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_non_finite_squeezing(self, r):
         with pytest.raises(ValueError):
-            wire_config(4, r=r).validate()
+            wire_config(4, r=r)
 
 
 class TestSchedule:
