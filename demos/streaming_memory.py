@@ -2,7 +2,11 @@
 
 Runs the lattice pipeline at increasing total pulse counts and shows that
 the number of simultaneously live modes (the high-water mark) stays at
-M + 2 no matter how long the stream runs, while wall time grows linearly.
+M + 2 no matter how long the stream runs.  The register is a finite-state
+machine: once it repeats itself bit for bit (the certified steady state, a
+few periods of M + 2 ticks in), the rest of the stream runs no Gaussian
+kernel, so each further pulse costs only the construction of its
+measurement record.
 """
 
 import time
@@ -13,7 +17,7 @@ M = 4
 print(f"lattice pipeline, width M={M}, squeezing r=1.0, compute mode\n")
 print(f"{'pulses':>8}  {'live modes (max)':>17}  {'wall time':>10}")
 
-for n in (100, 1_000, 10_000):
+for n in (100, 1_000, 10_000, 100_000):
     config = PipelineConfig("lattice", n, width=M, squeezing_r=1.0, seed=0)
     t0 = time.perf_counter()
     report = run_pipeline(config)
@@ -22,3 +26,5 @@ for n in (100, 1_000, 10_000):
 
 print(f"\nhigh water = M + 2 = {M + 2}: one pulse at the gate, one in flight")
 print("to the detector, and M circulating in the loop -- independent of N.")
+print(f"Past the certified tick ({3 * M + 4} here) the wall time is record")
+print("construction only: no covariance update runs for those pulses.")

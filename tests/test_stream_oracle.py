@@ -3,6 +3,8 @@
 Two references that do not use the register: the closed-form canonical
 cluster after every tick, and a tick-by-tick replay of the same events on
 ``GaussianState`` values, which must match ``run_pipeline`` bit for bit.
+A third, which runs every tick's kernels, checks the certified periodic
+steady state that lets ``run`` skip them.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from tcsim.gaussian import (
 from tcsim.graphs import delete_nodes, nullifier_variance, sheared_cylinder_graph, wire_graph
 from tcsim.pipeline import (
     PipelineConfig,
+    PipelineEvent,
     TemporalPipeline,
     pipeline_interaction_graph,
     run_pipeline,
@@ -169,3 +172,138 @@ class TestRegisterChecks:
         assert pipe.cov.shape == (20, 20)
         pipe.run()
         assert not np.any(pipe.cov)
+
+
+# Certified periodic steady state.  ``run`` keeps the buffer after a steady
+# tick t0 >= 2 reach + 2 with t0 + K <= N, and certifies at t0 + K if the
+# buffer repeats; on every stock config the first candidate succeeds.
+
+
+def first_certificate(config: PipelineConfig) -> int:
+    """The tick at which an unperturbed stream certifies: t0 + K."""
+    return (2 * config.reach + 2) + (config.reach + 2)
+
+
+def kernel_run(config: PipelineConfig) -> TemporalPipeline:
+    """Every tick through the kernels: ``execute`` driven tick by tick."""
+    pipe = TemporalPipeline(config)
+    for t in config.ticks:
+        pipe.execute(tick_events(config, t))
+    return pipe
+
+
+def assert_same_run(report, pipe: TemporalPipeline) -> None:
+    assert [r.node for r in report.records] == [r.node for r in pipe.records]
+    for got, want in zip(report.records, pipe.records):
+        assert got.outcome.hex() == want.outcome.hex()
+        assert got.angle == want.angle == 0.0
+        assert got.feedforward.tobytes() == want.feedforward.tobytes()
+    assert [(n, v.hex()) for n, v in report.nullifier_checks] == [
+        (n, v.hex()) for n, v in pipe.nullifier_checks
+    ]
+    assert report.high_water == pipe.high_water
+
+
+@pytest.fixture
+def kernel_ticks(monkeypatch):
+    """Counts the ticks that run kernels (``TemporalPipeline.execute`` calls)."""
+    calls = []
+    execute = TemporalPipeline.execute
+
+    def counted(self, events):
+        calls.append(events)
+        execute(self, events)
+
+    monkeypatch.setattr(TemporalPipeline, "execute", counted)
+    return calls
+
+
+# For each stream: N one tick too short to certify, then N at the first
+# certificate plus every remainder mod K, then N spanning many periods.
+CERTIFIED = [
+    PipelineConfig(topology, n, width=width, squeezing_r=db_to_r(10), mode=mode, seed=seed)
+    for topology, width, ns in (
+        ("wire", 0, (6, 7, 8, 9, 40)),
+        ("lattice", 3, (12, 13, 14, 15, 16, 17, 36)),
+        ("lattice", 8, (27, 28, 33, 97)),
+    )
+    for n in ns
+    for mode in ("compute", "verify")
+    for seed in (1, 7919)
+]
+
+
+@pytest.mark.parametrize(
+    "config",
+    CERTIFIED,
+    ids=[f"{c.topology}-{c.width}-N{c.n_pulses}-{c.mode}-s{c.seed}" for c in CERTIFIED],
+)
+def test_certified_run_matches_kernel_run_bitwise(config, kernel_ticks):
+    report = run_pipeline(config)
+    ran = len(kernel_ticks)
+    assert_same_run(report, kernel_run(config))
+    k = config.reach + 2
+    if config.n_pulses < first_certificate(config):
+        assert ran == len(config.ticks)
+    else:
+        skipped = (config.n_pulses - first_certificate(config)) // k * k
+        assert ran == len(config.ticks) - skipped
+
+
+def test_long_wire_runs_a_handful_of_kernel_ticks(kernel_ticks):
+    report = run_pipeline(wire(10_000, 10))
+    assert len(kernel_ticks) < 30
+    assert [r.node for r in report.records] == list(range(1, 10_001))
+
+
+PERTURBED = [
+    config
+    for mode in ("compute", "verify")
+    for config in (wire(40, 10, mode, seed=3), lattice(3, 20, mode, seed=4), lattice(8, 10, mode, seed=5))
+]
+
+
+@pytest.mark.parametrize(
+    "config", PERTURBED, ids=[f"{c.topology}-{c.width}-{c.mode}" for c in PERTURBED]
+)
+def test_candidate_period_that_is_not_periodic_is_refused(config, monkeypatch):
+    # The first candidate period opens after tick t0.  Scaling, at the end of
+    # that tick, the q variance of the node that tick t0 + 1 measures makes
+    # the kept buffer one the stream never returns to, and the captured
+    # period one that does not repeat: certifying it would copy the
+    # perturbed records into every later period.
+    t0 = 2 * config.reach + 2
+    node = t0 + 1 - config.delay
+    unperturbed = run_pipeline(config)
+    execute = TemporalPipeline.execute
+    runs = []
+
+    def perturbed(self, events):
+        execute(self, events)
+        runs.append(events)
+        if events[0] == PipelineEvent("emit", (t0,)):
+            slot = node % self.slots
+            self.cov[slot, slot] *= 1.5
+
+    monkeypatch.setattr(TemporalPipeline, "execute", perturbed)
+    report = run_pipeline(config)
+    ran = len(runs)
+    assert_same_run(report, kernel_run(config))
+    assert report.records[node - 1].outcome != unperturbed.records[node - 1].outcome
+    # refused at t0 + K, certified one period later
+    k = config.reach + 2
+    skipped = (config.n_pulses - first_certificate(config)) // k * k - k
+    assert ran == len(config.ticks) - skipped
+
+
+RULES = [wire(60, 10)] + [lattice(m, 10) for m in (2, 3, 8)]
+
+
+@pytest.mark.parametrize("config", RULES, ids=[f"{c.topology}-{c.width}" for c in RULES])
+def test_steady_ticks_repeat_with_period_k(config):
+    k = config.reach + 2
+    steady = range(2 * config.reach + 2, config.n_pulses - k + 1)
+    assert len(steady) > k
+    for t in steady:
+        shifted = [PipelineEvent(e.kind, tuple(l + k for l in e.labels)) for e in tick_events(config, t)]
+        assert tick_events(config, t + k) == shifted
