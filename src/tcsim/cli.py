@@ -5,6 +5,10 @@ Subcommands: wire, lattice, compare, unfold.  Structured output is JSON
 variances to CSV (``--csv``) and add its measurement records to the JSON
 (``--emit-records``).  Exit code 0 iff every check passed, 1 on a failed
 check, 2 on usage errors (an output that cannot be written is one).
+A run's ``nullifiers`` and ``records`` rows are written by the row writer
+(``_render``), straight from the run, in exactly the layout
+``json.dumps(indent=2, sort_keys=True)`` would give them; ``json.dumps``
+renders the rest of every report.
 
 ``build_parser`` states each subcommand once: its subparser sets the report
 builder ``main`` calls and the config values the subcommand implies.
@@ -16,11 +20,11 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .gaussian import VACUUM_VARIANCE, db_to_r, r_to_db
+from .gaussian import VACUUM_VARIANCE, MeasurementRecord, db_to_r, r_to_db
 from .graphs import delete_nodes, sheared_cylinder_graph, unfolds_to_grid
 from .pipeline import PipelineConfig, equivalence_check, run_pipeline
 
@@ -133,21 +137,11 @@ def _run_report(args) -> dict:
     out = {
         "config": _config_dict(config),
         "high_water": report.high_water,
-        "nullifiers": [
-            {"node": node, "variance": var} for node, var in report.nullifier_checks
-        ],
+        "nullifiers": report.nullifier_checks,
         "checks": checks,
     }
     if args.emit_records:
-        out["records"] = [
-            {
-                "node": rec.node,
-                "angle": rec.angle,
-                "outcome": rec.outcome,
-                "feedforward": list(rec.feedforward),
-            }
-            for rec in report.records
-        ]
+        out["records"] = report.records
     return out
 
 
@@ -185,13 +179,78 @@ def _unfold_report(args) -> dict:
     }
 
 
+# The row writer: the run's row lists are rendered here, not by json.dumps,
+# in exactly json.dumps's indent=2 layout, every float as float.__repr__ of
+# a Python float.  Both keys sort after every other top-level key, so their
+# rows are spliced in after json.dumps's text of the rest of the report.
+# Each row starts with the separator json.dumps puts before it; the first
+# row of a list drops the comma.
+_NULLIFIER_ROW = ',\n    {\n      "node": %d,\n      "variance": %r\n    }'
+_RECORD_ROW = (
+    ',\n    {\n      "angle": %r,\n      "feedforward": %s,\n'
+    '      "node": %d,\n      "outcome": %r\n    }'
+)
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """Refuse a NaN or infinite value, as json.dumps's ``allow_nan=False``
+    does; one vectorized pass per block."""
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(bad[0])!r}")
+
+
+def _feedforward(values: List[float]) -> str:
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(repr, values)) + "\n      ]"
+
+
+def _record_rows(records: List[MeasurementRecord]) -> List[str]:
+    angles = np.array([rec.angle for rec in records], dtype=float)
+    outcomes = np.array([rec.outcome for rec in records], dtype=float)
+    feedforwards = [rec.feedforward for rec in records]
+    _check_finite(np.concatenate([angles, outcomes, *feedforwards]))
+    rows = zip(records, angles.tolist(), outcomes.tolist(), feedforwards)
+    return [
+        _RECORD_ROW % (angle, _feedforward(ff.tolist()), rec.node, outcome)
+        for rec, angle, outcome, ff in rows
+    ]
+
+
+def _splice(parts: List[str], key: str, rows: List[str]) -> None:
+    if not rows:
+        parts.append(f',\n  "{key}": []')
+        return
+    rows[0] = rows[0][1:]
+    parts += [f',\n  "{key}": [', *rows, "\n  ]"]
+
+
+def _render(report: dict) -> Tuple[str, str]:
+    """The report's JSON text and the CSV text of its nullifiers, both
+    rendered before anything is written."""
+    head = {key: value for key, value in report.items() if key not in ("nullifiers", "records")}
+    parts = [json.dumps(head, indent=2, sort_keys=True, allow_nan=False)[:-2]]  # drop "\n}"
+    nullifiers: List[Tuple[int, float]] = []
+    if "nullifiers" in report:
+        nodes = [node for node, _ in report["nullifiers"]]
+        variances = np.array([var for _, var in report["nullifiers"]], dtype=float)
+        _check_finite(variances)
+        nullifiers = list(zip(nodes, variances.tolist()))
+        _splice(parts, "nullifiers", [_NULLIFIER_ROW % row for row in nullifiers])
+    if "records" in report:
+        _splice(parts, "records", _record_rows(report["records"]))
+    parts.append("\n}\n")
+    csv_text = "node,variance\n" + "".join(f"{node},{var}\n" for node, var in nullifiers)
+    return "".join(parts), csv_text
+
+
 def _write_outputs(report: dict, out: Optional[str], csv: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # A report that cannot be rendered (a NaN, say) leaves no file behind.
+    text, csv_text = _render(report)
     if csv:
-        rows = ["node,variance"]
-        rows += [f"{n['node']},{n['variance']}" for n in report["nullifiers"]]
         with open(csv, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write(csv_text)
     # The report goes last, so a run whose CSV cannot be written leaves no
     # report claiming it passed.
     if out:

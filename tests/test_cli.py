@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tcsim.cli
-from tcsim.cli import main
-from tcsim.gaussian import db_to_r
+from tcsim.cli import NULLIFIER_TOL, _check, _config_dict, _config_from_args, build_parser, main
+from tcsim.gaussian import VACUUM_VARIANCE, MeasurementRecord, db_to_r
+from tcsim.pipeline import run_pipeline
 
 
 def run_json(args, tmp_path, name="report.json"):
@@ -255,3 +261,147 @@ class TestErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def record_dict(rec):
+    return {
+        "node": rec.node,
+        "angle": rec.angle,
+        "outcome": rec.outcome,
+        "feedforward": list(rec.feedforward),
+    }
+
+
+def dict_rows(report):
+    """A run report in the dict form json.dumps rendered before the row writer."""
+    out = {**report}
+    out["nullifiers"] = [{"node": node, "variance": var} for node, var in report["nullifiers"]]
+    if "records" in report:
+        out["records"] = [record_dict(rec) for rec in report["records"]]
+    return out
+
+
+def reference_outputs(report):
+    """JSON and CSV text as json.dumps and the dict-based CSV rows wrote them."""
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    rows = ["node,variance"]
+    rows += [f"{n['node']},{n['variance']}" for n in report["nullifiers"]]
+    return text, "\n".join(rows) + "\n"
+
+
+FINITE = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e16, -1e16, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+FLOATS = st.one_of(FINITE, FINITE.map(np.float64))
+NODES = st.integers(0, 2**62)
+RECORDS = st.builds(
+    MeasurementRecord,
+    node=NODES,
+    angle=FLOATS,
+    outcome=FLOATS,
+    feedforward=st.lists(FLOATS, max_size=8).map(lambda v: np.array(v, dtype=float)),
+)
+HEAD = {
+    "checks": [_check("memory_bound", True, 3, 3)],
+    "config": {"mode": "verify", "nodes": 5, "squeezing_r": 1.1512925464970227},
+    "high_water": 3,
+}
+
+
+class TestRowWriter:
+    @given(
+        nullifiers=st.lists(st.tuples(NODES, FLOATS), max_size=5),
+        records=st.one_of(st.none(), st.lists(RECORDS, max_size=5)),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_rows_render_as_json_dumps_would(self, nullifiers, records):
+        report = {**HEAD, "nullifiers": nullifiers}
+        if records is not None:
+            report["records"] = records
+        assert tcsim.cli._render(report) == reference_outputs(dict_rows(report))
+
+
+def reference_run_report(argv):
+    """The run report as _run_report built it before the row writer: a dict
+    per nullifier and per record."""
+    args = build_parser().parse_args(argv)
+    config = _config_from_args(args)
+    report = run_pipeline(config)
+    target = VACUUM_VARIANCE * math.exp(-2 * config.squeezing_r)
+    high = config.reach + 2
+    checks = [_check("memory_bound", report.high_water <= high, report.high_water, high)]
+    if config.mode == "verify":
+        err = max((abs(v - target) for _, v in report.nullifier_checks), default=0.0)
+        checks.append(_check("nullifier_exactness", err <= NULLIFIER_TOL, err, NULLIFIER_TOL))
+    out = {
+        "config": _config_dict(config),
+        "high_water": report.high_water,
+        "nullifiers": [
+            {"node": node, "variance": var} for node, var in report.nullifier_checks
+        ],
+        "checks": checks,
+    }
+    if args.emit_records:
+        out["records"] = [record_dict(rec) for rec in report.records]
+    return out
+
+
+class TestByteIdenticalReports:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wire", "--nodes", "1", "--verify", "--emit-records"],
+            ["wire", "--nodes", "40", "--seed", "3"],
+            ["lattice", "--nodes", "4", "--width", "2", "--verify", "--emit-records"],
+            ["wire", "--nodes", "300", "--emit-records", "--seed", "7919"],
+        ],
+        ids=["wire-1", "compute", "lattice-4x2", "wire-300-certified"],
+    )
+    def test_files_match_json_dumps_of_dict_rows(self, argv, tmp_path):
+        out, csv_path = tmp_path / "r.json", tmp_path / "v.csv"
+        assert main(argv + ["--out", str(out), "--csv", str(csv_path)]) == 0
+        reference = reference_run_report(argv)
+        text, csv_text = reference_outputs(reference)
+        assert out.read_text() == text
+        assert csv_path.read_text() == csv_text
+
+    def test_edge_cases_are_reached(self):
+        # wire-1's last record has an empty feedforward; compute's nullifiers
+        # are empty.
+        wire_1 = reference_run_report(["wire", "--nodes", "1", "--emit-records"])
+        assert wire_1["records"][-1]["feedforward"] == []
+        assert reference_run_report(["wire", "--nodes", "40"])["nullifiers"] == []
+
+    def test_stdout_matches_json_dumps_of_dict_rows(self, capsys):
+        argv = ["lattice", "--nodes", "12", "--width", "3", "--verify", "--emit-records"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == reference_outputs(reference_run_report(argv))[0]
+
+
+class TestNonFiniteRows:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda r: r.records.__setitem__(0, dataclasses.replace(r.records[0], outcome=math.nan)),
+            lambda r: r.records[1].feedforward.__setitem__(0, math.inf),
+            # not the first nullifier: max() skips a later NaN, so the
+            # nullifier_exactness check's value stays finite
+            lambda r: r.nullifier_checks.__setitem__(-1, (4, math.nan)),
+        ],
+        ids=["nan-outcome", "inf-feedforward", "nan-nullifier"],
+    )
+    def test_exits_2_and_writes_nothing(self, corrupt, monkeypatch, tmp_path, capsys):
+        def corrupted_run(config):
+            report = run_pipeline(config)
+            corrupt(report)
+            return report
+
+        monkeypatch.setattr(tcsim.cli, "run_pipeline", corrupted_run)
+        out, csv_path = tmp_path / "r.json", tmp_path / "v.csv"
+        argv = ["wire", "--nodes", "4", "--verify", "--emit-records",
+                "--out", str(out), "--csv", str(csv_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+        assert not csv_path.exists()
