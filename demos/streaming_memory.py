@@ -3,10 +3,11 @@
 Runs the lattice pipeline at increasing total pulse counts and shows that
 the number of simultaneously live modes (the high-water mark) stays at
 M + 2 no matter how long the stream runs.  The register is a finite-state
-machine: once it repeats itself bit for bit (the certified steady state, a
-few periods of M + 2 ticks in), the rest of the stream runs no Gaussian
-kernel, so each further pulse costs only the construction of its
-measurement record.
+machine: once it repeats itself bit for bit one label on from one tick to
+the next (the certified steady state, at tick 2M + 3), the rest of the
+emissions run no Gaussian kernel, so each further pulse costs only the
+construction of its measurement record.  Kernels run on 3M + 4 ticks in
+all, the M + 1 flush ticks included, for any N.
 """
 
 import time
@@ -26,5 +27,6 @@ for n in (100, 1_000, 10_000, 100_000):
 
 print(f"\nhigh water = M + 2 = {M + 2}: one pulse at the gate, one in flight")
 print("to the detector, and M circulating in the loop -- independent of N.")
-print(f"Past the certified tick ({3 * M + 4} here) the wall time is record")
-print("construction only: no covariance update runs for those pulses.")
+print(f"Past the certified tick (2M + 3 = {2 * M + 3} here) the wall time is")
+print("record construction only: no covariance update runs for those pulses;")
+print(f"kernels run on 3M + 4 = {3 * M + 4} ticks in all, flush included.")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import cycle
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -172,8 +171,8 @@ class TemporalPipeline:
     and both measure and trace then clear the slot.  The kernels keep the
     buffer exactly symmetric; the whole buffer is checked (symmetric and
     finite) once per tick that runs kernels, before the tick's measurement.
-    A tick that :meth:`run` certifies as periodic runs no kernel: it repeats
-    a buffer that was already checked.
+    A tick that :meth:`run` certifies as steady runs no kernel: it repeats
+    a checked buffer one label on.
 
     In compute mode each node is q-measured as soon as its slot comes up,
     with the conditional mean shift cancelled by feedforward (pinned
@@ -197,9 +196,9 @@ class TemporalPipeline:
         self.records: List[MeasurementRecord] = []
         self.nullifier_checks: List[Tuple[int, float]] = []
         self.high_water = len(ancillas)
-        # (var, b[keep], nullifier) of each measurement in an open candidate
-        # period (see run), or None
-        self._period: Optional[List[Tuple[float, np.ndarray, Optional[float]]]] = None
+        # an open candidate's buffer, rolled one slot, and the (var, b[keep],
+        # nullifier) of its next measurement (see run), or None
+        self._kept = self._period = None
 
     def snapshot(self) -> GaussianState:
         """A copy of the live register, modes in ascending label order."""
@@ -227,34 +226,34 @@ class TemporalPipeline:
         :func:`tick_events` emits nothing.  Either way the run must end with
         exactly ``deferred`` live (nothing, for a stream).
 
-        A stream certifies its periodic steady state.  Measurement updates of
-        a covariance do not depend on the outcomes, and past the boundary a
-        tick's events depend on t only through t mod K, so the buffer is the
-        state of a deterministic machine.  After a steady tick t, the buffer
-        is kept and the next K ticks' measurements are captured; if the
-        buffer after tick t + K equals the kept one bit for bit, every later
-        emission tick repeats the captured tick K ticks before it, and the
-        whole periods that remain are built from the capture
-        (:meth:`_repeat`).  Otherwise a new candidate period opens.  The
-        remainder and the flush run kernels.  A deferred run never certifies.
+        A stream certifies its steady state.  Measurement updates of a
+        covariance do not depend on the outcomes, so the buffer is the state
+        of a deterministic machine; past the boundary, tick t + 1's events
+        are tick t's shifted by one label; and every kernel maps a cyclic
+        relabelling of the slots to the same relabelling of its output, bit
+        for bit (``measure_slot`` computes each entry on its own, the keep
+        order and ``nullifier_slot`` follow label order, and the symmetry
+        check's max does not depend on order).  So after a steady emission
+        tick t the buffer is kept, rolled one slot; if the buffer after tick
+        t + 1 equals it bit for bit, every later emission tick repeats tick
+        t + 1 one label on and is built from its captured measurement
+        (:meth:`_repeat`), else a new candidate opens.  When the first one
+        passes, kernels run on 3 reach + 4 ticks for any N >= 2 reach + 3,
+        flush included.  A deferred run never certifies.
         """
-        config, k = self.config, self.slots
-        # Each tick of a candidate period opened after one of these emits and
-        # measures a non-boundary node.
-        steady = range(0) if self.deferred else range(2 * config.reach + 2, config.n_pulses - k + 1)
-        start = None  # the buffer when the open candidate period began
+        config = self.config
+        # tick t + 1 after one of these emits and measures a non-boundary node
+        steady = range(0) if self.deferred else range(2 * config.reach + 2, config.n_pulses)
         t = 1
         while t < config.ticks.stop:
             self.execute(tick_events(config, t, self.deferred))
-            if start is not None and len(self._period) == k:
-                # bitwise, since the kernels never store a -0.0; a NaN fails it
-                periodic = np.array_equal(self.cov, start)
-                start = None
-                if periodic:
-                    t = self._repeat(t)
-                self._period = None
-            if start is None and t in steady:
-                start, self._period = self.cov.copy(), []
+            # bitwise, since the kernels never store a -0.0; a NaN fails it
+            if self._kept is not None and np.array_equal(self.cov, self._kept):
+                t = self._repeat(t)
+            self._kept = None
+            if t in steady:
+                roll = self._indices(-1, self.slots - 2)  # slot s takes slot s - 1
+                self._kept = self.cov[np.ix_(roll, roll)]
             t += 1
         if range(self.lo, self.hi + 1) != self.deferred:
             raise RuntimeError(f"schedule left live modes {self.snapshot().labels}")
@@ -293,35 +292,35 @@ class TemporalPipeline:
             variance = self.live_nullifier_variance(node)
             self.nullifier_checks.append((node, variance))
         keep = self._indices(self.lo, self.hi)
-        if self._period is not None:
-            self._period.append((self.cov[slot, slot], self.cov[slot, keep], variance))
+        if self._kept is not None:
+            self._period = (self.cov[slot, slot], self.cov[slot, keep], variance)
         record = measure_slot(self.cov, slot, keep, node, rng=self.rng)
         self.records.append(record)
 
     def _repeat(self, t: int) -> int:
-        """Build the records of the whole periods that follow a certified tick
-        t from the captured period, with no kernel; returns the last tick built.
+        """Build the records of every emission tick after a certified tick t
+        from its captured measurement, with no kernel; returns tick N.
 
-        Tick t + j repeats the captured tick t + j - K: its var, its b[keep]
-        and its nullifier.  Only the outcome is new, sqrt(var) * z,
+        Tick t + j repeats tick t's var, b[keep] and nullifier, j labels on,
+        so the buffer is rolled n = N - t slots to tick N's phase, and the
+        window moves with it.  Only the outcome is new, sqrt(var) * z,
         with z from one ``standard_normal(n)`` (bitwise the n scalar draws
         :func:`measure_slot` would make), and the feedforward is
         -(b[keep] * (outcome / var)), the same operations as there.
         """
-        config, k, period = self.config, self.slots, self._period
-        n = (config.n_pulses - t) // k * k
-        var = np.tile([v for v, _, _ in period], n // k)
-        outcomes = np.sqrt(var) * self.rng.standard_normal(n)
+        config, var, b_keep, variance = self.config, *self._period
+        self._kept = self._period = None  # released before the records are built
+        n = config.n_pulses - t
+        shift = self._indices(-n, self.slots - 1 - n)  # slot s takes slot s - n
+        self.cov[...] = self.cov[np.ix_(shift, shift)]
+        self.lo, self.hi = self.lo + n, self.hi + n
+        outcomes = math.sqrt(var) * self.rng.standard_normal(n)
         ratios = outcomes / var
-        first = t + 1 - config.delay  # the node tick t + 1 measures
-        for node, outcome, ratio, (_, b_keep, variance) in zip(
-            range(first, first + n), outcomes.tolist(), ratios, cycle(period)
-        ):
+        nodes = range(t + 1 - config.delay, config.n_pulses + 1 - config.delay)
+        for node, outcome, ratio in zip(nodes, outcomes.tolist(), ratios):
             if variance is not None:
                 self.nullifier_checks.append((node, variance))
             self.records.append(MeasurementRecord(node, 0.0, outcome, -(b_keep * ratio)))
-        self.lo += n
-        self.hi += n
         return t + n
 
     def live_nullifier_variance(self, node: int) -> float:

@@ -3,8 +3,8 @@
 Two references that do not use the register: the closed-form canonical
 cluster after every tick, and a tick-by-tick replay of the same events on
 ``GaussianState`` values, which must match ``run_pipeline`` bit for bit.
-A third, which runs every tick's kernels, checks the certified periodic
-steady state that lets ``run`` skip them.
+A third, which runs every tick's kernels, checks the certified steady state
+that lets ``run`` skip them.
 """
 
 import numpy as np
@@ -174,14 +174,17 @@ class TestRegisterChecks:
         assert not np.any(pipe.cov)
 
 
-# Certified periodic steady state.  ``run`` keeps the buffer after a steady
-# tick t0 >= 2 reach + 2 with t0 + K <= N, and certifies at t0 + K if the
-# buffer repeats; on every stock config the first candidate succeeds.
+# Certified steady state.  ``run`` keeps the buffer after a steady emission
+# tick t0 >= 2 reach + 2 with t0 < N, rolled one slot, and certifies at
+# t0 + 1 if the buffer equals it; on every stock config the first candidate
+# succeeds, so the kernels run up to tick 2 reach + 3, then the flush.
 
 
-def first_certificate(config: PipelineConfig) -> int:
-    """The tick at which an unperturbed stream certifies: t0 + K."""
-    return (2 * config.reach + 2) + (config.reach + 2)
+def kernel_ticks_of(config: PipelineConfig) -> int:
+    """Ticks an unperturbed stream runs kernels on: all of them when N is
+    too short to certify, else up to the certificate at 2 reach + 3 and the
+    ``delay`` flush ticks, 3 reach + 4 for any longer N."""
+    return min(len(config.ticks), 3 * config.reach + 4)
 
 
 def kernel_run(config: PipelineConfig) -> TemporalPipeline:
@@ -218,18 +221,20 @@ def kernel_ticks(monkeypatch):
     return calls
 
 
-# For each stream: N one tick too short to certify, then N at the first
-# certificate plus every remainder mod K, then N spanning many periods.
+# For each stream: N one tick too short to certify, N certified with nothing
+# left to repeat, then with one tick to repeat, N at each phase of the K-slot
+# ring a few ticks on, and long streams.
 CERTIFIED = [
     PipelineConfig(topology, n, width=width, squeezing_r=db_to_r(10), mode=mode, seed=seed)
     for topology, width, ns in (
-        ("wire", 0, (6, 7, 8, 9, 40)),
-        ("lattice", 3, (12, 13, 14, 15, 16, 17, 36)),
-        ("lattice", 8, (27, 28, 33, 97)),
+        ("wire", 0, (4, 5, 6, 7, 8, 9, 40, 10_000)),
+        ("lattice", 3, (8, 9, 10, 12, 13, 14, 15, 16, 17, 36, 10_000)),
+        ("lattice", 8, (18, 19, 20, 27, 28, 33, 97, 10_000)),
     )
     for n in ns
     for mode in ("compute", "verify")
     for seed in (1, 7919)
+    if n < 10_000 or seed == 1  # their kernel runs take most of this module's time
 ]
 
 
@@ -242,17 +247,32 @@ def test_certified_run_matches_kernel_run_bitwise(config, kernel_ticks):
     report = run_pipeline(config)
     ran = len(kernel_ticks)
     assert_same_run(report, kernel_run(config))
-    k = config.reach + 2
-    if config.n_pulses < first_certificate(config):
-        assert ran == len(config.ticks)
-    else:
-        skipped = (config.n_pulses - first_certificate(config)) // k * k
-        assert ran == len(config.ticks) - skipped
+    assert ran == kernel_ticks_of(config)
+
+
+SQUEEZED = [
+    PipelineConfig(topology, n, width=width, squeezing_r=db_to_r(db), mode=mode, seed=1)
+    for topology, width, n in (("wire", 0, 40), ("lattice", 3, 36), ("lattice", 8, 97))
+    for db in (0, 10, 20, 60, 80)
+    for mode in ("compute", "verify")
+]
+
+
+@pytest.mark.parametrize(
+    "config",
+    SQUEEZED,
+    ids=[f"{c.topology}-{c.width}-r{c.squeezing_r:.2f}-{c.mode}" for c in SQUEEZED],
+)
+def test_certificate_tick_does_not_depend_on_squeezing(config, kernel_ticks):
+    report = run_pipeline(config)
+    ran = len(kernel_ticks)
+    assert_same_run(report, kernel_run(config))
+    assert ran == 3 * config.reach + 4
 
 
 def test_long_wire_runs_a_handful_of_kernel_ticks(kernel_ticks):
     report = run_pipeline(wire(10_000, 10))
-    assert len(kernel_ticks) < 30
+    assert len(kernel_ticks) == kernel_ticks_of(wire(10_000, 10)) == 7
     assert [r.node for r in report.records] == list(range(1, 10_001))
 
 
@@ -267,16 +287,18 @@ PERTURBED = [
     "config", PERTURBED, ids=[f"{c.topology}-{c.width}-{c.mode}" for c in PERTURBED]
 )
 def test_candidate_period_that_is_not_periodic_is_refused(config, monkeypatch):
-    # The first candidate period opens after tick t0.  Scaling, at the end of
-    # that tick, the q variance of the node that tick t0 + 1 measures makes
-    # the kept buffer one the stream never returns to, and the captured
-    # period one that does not repeat: certifying it would copy the
-    # perturbed records into every later period.
+    # The first candidate opens after tick t0.  Scaling, at the end of that
+    # tick, the q variance of the node that tick t0 + 1 measures makes tick
+    # t0 + 1's measurement one the stream never repeats: certifying it would
+    # copy the perturbed records into every later tick.
     t0 = 2 * config.reach + 2
     node = t0 + 1 - config.delay
     unperturbed = run_pipeline(config)
+    clean = TemporalPipeline(config)
+    for t in range(1, t0 + config.delay + 1):
+        clean.execute(tick_events(config, t))
     execute = TemporalPipeline.execute
-    runs = []
+    runs, healed = [], []
 
     def perturbed(self, events):
         execute(self, events)
@@ -284,19 +306,27 @@ def test_candidate_period_that_is_not_periodic_is_refused(config, monkeypatch):
         if events[0] == PipelineEvent("emit", (t0,)):
             slot = node % self.slots
             self.cov[slot, slot] *= 1.5
+        if len(runs) == t0 + config.delay:
+            healed.append(np.array_equal(self.cov, clean.cov))
 
     monkeypatch.setattr(TemporalPipeline, "execute", perturbed)
     report = run_pipeline(config)
     ran = len(runs)
     assert_same_run(report, kernel_run(config))
     assert report.records[node - 1].outcome != unperturbed.records[node - 1].outcome
-    # refused at t0 + K, certified one period later
-    k = config.reach + 2
-    skipped = (config.n_pulses - first_certificate(config)) // k * k - k
-    assert ran == len(config.ticks) - skipped
+    # The perturbed downdate reaches only the p rows of the node's live
+    # neighbours, the last of which, t0, tick t0 + delay measures.  So each
+    # candidate through that tick is refused, and the one opened after it
+    # certifies at t0 + delay + 1 = t0 + K: then the flush.
+    assert healed == [True]
+    assert ran == t0 + (config.reach + 2) + config.delay
 
 
 RULES = [wire(60, 10)] + [lattice(m, 10) for m in (2, 3, 8)]
+
+
+def shifted(events, by):
+    return [PipelineEvent(e.kind, tuple(l + by for l in e.labels)) for e in events]
 
 
 @pytest.mark.parametrize("config", RULES, ids=[f"{c.topology}-{c.width}" for c in RULES])
@@ -305,5 +335,12 @@ def test_steady_ticks_repeat_with_period_k(config):
     steady = range(2 * config.reach + 2, config.n_pulses - k + 1)
     assert len(steady) > k
     for t in steady:
-        shifted = [PipelineEvent(e.kind, tuple(l + k for l in e.labels)) for e in tick_events(config, t)]
-        assert tick_events(config, t + k) == shifted
+        assert tick_events(config, t + k) == shifted(tick_events(config, t), k)
+
+
+@pytest.mark.parametrize("config", RULES, ids=[f"{c.topology}-{c.width}" for c in RULES])
+def test_steady_ticks_repeat_one_label_on(config):
+    # the rule half of the certificate: past it, tick t + 1 is tick t shifted
+    steady = range(2 * config.reach + 2, config.n_pulses)
+    for t in steady:
+        assert tick_events(config, t + 1) == shifted(tick_events(config, t), 1)
