@@ -7,8 +7,9 @@ variances to CSV (``--csv``) and add its measurement records to the JSON
 check, 2 on usage errors (an output that cannot be written is one).
 A run's ``nullifiers`` and ``records`` rows are written by the row writer
 (``_render``), straight from the run, in exactly the layout
-``json.dumps(indent=2, sort_keys=True)`` would give them; ``json.dumps``
-renders the rest of every report.
+``json.dumps(indent=2, sort_keys=True)`` would give them: a certified
+stretch in bulk, from its one captured measurement and its outcomes, with
+no record built.  ``json.dumps`` renders the rest of every report.
 
 ``build_parser`` states each subcommand once: its subparser sets the report
 builder ``main`` calls and the config values the subcommand implies.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, MeasurementRecord, db_to_r, r_to_db
 from .graphs import delete_nodes, sheared_cylinder_graph, unfolds_to_grid
-from .pipeline import PipelineConfig, equivalence_check, run_pipeline
+from .pipeline import PipelineConfig, Rows, equivalence_check, run_pipeline
 
 NULLIFIER_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-9
@@ -132,7 +133,8 @@ def _run_report(args) -> dict:
     high = config.reach + 2
     checks = [_check("memory_bound", report.high_water <= high, report.high_water, high)]
     if config.mode == "verify":
-        err = max((abs(v - target) for _, v in report.nullifier_checks), default=0.0)
+        variances = (v for _, v in _nullifier_blocks(report.nullifier_checks))
+        err = max((abs(v - target) for v in variances), default=0.0)
         checks.append(_check("nullifier_exactness", err <= NULLIFIER_TOL, err, NULLIFIER_TOL))
     out = {
         "config": _config_dict(config),
@@ -184,38 +186,63 @@ def _unfold_report(args) -> dict:
 # a Python float.  Both keys sort after every other top-level key, so their
 # rows are spliced in after json.dumps's text of the rest of the report.
 # Each row starts with the separator json.dumps puts before it; the first
-# row of a list drops the comma.
-_NULLIFIER_ROW = ',\n    {\n      "node": %d,\n      "variance": %r\n    }'
+# row of a list drops the comma.  Rows come in blocks of consecutive nodes
+# that share a template: a kernel tick's row is a block of one, and a
+# certified stretch (``pipeline.Stretch``) is one block, rendered in bulk.
+_NULLIFIER_ROW = ',\n    {\n      "node": %%d,\n      "variance": %r\n    }'
 _RECORD_ROW = (
     ',\n    {\n      "angle": %r,\n      "feedforward": %s,\n'
-    '      "node": %d,\n      "outcome": %r\n    }'
+    '      "node": %%d,\n      "outcome": %%r\n    }'
 )
 
 
 def _check_finite(values: np.ndarray) -> None:
     """Refuse a NaN or infinite value, as json.dumps's ``allow_nan=False``
-    does; one vectorized pass per block."""
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        raise ValueError(f"Out of range float values are not JSON compliant: {float(bad[0])!r}")
+    does, naming the first in C order, which is the rows' order."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {float(values[bad][0])!r}"
+        )
 
 
-def _feedforward(values: List[float]) -> str:
-    if not values:
-        return "[]"
-    return "[\n        " + ",\n        ".join(map(repr, values)) + "\n      ]"
+def _nullifier_blocks(checks: Rows) -> List[Tuple[range, float]]:
+    """(nodes, variance) per block of rows with one variance."""
+    return checks.blocks(
+        lambda check: (range(check[0], check[0] + 1), check[1]),
+        lambda stretch: (stretch.nodes, stretch.nullifier),
+    )
 
 
-def _record_rows(records: List[MeasurementRecord]) -> List[str]:
-    angles = np.array([rec.angle for rec in records], dtype=float)
-    outcomes = np.array([rec.outcome for rec in records], dtype=float)
-    feedforwards = [rec.feedforward for rec in records]
-    _check_finite(np.concatenate([angles, outcomes, *feedforwards]))
-    rows = zip(records, angles.tolist(), outcomes.tolist(), feedforwards)
-    return [
-        _RECORD_ROW % (angle, _feedforward(ff.tolist()), rec.node, outcome)
-        for rec, angle, outcome, ff in rows
-    ]
+def _record_block(record: MeasurementRecord) -> tuple:
+    """A kernel tick's record as a block of one row."""
+    nodes = range(record.node, record.node + 1)
+    return nodes, record.angle, [record.outcome], [record.feedforward]
+
+
+def _record_rows(records: Rows) -> List[str]:
+    """Per block: one finiteness pass, one ``tolist`` and one row template
+    for its angle and feedforward width."""
+    blocks = records.blocks(
+        _record_block, lambda s: (s.nodes, 0.0, s.outcomes, s.feedforward())
+    )
+    rows: List[str] = []
+    for nodes, angle, outcomes, feedforward in blocks:
+        angle = float(angle)
+        outcomes = np.asarray(outcomes, dtype=float)
+        feedforward = np.asarray(feedforward, dtype=float)
+        finite = np.isfinite(outcomes).all() and np.isfinite(feedforward).all()
+        if not (finite and math.isfinite(angle)):
+            # each row's values in the order json.dumps writes them
+            _check_finite(np.column_stack([np.full(len(nodes), angle), feedforward, outcomes]))
+        width = feedforward.shape[1]
+        entries = ",\n        ".join(["%r"] * width)
+        template = _RECORD_ROW % (angle, f"[\n        {entries}\n      ]" if width else "[]")
+        rows += [
+            template % (*ff, node, outcome)
+            for node, outcome, ff in zip(nodes, outcomes.tolist(), feedforward.tolist())
+        ]
+    return rows
 
 
 def _splice(parts: List[str], key: str, rows: List[str]) -> None:
@@ -231,18 +258,21 @@ def _render(report: dict) -> Tuple[str, str]:
     rendered before anything is written."""
     head = {key: value for key, value in report.items() if key not in ("nullifiers", "records")}
     parts = [json.dumps(head, indent=2, sort_keys=True, allow_nan=False)[:-2]]  # drop "\n}"
-    nullifiers: List[Tuple[int, float]] = []
+    csv_rows: List[str] = []
     if "nullifiers" in report:
-        nodes = [node for node, _ in report["nullifiers"]]
-        variances = np.array([var for _, var in report["nullifiers"]], dtype=float)
+        blocks = _nullifier_blocks(report["nullifiers"])
+        variances = np.array([variance for _, variance in blocks], dtype=float)
         _check_finite(variances)
-        nullifiers = list(zip(nodes, variances.tolist()))
-        _splice(parts, "nullifiers", [_NULLIFIER_ROW % row for row in nullifiers])
+        rows: List[str] = []
+        for (nodes, _), variance in zip(blocks, variances.tolist()):
+            row, line = _NULLIFIER_ROW % variance, f"%d,{variance!r}\n"
+            rows += [row % node for node in nodes]
+            csv_rows += [line % node for node in nodes]
+        _splice(parts, "nullifiers", rows)
     if "records" in report:
         _splice(parts, "records", _record_rows(report["records"]))
     parts.append("\n}\n")
-    csv_text = "node,variance\n" + "".join(f"{node},{var}\n" for node, var in nullifiers)
-    return "".join(parts), csv_text
+    return "".join(parts), "node,variance\n" + "".join(csv_rows)
 
 
 def _write_outputs(report: dict, out: Optional[str], csv: Optional[str]) -> None:

@@ -21,8 +21,9 @@ is terminated the same way.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -116,13 +117,104 @@ class PipelineEvent:
 
 
 @dataclass
+class Stretch:
+    """The certified stretch of a stream (see :meth:`TemporalPipeline._repeat`):
+    n measurements that repeat one captured measurement, j labels on.
+
+    Only the n outcomes are its own.  Record j is
+    ``MeasurementRecord(first + j, 0.0, outcomes[j], -(b_keep * (outcomes[j] / var)))``
+    and, in verify mode, its nullifier check is ``(first + j, nullifier)``.
+    """
+
+    first: int
+    var: float
+    b_keep: np.ndarray
+    nullifier: Optional[float]
+    outcomes: np.ndarray
+
+    @property
+    def nodes(self) -> range:
+        return range(self.first, self.first + len(self.outcomes))
+
+    def record(self, j: int) -> MeasurementRecord:
+        outcome = self.outcomes[j]
+        feedforward = -(self.b_keep * (outcome / self.var))
+        return MeasurementRecord(self.first + j, 0.0, float(outcome), feedforward)
+
+    def check(self, j: int) -> Tuple[int, float]:
+        return self.first + j, self.nullifier
+
+    def feedforward(self) -> np.ndarray:
+        """Every record's feedforward as one n x len(b_keep) array, row j
+        bitwise record j's (IEEE multiplication commutes).  It does not
+        warn: a value that overflows is left for the caller to refuse."""
+        with np.errstate(all="ignore"):
+            return -((self.outcomes / self.var)[:, None] * self.b_keep)
+
+
+class Rows(Sequence):
+    """A run's records or nullifier checks, in node order: one row per
+    kernel tick (``head``, then ``tail``) and, between them, at most one
+    certified ``stretch``, whose rows ``row(stretch, j)`` builds when read."""
+
+    def __init__(self, row: Callable[[Stretch, int], object]) -> None:
+        self.head: list = []
+        self.stretch: Optional[Stretch] = None
+        self.tail: list = []
+        self._row = row
+
+    def append(self, row) -> None:
+        (self.head if self.stretch is None else self.tail).append(row)
+
+    def blocks(self, one: Callable, bulk: Callable[[Stretch], object]) -> list:
+        """``one(row)`` for each kernel-tick row and ``bulk(stretch)`` for the
+        stretch, in node order."""
+        middle = [] if self.stretch is None else [bulk(self.stretch)]
+        return [*map(one, self.head), *middle, *map(one, self.tail)]
+
+    def __len__(self) -> int:
+        return len(self.head) + self._stretch_len() + len(self.tail)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # counts a negative i from the end; IndexError past it
+        if i < len(self.head):
+            return self.head[i]
+        i -= len(self.head)
+        if i < self._stretch_len():
+            return self._row(self.stretch, i)
+        return self.tail[i - self._stretch_len()]
+
+    def __iter__(self):
+        yield from self.head
+        for j in range(self._stretch_len()):
+            yield self._row(self.stretch, j)
+        yield from self.tail
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Rows, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def _stretch_len(self) -> int:
+        return 0 if self.stretch is None else len(self.stretch.outcomes)
+
+
+@dataclass
 class RunReport:
-    """Aggregate result of one streaming run."""
+    """Aggregate result of one streaming run.
+
+    ``records`` (``MeasurementRecord``s) and ``nullifier_checks``
+    (``(node, variance)`` pairs) read as sequences in node order; a stream's
+    certified stretch is stored once, as its captured measurement and its
+    outcomes, and its rows are built when read.
+    """
 
     config: PipelineConfig
-    records: List[MeasurementRecord]
+    records: Rows
     high_water: int
-    nullifier_checks: List[Tuple[int, float]]
+    nullifier_checks: Rows
 
 
 def tick_events(
@@ -193,8 +285,8 @@ class TemporalPipeline:
         self.lo, self.hi = ancillas[0], ancillas[-1]
         for label in ancillas:
             squeeze_slot(self.cov, label % self.slots, 0.0)
-        self.records: List[MeasurementRecord] = []
-        self.nullifier_checks: List[Tuple[int, float]] = []
+        self.records = Rows(Stretch.record)
+        self.nullifier_checks = Rows(Stretch.check)
         self.high_water = len(ancillas)
         # an open candidate's buffer, rolled one slot, and the (var, b[keep],
         # nullifier) of its next measurement (see run), or None
@@ -237,13 +329,17 @@ class TemporalPipeline:
         tick t the buffer is kept, rolled one slot; if the buffer after tick
         t + 1 equals it bit for bit, every later emission tick repeats tick
         t + 1 one label on and is built from its captured measurement
-        (:meth:`_repeat`), else a new candidate opens.  When the first one
-        passes, kernels run on 3 reach + 4 ticks for any N >= 2 reach + 3,
-        flush included.  A deferred run never certifies.
+        (:meth:`_repeat`), else a new candidate opens.  The first candidate
+        opens after tick 2 reach + 1, since tick 2 reach + 2 already measures
+        a non-boundary node with all its neighbours live; when it passes,
+        kernels run on 3 reach + 3 ticks for any N >= 2 reach + 2, flush
+        included (N = 2 reach + 2 has no emission left to repeat and runs
+        them all).  A deferred run never certifies.
         """
         config = self.config
-        # tick t + 1 after one of these emits and measures a non-boundary node
-        steady = range(0) if self.deferred else range(2 * config.reach + 2, config.n_pulses)
+        # tick t + 1 after one of these emits and measures a non-boundary node,
+        # and at least one emission tick follows it
+        steady = range(0) if self.deferred else range(2 * config.reach + 1, config.n_pulses - 1)
         t = 1
         while t < config.ticks.stop:
             self.execute(tick_events(config, t, self.deferred))
@@ -298,29 +394,29 @@ class TemporalPipeline:
         self.records.append(record)
 
     def _repeat(self, t: int) -> int:
-        """Build the records of every emission tick after a certified tick t
-        from its captured measurement, with no kernel; returns tick N.
+        """Store every emission tick after a certified tick t as one
+        :class:`Stretch` of the records and nullifier checks, built from its
+        captured measurement with no kernel; returns tick N.
 
         Tick t + j repeats tick t's var, b[keep] and nullifier, j labels on,
         so the buffer is rolled n = N - t slots to tick N's phase, and the
-        window moves with it.  Only the outcome is new, sqrt(var) * z,
-        with z from one ``standard_normal(n)`` (bitwise the n scalar draws
-        :func:`measure_slot` would make), and the feedforward is
-        -(b[keep] * (outcome / var)), the same operations as there.
+        window moves with it.  Only the outcome is new, sqrt(var) * z, with
+        z from one ``standard_normal(n)`` (bitwise the n scalar draws
+        :func:`measure_slot` would make); the stretch keeps those n floats
+        and nothing else per pulse.
         """
         config, var, b_keep, variance = self.config, *self._period
-        self._kept = self._period = None  # released before the records are built
+        self._kept = self._period = None  # released before the outcomes are drawn
         n = config.n_pulses - t
         shift = self._indices(-n, self.slots - 1 - n)  # slot s takes slot s - n
         self.cov[...] = self.cov[np.ix_(shift, shift)]
         self.lo, self.hi = self.lo + n, self.hi + n
-        outcomes = math.sqrt(var) * self.rng.standard_normal(n)
-        ratios = outcomes / var
-        nodes = range(t + 1 - config.delay, config.n_pulses + 1 - config.delay)
-        for node, outcome, ratio in zip(nodes, outcomes.tolist(), ratios):
-            if variance is not None:
-                self.nullifier_checks.append((node, variance))
-            self.records.append(MeasurementRecord(node, 0.0, outcome, -(b_keep * ratio)))
+        outcomes = self.rng.standard_normal(n)
+        outcomes *= math.sqrt(var)
+        stretch = Stretch(t + 1 - config.delay, var, b_keep, variance, outcomes)
+        self.records.stretch = stretch
+        if variance is not None:
+            self.nullifier_checks.stretch = stretch
         return t + n
 
     def live_nullifier_variance(self, node: int) -> float:

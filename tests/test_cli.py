@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import tcsim.cli
 from tcsim.cli import NULLIFIER_TOL, _check, _config_dict, _config_from_args, build_parser, main
 from tcsim.gaussian import VACUUM_VARIANCE, MeasurementRecord, db_to_r
-from tcsim.pipeline import run_pipeline
+from tcsim.pipeline import Rows, Stretch, run_pipeline
 
 
 def run_json(args, tmp_path, name="report.json"):
@@ -268,12 +268,19 @@ def record_dict(rec):
         "node": rec.node,
         "angle": rec.angle,
         "outcome": rec.outcome,
-        "feedforward": list(rec.feedforward),
+        "feedforward": rec.feedforward.tolist(),
     }
 
 
+def rows_of(row, head, tail=(), stretch=None):
+    rows = Rows(row)
+    rows.head, rows.stretch, rows.tail = list(head), stretch, list(tail)
+    return rows
+
+
 def dict_rows(report):
-    """A run report in the dict form json.dumps rendered before the row writer."""
+    """A run report in the dict form json.dumps rendered before the row writer,
+    with every row of ``Rows`` built one at a time."""
     out = {**report}
     out["nullifiers"] = [{"node": node, "variance": var} for node, var in report["nullifiers"]]
     if "records" in report:
@@ -302,6 +309,17 @@ RECORDS = st.builds(
     outcome=FLOATS,
     feedforward=st.lists(FLOATS, max_size=8).map(lambda v: np.array(v, dtype=float)),
 )
+CHECKS = st.lists(st.tuples(NODES, FLOATS), max_size=5)
+# Values whose products and quotients underflow, overflow or lose a sign.
+EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, -1e16, 0.1, 3.0])
+STRETCHES = st.builds(
+    Stretch,
+    first=NODES,
+    var=EDGES,
+    b_keep=st.lists(EDGES, max_size=8).map(lambda v: np.array(v, dtype=float)),
+    nullifier=EDGES,
+    outcomes=st.lists(EDGES, max_size=5).map(lambda v: np.array(v, dtype=float)),
+)
 HEAD = {
     "checks": [_check("memory_bound", True, 3, 3)],
     "config": {"mode": "verify", "nodes": 5, "squeezing_r": 1.1512925464970227},
@@ -316,10 +334,50 @@ class TestRowWriter:
     )
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_rows_render_as_json_dumps_would(self, nullifiers, records):
-        report = {**HEAD, "nullifiers": nullifiers}
+        report = {**HEAD, "nullifiers": rows_of(Stretch.check, nullifiers)}
         if records is not None:
-            report["records"] = records
+            report["records"] = rows_of(Stretch.record, records)
         assert tcsim.cli._render(report) == reference_outputs(dict_rows(report))
+
+    @given(
+        stretch=STRETCHES,
+        nullifiers=st.tuples(CHECKS, CHECKS),
+        records=st.tuples(st.lists(RECORDS, max_size=3), st.lists(RECORDS, max_size=3)),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_certified_blocks_render_as_json_dumps_would(self, stretch, nullifiers, records):
+        report = {
+            **HEAD,
+            "nullifiers": rows_of(Stretch.check, *nullifiers, stretch),
+            "records": rows_of(Stretch.record, *records, stretch),
+        }
+        assert_renders_as_json_dumps(report)
+
+    def test_overflowing_feedforward_is_refused_as_json_dumps_would(self):
+        stretch = Stretch(7, 5e-324, np.array([1.0, 1e308]), 0.5, np.array([1.0, 0.0]))
+        report = {
+            **HEAD,
+            "nullifiers": rows_of(Stretch.check, [], stretch=stretch),
+            "records": rows_of(Stretch.record, [], stretch=stretch),
+        }
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            tcsim.cli._render(report)
+        assert_renders_as_json_dumps(report)
+
+
+def assert_renders_as_json_dumps(report):
+    """The row writer's output, or its ValueError, is json.dumps's on the
+    rows built one at a time (they may overflow, as the bulk path does)."""
+    with np.errstate(all="ignore"):
+        reference = dict_rows(report)
+    try:
+        expected = reference_outputs(reference)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            tcsim.cli._render(report)
+        assert str(refused.value) == str(exc)
+    else:
+        assert tcsim.cli._render(report) == expected
 
 
 def reference_run_report(argv):
@@ -380,26 +438,35 @@ class TestByteIdenticalReports:
 
 
 class TestNonFiniteRows:
+    """A corrupted value in what a run stores (its kernel-tick rows, or its
+    certified stretch's outcomes and captured measurement) exits 2."""
+
     @pytest.mark.parametrize(
-        "corrupt",
+        "nodes, corrupt",
         [
-            lambda r: r.records.__setitem__(0, dataclasses.replace(r.records[0], outcome=math.nan)),
-            lambda r: r.records[1].feedforward.__setitem__(0, math.inf),
+            (4, lambda r: r.records.head.__setitem__(
+                0, dataclasses.replace(r.records.head[0], outcome=math.nan))),
+            (4, lambda r: r.records.head[1].feedforward.__setitem__(0, math.inf)),
             # not the first nullifier: max() skips a later NaN, so the
             # nullifier_exactness check's value stays finite
-            lambda r: r.nullifier_checks.__setitem__(-1, (4, math.nan)),
+            (4, lambda r: r.nullifier_checks.head.__setitem__(-1, (4, math.nan))),
+            (50, lambda r: r.records.stretch.outcomes.__setitem__(20, math.nan)),
+            (50, lambda r: r.records.stretch.b_keep.__setitem__(0, math.inf)),
+            (50, lambda r: setattr(r.nullifier_checks.stretch, "nullifier", math.nan)),
         ],
-        ids=["nan-outcome", "inf-feedforward", "nan-nullifier"],
+        ids=["nan-outcome", "inf-feedforward", "nan-nullifier",
+             "stretch-nan-outcome", "stretch-inf-b-keep", "stretch-nan-nullifier"],
     )
-    def test_exits_2_and_writes_nothing(self, corrupt, monkeypatch, tmp_path, capsys):
+    def test_exits_2_and_writes_nothing(self, nodes, corrupt, monkeypatch, tmp_path, capsys):
         def corrupted_run(config):
             report = run_pipeline(config)
+            assert (report.records.stretch is None) == (nodes == 4)
             corrupt(report)
             return report
 
         monkeypatch.setattr(tcsim.cli, "run_pipeline", corrupted_run)
         out, csv_path = tmp_path / "r.json", tmp_path / "v.csv"
-        argv = ["wire", "--nodes", "4", "--verify", "--emit-records",
+        argv = ["wire", "--nodes", str(nodes), "--verify", "--emit-records",
                 "--out", str(out), "--csv", str(csv_path)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")

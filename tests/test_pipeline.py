@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -184,6 +186,30 @@ class TestMemoryBound:
             run_pipeline(lattice_config(n, 4)).high_water for n in (100, 500, 1000)
         }
         assert values == {6}
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            lambda n: wire_config(n, r=db_to_r(10)),
+            lambda n: lattice_config(n, 8, r=db_to_r(10), mode="verify"),
+        ],
+        ids=["wire-compute", "lattice-8-verify"],
+    )
+    def test_run_grows_by_at_most_32_bytes_per_pulse(self, config):
+        # The certified stretch keeps one float64 outcome per pulse; the
+        # draws for it are a transient array of the same size.
+        def peak(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_pipeline(config(n))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_pipeline(config(1_000))  # lazy set-up outside the measured peaks
+        growth = (peak(100_000) - peak(1_000)) / (100_000 - 1_000)
+        assert growth <= 32
 
 
 class TestDeterminism:

@@ -175,16 +175,16 @@ class TestRegisterChecks:
 
 
 # Certified steady state.  ``run`` keeps the buffer after a steady emission
-# tick t0 >= 2 reach + 2 with t0 < N, rolled one slot, and certifies at
+# tick t0 >= 2 reach + 1 with t0 < N, rolled one slot, and certifies at
 # t0 + 1 if the buffer equals it; on every stock config the first candidate
-# succeeds, so the kernels run up to tick 2 reach + 3, then the flush.
+# succeeds, so the kernels run up to tick 2 reach + 2, then the flush.
 
 
 def kernel_ticks_of(config: PipelineConfig) -> int:
     """Ticks an unperturbed stream runs kernels on: all of them when N is
-    too short to certify, else up to the certificate at 2 reach + 3 and the
-    ``delay`` flush ticks, 3 reach + 4 for any longer N."""
-    return min(len(config.ticks), 3 * config.reach + 4)
+    too short to certify, else up to the certificate at 2 reach + 2 and the
+    ``delay`` flush ticks, 3 reach + 3 for any longer N."""
+    return min(len(config.ticks), 3 * config.reach + 3)
 
 
 def kernel_run(config: PipelineConfig) -> TemporalPipeline:
@@ -221,15 +221,15 @@ def kernel_ticks(monkeypatch):
     return calls
 
 
-# For each stream: N one tick too short to certify, N certified with nothing
-# left to repeat, then with one tick to repeat, N at each phase of the K-slot
+# For each stream: N = 2 reach + 1 and 2 reach + 2, too short to repeat a
+# tick, N certified with one tick to repeat, N at each phase of the K-slot
 # ring a few ticks on, and long streams.
 CERTIFIED = [
     PipelineConfig(topology, n, width=width, squeezing_r=db_to_r(10), mode=mode, seed=seed)
     for topology, width, ns in (
-        ("wire", 0, (4, 5, 6, 7, 8, 9, 40, 10_000)),
-        ("lattice", 3, (8, 9, 10, 12, 13, 14, 15, 16, 17, 36, 10_000)),
-        ("lattice", 8, (18, 19, 20, 27, 28, 33, 97, 10_000)),
+        ("wire", 0, (3, 4, 5, 6, 7, 8, 9, 40, 10_000)),
+        ("lattice", 3, (7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 36, 10_000)),
+        ("lattice", 8, (17, 18, 19, 20, 27, 28, 33, 97, 10_000)),
     )
     for n in ns
     for mode in ("compute", "verify")
@@ -267,12 +267,12 @@ def test_certificate_tick_does_not_depend_on_squeezing(config, kernel_ticks):
     report = run_pipeline(config)
     ran = len(kernel_ticks)
     assert_same_run(report, kernel_run(config))
-    assert ran == 3 * config.reach + 4
+    assert ran == 3 * config.reach + 3
 
 
 def test_long_wire_runs_a_handful_of_kernel_ticks(kernel_ticks):
     report = run_pipeline(wire(10_000, 10))
-    assert len(kernel_ticks) == kernel_ticks_of(wire(10_000, 10)) == 7
+    assert len(kernel_ticks) == kernel_ticks_of(wire(10_000, 10)) == 6
     assert [r.node for r in report.records] == list(range(1, 10_001))
 
 
