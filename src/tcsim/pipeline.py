@@ -39,7 +39,7 @@ from .gaussian import (
     squeeze_slot,
     trace_out,
 )
-from .graphs import Graph, delete_nodes, make_graph
+from .graphs import Graph, make_graph
 
 
 @dataclass(frozen=True)
@@ -254,17 +254,18 @@ class TemporalPipeline:
     The live labels always form one consecutive window, so the mode with
     label l lives in slot l mod K of one preallocated 2K x 2K covariance
     (block ordering), with no label map and no free list; slots outside the
-    window hold zeros.  K is reach + 2, the high-water mark, or, for a run
-    with a nonempty ``deferred`` range (see :func:`tick_events`), enough
-    slots to also hold it.  Every event is one in-place kernel of
+    window hold zeros.  K is reach + 2, a stream's high-water mark, or, for a
+    run with a nonempty ``deferred`` range (see :func:`tick_events`), the
+    range's length if that is larger, since the run ends holding the whole
+    range.  Every event is one in-place kernel of
     :mod:`tcsim.gaussian`: emit writes two diagonal entries, CZ adds two rows
     and two columns, measure is one rank-1 downdate of the rows in the
     measured q column's support (the node and its live graph neighbours),
     and both measure and trace then clear the slot.  The kernels keep the
     buffer exactly symmetric; the whole buffer is checked (symmetric and
     finite) once per tick that runs kernels, before the tick's measurement.
-    A tick that :meth:`run` certifies as steady runs no kernel: it repeats
-    a checked buffer one label on.
+    A tick that :meth:`run` certifies as steady, in a stream or in a
+    deferred run, runs no kernel: it repeats a checked buffer one label on.
 
     In compute mode each node is q-measured as soon as its slot comes up,
     with the conditional mean shift cancelled by feedforward (pinned
@@ -314,44 +315,53 @@ class TemporalPipeline:
     def run(self) -> RunReport:
         """The one run loop, for a stream and for a deferred run alike.
 
-        It runs every tick: past a deferred run's last slot,
-        :func:`tick_events` emits nothing.  Either way the run must end with
-        exactly ``deferred`` live (nothing, for a stream).
+        It runs every tick up to the run's last, ``last + delay`` with
+        ``last`` the last pulse (the deferred range's last label, else N):
+        past it :func:`tick_events` schedules nothing.  Either way the run
+        must end with exactly ``deferred`` live (nothing, for a stream).
 
-        A stream certifies its steady state.  Measurement updates of a
+        Both runs certify their steady state.  Measurement updates of a
         covariance do not depend on the outcomes, so the buffer is the state
         of a deterministic machine; past the boundary, tick t + 1's events
         are tick t's shifted by one label; and every kernel maps a cyclic
         relabelling of the slots to the same relabelling of its output, bit
-        for bit (``measure_slot`` computes each entry on its own, the keep
-        order and ``nullifier_slot`` follow label order, and the symmetry
-        check's max does not depend on order).  So after a steady emission
-        tick t the buffer is kept, rolled one slot; if the buffer after tick
-        t + 1 equals it bit for bit, every later emission tick repeats tick
-        t + 1 one label on and is built from its captured measurement
-        (:meth:`_repeat`), else a new candidate opens.  The first candidate
-        opens after tick 2 reach + 1, since tick 2 reach + 2 already measures
-        a non-boundary node with all its neighbours live; when it passes,
-        kernels run on 3 reach + 3 ticks for any N >= 2 reach + 2, flush
-        included (N = 2 reach + 2 has no emission left to repeat and runs
-        them all).  A deferred run never certifies.
+        for bit, on a ring of any size (``measure_slot`` computes each entry
+        on its own, the keep order and ``nullifier_slot`` follow label
+        order, and the symmetry check's max does not depend on order).  So
+        after a steady emission tick t the buffer is kept, rolled one slot;
+        if the buffer after tick t + 1 equals it bit for bit, every later
+        emission tick up to ``stop`` repeats tick t + 1 one label on and is
+        built from its captured measurement (:meth:`_repeat`), else a new
+        candidate opens.  A stream's ticks are all such ticks, so ``stop``
+        is N; a deferred run's are a stream's until the first deferred label
+        reaches the measurement slot, so ``stop`` is the tick before, or its
+        last emission if that comes first.  The first candidate opens after
+        tick 2 reach + 1, since tick 2 reach + 2 already measures a
+        non-boundary node with all its neighbours live, and the last after
+        tick stop - 2, so that one tick is left to repeat.  When it passes, a
+        stream runs kernels on 3 reach + 3 ticks for any N >= 2 reach + 2,
+        flush included (N = 2 reach + 2 has no emission left to repeat and
+        runs them all), and a deferred run on 2 reach + 2 ticks plus the
+        last + delay - stop after its stretch, whatever N.
         """
-        config = self.config
+        config, deferred = self.config, self.deferred
+        last = deferred[-1] if deferred else config.n_pulses
+        stop = min(deferred[0] + config.delay - 1, last) if deferred else last
         # tick t + 1 after one of these emits and measures a non-boundary node,
-        # and at least one emission tick follows it
-        steady = range(0) if self.deferred else range(2 * config.reach + 1, config.n_pulses - 1)
+        # and at least one emission tick of the stretch follows it
+        steady = range(2 * config.reach + 1, stop - 1)
         t = 1
-        while t < config.ticks.stop:
-            self.execute(tick_events(config, t, self.deferred))
+        while t <= last + config.delay:
+            self.execute(tick_events(config, t, deferred))
             # bitwise, since the kernels never store a -0.0; a NaN fails it
             if self._kept is not None and np.array_equal(self.cov, self._kept):
-                t = self._repeat(t)
+                t = self._repeat(t, stop)
             self._kept = None
             if t in steady:
                 roll = self._indices(-1, self.slots - 2)  # slot s takes slot s - 1
                 self._kept = self.cov[np.ix_(roll, roll)]
             t += 1
-        if range(self.lo, self.hi + 1) != self.deferred:
+        if range(self.lo, self.hi + 1) != deferred:
             raise RuntimeError(f"schedule left live modes {self.snapshot().labels}")
         return RunReport(self.config, self.records, self.high_water, self.nullifier_checks)
 
@@ -393,27 +403,27 @@ class TemporalPipeline:
         record = measure_slot(self.cov, slot, keep, node, rng=self.rng)
         self.records.append(record)
 
-    def _repeat(self, t: int) -> int:
-        """Store every emission tick after a certified tick t as one
+    def _repeat(self, t: int, stop: int) -> int:
+        """Store ticks t + 1 .. stop after a certified tick t as one
         :class:`Stretch` of the records and nullifier checks, built from its
-        captured measurement with no kernel; returns tick N.
+        captured measurement with no kernel; returns tick stop.
 
         Tick t + j repeats tick t's var, b[keep] and nullifier, j labels on,
-        so the buffer is rolled n = N - t slots to tick N's phase, and the
-        window moves with it.  Only the outcome is new, sqrt(var) * z, with
+        so the buffer is rolled n = stop - t slots to tick stop's phase, and
+        the window moves with it.  Only the outcome is new, sqrt(var) * z, with
         z from one ``standard_normal(n)`` (bitwise the n scalar draws
         :func:`measure_slot` would make); the stretch keeps those n floats
         and nothing else per pulse.
         """
-        config, var, b_keep, variance = self.config, *self._period
+        var, b_keep, variance = self._period
         self._kept = self._period = None  # released before the outcomes are drawn
-        n = config.n_pulses - t
+        n = stop - t
         shift = self._indices(-n, self.slots - 1 - n)  # slot s takes slot s - n
         self.cov[...] = self.cov[np.ix_(shift, shift)]
         self.lo, self.hi = self.lo + n, self.hi + n
         outcomes = self.rng.standard_normal(n)
         outcomes *= math.sqrt(var)
-        stretch = Stretch(t + 1 - config.delay, var, b_keep, variance, outcomes)
+        stretch = Stretch(t + 1 - self.config.delay, var, b_keep, variance, outcomes)
         self.records.stretch = stretch
         if variance is not None:
             self.nullifier_checks.stretch = stretch
@@ -446,30 +456,49 @@ def pipeline_interaction_graph(config: PipelineConfig, up_to: int) -> Graph:
     return make_graph(nodes, edges)
 
 
+def range_oracle(config: PipelineConfig, nodes: range) -> GaussianState:
+    """The canonical cluster that a run leaves on ``nodes`` once every
+    earlier pulse is measured and the ancillas are traced out.
+
+    A q measurement deletes its node from the graph, so this is the closed
+    form on the interaction graph induced on the unmeasured labels: the
+    nodes and the ancillas still linked to them, at r = 0 and then traced
+    out.  The graph is read from ``config.offsets``, so its size is the
+    range's, whatever N; a range past the first stripe links no ancilla.
+    """
+    first = nodes[0]
+    # the links of each node t to t - d, unless t - d is measured
+    edges = [(t - d, t) for t in nodes for d in config.offsets if not 1 <= t - d < first]
+    ancillas = sorted({u for u, _ in edges if u < 1})
+    squeezing = {label: 0.0 for label in ancillas}
+    squeezing.update({node: config.squeezing_r for node in nodes})
+    oracle = build_canonical_cluster(make_graph([*ancillas, *nodes], edges), squeezing)
+    return trace_out(oracle, ancillas) if ancillas else oracle
+
+
 def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> float:
     """Max discrepancy between the pipeline output and the canonical cluster.
 
     Runs :meth:`TemporalPipeline.run` in compute mode with ``node_range``
     deferred (see :func:`tick_events`), so it ends holding exactly the
-    range's nodes, and releases its register before building the oracle:
-    the closed-form canonical cluster on the same interaction graph, with
-    the ancillas at r = 0 and then traced out.  A q measurement deletes its
-    node from the graph, so the measured nodes are simply deleted; no
-    outcome is replayed.  Returns the max entrywise difference between the
-    covariances (both states are zero-mean).
+    range's nodes, and releases its register before building the oracle,
+    :func:`range_oracle`; no outcome is replayed.  Neither grows with N: the
+    run certifies like a stream until the range's first node reaches the
+    measurement slot, so it runs kernels on a fixed number of ticks around
+    one certified stretch, and the oracle's graph is the range's.  Returns
+    the max entrywise difference between the covariances (both states are
+    zero-mean).
     """
     first, last = node_range
     if not (1 <= first <= last <= config.n_pulses):
         raise ValueError(f"node range {node_range} outside 1..{config.n_pulses}")
 
-    pipe = TemporalPipeline(replace(config, mode="compute"), range(first, last + 1))
-    measured = [rec.node for rec in pipe.run().records]
+    nodes = range(first, last + 1)
+    pipe = TemporalPipeline(replace(config, mode="compute"), nodes)
+    pipe.run()
     got = pipe.snapshot()
     del pipe
-    squeezing = {lbl: 0.0 for lbl in config.ancilla_labels}
-    squeezing.update({node: config.squeezing_r for node in range(1, last + 1)})
-    graph = delete_nodes(pipeline_interaction_graph(config, last), measured)
-    oracle = trace_out(build_canonical_cluster(graph, squeezing), config.ancilla_labels)
+    oracle = range_oracle(config, nodes)
     if oracle.labels != got.labels:
         raise RuntimeError(f"oracle modes {oracle.labels} differ from {got.labels}")
     return float(np.max(np.abs(got.cov - oracle.cov)))

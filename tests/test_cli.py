@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +93,30 @@ class TestCompareCommand:
         assert code == 0
         assert report["max_discrepancy"] < 1e-9
         assert report["checks"][0]["name"] == "pipeline_matches_canonical"
+
+    def test_peak_memory_grows_by_at_most_16_bytes_per_pulse(self, tmp_path):
+        # A 100-node range at the end of the stream: the run certifies and
+        # the oracle is the range's, so what grows is the certified
+        # stretch's one float64 outcome per pulse.
+        def argv(n):
+            return [
+                "compare", "--topology", "lattice", "--nodes", str(n), "--width", "8",
+                "--range", f"{n - 99}..{n}", "--squeezing-db", "10",
+                "--out", str(tmp_path / "report.json"),
+            ]
+
+        def peak(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(argv(n)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(argv(1_000))  # lazy set-up outside the measured peaks
+        growth = (peak(100_000) - peak(10_000)) / (100_000 - 10_000)
+        assert growth <= 16
 
 
 class TestUnfoldCommand:

@@ -4,7 +4,7 @@ Two references that do not use the register: the closed-form canonical
 cluster after every tick, and a tick-by-tick replay of the same events on
 ``GaussianState`` values, which must match ``run_pipeline`` bit for bit.
 A third, which runs every tick's kernels, checks the certified steady state
-that lets ``run`` skip them.
+that lets ``run`` skip them, in a stream and in ``compare``'s deferred run.
 """
 
 import numpy as np
@@ -26,7 +26,9 @@ from tcsim.pipeline import (
     PipelineConfig,
     PipelineEvent,
     TemporalPipeline,
+    equivalence_check,
     pipeline_interaction_graph,
+    range_oracle,
     run_pipeline,
     tick_events,
 )
@@ -344,3 +346,148 @@ def test_steady_ticks_repeat_one_label_on(config):
     steady = range(2 * config.reach + 2, config.n_pulses)
     for t in steady:
         assert tick_events(config, t + 1) == shifted(tick_events(config, t), 1)
+
+
+# Certified deferred runs.  ``compare``'s run defers a range of nodes, which
+# stay live.  Until the range's first node reaches the measurement slot its
+# ticks are a stream's, so it certifies like one and stores the ticks up to
+# stop = min(first + delay - 1, last) as one stretch; its loop ends at its
+# last tick, last + delay, even when the range ends before N.
+
+
+def deferred_kernel_ticks_of(config: PipelineConfig, nodes: range) -> int:
+    """Ticks a deferred run of ``nodes`` runs kernels on: every tick up to
+    last + delay when no emission tick is left to repeat after the
+    certificate (stop <= 2 reach + 2), else the 2 reach + 2 up to it and the
+    ticks after stop, whatever N."""
+    stop = min(nodes[0] + config.delay - 1, nodes[-1])
+    end = nodes[-1] + config.delay
+    return end if stop <= 2 * config.reach + 2 else 2 * config.reach + 2 + end - stop
+
+
+def kernel_deferred_run(config: PipelineConfig, nodes: range) -> TemporalPipeline:
+    """Every tick of the stream through the kernels, ``nodes`` deferred."""
+    pipe = TemporalPipeline(config, nodes)
+    for t in config.ticks:
+        pipe.execute(tick_events(config, t, nodes))
+    return pipe
+
+
+def replayed_oracle(config: PipelineConfig, nodes: range, measured):
+    """The oracle as the whole interaction graph up to the range's last
+    node builds it: the measured nodes deleted, the ancillas traced out."""
+    squeezing = {a: 0.0 for a in config.ancilla_labels}
+    squeezing.update({node: config.squeezing_r for node in range(1, nodes[-1] + 1)})
+    graph = delete_nodes(pipeline_interaction_graph(config, nodes[-1]), measured)
+    return trace_out(build_canonical_cluster(graph, squeezing), config.ancilla_labels)
+
+
+def deferred_ranges(reach: int, n: int):
+    """Ranges at the start (touching the ancillas), too early to certify
+    (stop = 2 reach + 2) and just late enough (one tick to repeat), in the
+    middle, short ones (30..35 ends before its first node's slot), and at
+    the end."""
+    return [
+        (1, 1), (1, 3 * reach), (reach, 2 * reach + 3),
+        (reach + 2, 3 * reach + 5), (reach + 3, 3 * reach + 5),
+        (40, 80), (30, 35), (60, 61),
+        (n - 2 * reach - 5, n), (n - 1, n), (n, n),
+    ]
+
+
+DEFERRED_CONFIGS = [
+    PipelineConfig(topology, 120, width=width, squeezing_r=db_to_r(10), seed=seed)
+    for topology, width in (("wire", 0), ("lattice", 3), ("lattice", 4), ("lattice", 8))
+    for seed in (1, 7919)
+]
+DEFERRED = [
+    (config, range(first, last + 1))
+    for config in DEFERRED_CONFIGS
+    for first, last in deferred_ranges(config.reach, config.n_pulses)
+]
+DEFERRED += [  # certified stretches longer than the range, and one past N / 3
+    (PipelineConfig("lattice", n, width=8, squeezing_r=db_to_r(10), seed=1), range(first, last + 1))
+    for n, first, last in ((400, 100, 300), (2000, 1900, 2000))
+]
+DEFERRED_IDS = [
+    f"{c.topology}-{c.width}-N{c.n_pulses}-{r[0]}..{r[-1]}-s{c.seed}" for c, r in DEFERRED
+]
+
+
+@pytest.mark.parametrize("config, nodes", DEFERRED, ids=DEFERRED_IDS)
+def test_certified_deferred_run_matches_kernel_run_bitwise(config, nodes, kernel_ticks):
+    pipe = TemporalPipeline(config, nodes)
+    report = pipe.run()
+    ran = len(kernel_ticks)
+    want = kernel_deferred_run(config, nodes)
+    got, ref = pipe.snapshot(), want.snapshot()
+    assert got.labels == ref.labels == tuple(nodes)
+    assert got.cov.tobytes() == ref.cov.tobytes()
+    assert [r.node for r in report.records] == [r.node for r in want.records]
+    for a, b in zip(report.records, want.records):
+        assert a.outcome.hex() == b.outcome.hex()
+        assert [x.hex() for x in a.feedforward.tolist()] == [x.hex() for x in b.feedforward.tolist()]
+    assert report.high_water == want.high_water
+    assert ran == deferred_kernel_ticks_of(config, nodes)
+    oracle = replayed_oracle(config, nodes, [r.node for r in want.records])
+    discrepancy = float(np.max(np.abs(ref.cov - oracle.cov)))
+    assert equivalence_check(config, (nodes[0], nodes[-1])).hex() == discrepancy.hex()
+
+
+def test_deferred_run_certifies():
+    # 40..120 of an M = 8 lattice: ticks 19..48 repeat tick 18, and the
+    # stretch holds the records of nodes 10..39
+    config = lattice(8, 10)
+    report = TemporalPipeline(config, range(40, 121)).run()
+    assert report.records.stretch.nodes == range(10, 40)
+    assert [r.node for r in report.records] == list(range(1, 40))
+
+
+# Deterministic, so one sweep per topology; small streams take every range.
+ORACLE_RANGES = [
+    (config, range(first, last + 1))
+    for config in DEFERRED_CONFIGS
+    if config.seed == 1
+    for first, last in deferred_ranges(config.reach, config.n_pulses)
+] + [
+    (config, range(first, last + 1))
+    for config in (wire(12, 10), PipelineConfig("lattice", 14, width=3, squeezing_r=db_to_r(10)))
+    for first in range(1, config.n_pulses + 1)
+    for last in range(first, config.n_pulses + 1)
+]
+
+
+@pytest.mark.parametrize(
+    "config, nodes",
+    ORACLE_RANGES,
+    ids=[f"{c.topology}-{c.width}-N{c.n_pulses}-{r[0]}..{r[-1]}" for c, r in ORACLE_RANGES],
+)
+def test_induced_graph_oracle_equals_replayed_oracle_bitwise(config, nodes):
+    got = range_oracle(config, nodes)
+    want = replayed_oracle(config, nodes, range(1, nodes[0]))
+    assert got.labels == want.labels == tuple(nodes)
+    assert got.cov.tobytes() == want.cov.tobytes()
+
+
+def test_deferred_run_costs_the_same_kernel_ticks_at_any_n(kernel_ticks):
+    # a 100-node range at the end of the stream
+    ran = []
+    for n in (1_000, 1_000_000):
+        config = PipelineConfig("lattice", n, width=8, squeezing_r=db_to_r(10), seed=1)
+        TemporalPipeline(config, range(n - 99, n + 1)).run()
+        ran.append(len(kernel_ticks))
+        kernel_ticks.clear()
+    assert ran[0] == ran[1] == deferred_kernel_ticks_of(config, range(n - 99, n + 1))
+
+
+def test_range_that_ends_early_runs_no_tick_past_its_last(monkeypatch):
+    ticks = []
+
+    def counted(config, t, deferred=range(0)):
+        ticks.append(t)
+        return tick_events(config, t, deferred)
+
+    monkeypatch.setattr("tcsim.pipeline.tick_events", counted)
+    config = PipelineConfig("lattice", 1_000_000, width=8, squeezing_r=db_to_r(10), seed=1)
+    TemporalPipeline(config, range(40, 121)).run()
+    assert max(ticks) == 120 + config.delay
