@@ -12,7 +12,9 @@ stretch in bulk, from its one captured measurement and its outcomes, with
 no record built.  ``json.dumps`` renders the rest of every report.
 
 ``build_parser`` states each subcommand once: its subparser sets the report
-builder ``main`` calls and the config values the subcommand implies.
+builder ``main`` calls and the config values the subcommand implies.  It
+returns a fresh parser; ``main`` builds one on its first call and reuses it,
+so importing this module builds none.
 """
 
 from __future__ import annotations
@@ -290,8 +292,15 @@ def _write_outputs(report: dict, out: Optional[str], csv: Optional[str]) -> None
         sys.stdout.write(text)
 
 
+#: ``main``'s parser, built on its first call (parsing leaves it unchanged).
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         # Squeezing that overflows the covariance, a register too large to
         # allocate, or an output that cannot be written is a usage error:

@@ -70,13 +70,14 @@ def symplectic_defect(matrix: np.ndarray) -> float:
 def _check_symmetric(cov: np.ndarray) -> None:
     """Reject a covariance that is asymmetric or has a NaN or infinite entry.
 
-    Written as ``not (defect <= tol)`` so that a NaN defect, which any NaN or
-    inf entry produces, fails the test at no extra cost.
+    In IEEE arithmetic fl(a - b) = -fl(b - a), so the max of cov - cov^T is
+    already the max of its absolute value.  Written as ``not (defect <= tol)``
+    so that a NaN defect fails the test: a NaN entry gives one, and an
+    infinite entry gives NaN or +inf on one side of the diagonal.
     """
     if not cov.size:
         return
     defect = cov - cov.T
-    np.abs(defect, out=defect)
     if not (defect.max() <= SYMMETRY_TOL):
         raise ValueError("covariance matrix is not symmetric and finite")
 

@@ -254,10 +254,12 @@ class TemporalPipeline:
     The live labels always form one consecutive window, so the mode with
     label l lives in slot l mod K of one preallocated 2K x 2K covariance
     (block ordering), with no label map and no free list; slots outside the
-    window hold zeros.  K is reach + 2, a stream's high-water mark, or, for a
-    run with a nonempty ``deferred`` range (see :func:`tick_events`), the
-    range's length if that is larger, since the run ends holding the whole
-    range.  Every event is one in-place kernel of
+    window hold zeros.  K is reach + 2, a stream's high-water mark.  A run
+    with a nonempty ``deferred`` range (see :func:`tick_events`) ends holding
+    the whole range, so when an emission would overflow its ring, which first
+    happens the tick after its first deferred label was withheld from the
+    measurement slot, it re-lays its window out once on K = len(range) slots;
+    a stream's ring never grows.  Every event is one in-place kernel of
     :mod:`tcsim.gaussian`: emit writes two diagonal entries, CZ adds two rows
     and two columns, measure is one rank-1 downdate of the rows in the
     measured q column's support (the node and its live graph neighbours),
@@ -279,7 +281,7 @@ class TemporalPipeline:
         self.config = config
         self.deferred = deferred
         self.rng = np.random.default_rng(config.seed)
-        self.slots = max(len(deferred), config.reach + 2)
+        self.slots = config.reach + 2
         self.cov = np.zeros((2 * self.slots, 2 * self.slots))
         ancillas = config.ancilla_labels
         # the live window is lo..hi; it is empty when hi < lo
@@ -342,7 +344,10 @@ class TemporalPipeline:
         stream runs kernels on 3 reach + 3 ticks for any N >= 2 reach + 2,
         flush included (N = 2 reach + 2 has no emission left to repeat and
         runs them all), and a deferred run on 2 reach + 2 ticks plus the
-        last + delay - stop after its stretch, whatever N.
+        last + delay - stop after its stretch, whatever N.  Its ring is a
+        stream's until tick stop + 2, when it grows (see :meth:`_emit`); no
+        candidate is open then, and the kernels run on the grown ring as on
+        the small one.
         """
         config, deferred = self.config, self.deferred
         last = deferred[-1] if deferred else config.n_pulses
@@ -371,12 +376,25 @@ class TemporalPipeline:
         return np.concatenate((q, q + self.slots))
 
     def _emit(self, label: int) -> None:
+        if label == self.hi + 1 and label - self.lo == self.slots < len(self.deferred):
+            self._grow(len(self.deferred))
         if label != self.hi + 1 or label - self.lo >= self.slots:
             raise RuntimeError(f"cannot emit {label} into window {self.lo}..{self.hi}")
         self.hi = label
         squeeze_slot(self.cov, label % self.slots, self.config.squeezing_r)
         if label - self.lo + 1 > self.high_water:
             self.high_water = label - self.lo + 1
+
+    def _grow(self, slots: int) -> None:
+        """Re-lay the live window out on a ring of ``slots`` slots: one
+        gather of its exact values and one scatter into a fresh zero buffer,
+        so label l moves from slot l mod K to slot l mod ``slots``."""
+        old = self._indices(self.lo, self.hi)
+        self.slots = slots
+        new = self._indices(self.lo, self.hi)
+        cov = np.zeros((2 * slots, 2 * slots))
+        cov[np.ix_(new, new)] = self.cov[np.ix_(old, old)]
+        self.cov = cov
 
     def _retire(self, label: int) -> int:
         """Take the oldest live label out of the window; returns its slot.
@@ -484,10 +502,11 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     range's nodes, and releases its register before building the oracle,
     :func:`range_oracle`; no outcome is replayed.  Neither grows with N: the
     run certifies like a stream until the range's first node reaches the
-    measurement slot, so it runs kernels on a fixed number of ticks around
-    one certified stretch, and the oracle's graph is the range's.  Returns
-    the max entrywise difference between the covariances (both states are
-    zero-mean).
+    measurement slot, on a stream's reach + 2 slots, so it runs kernels on a
+    fixed number of ticks around one certified stretch and holds len(range)
+    slots only once the range starts to pile up; the oracle's graph is the
+    range's.  Returns the max entrywise difference between the covariances
+    (both states are zero-mean).
     """
     first, last = node_range
     if not (1 <= first <= last <= config.n_pulses):

@@ -2,7 +2,11 @@ import dataclasses
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ import tcsim.cli
 from tcsim.cli import NULLIFIER_TOL, _check, _config_dict, _config_from_args, build_parser, main
 from tcsim.gaussian import VACUUM_VARIANCE, MeasurementRecord, db_to_r
 from tcsim.pipeline import Rows, Stretch, run_pipeline
+
+SRC = str(Path(tcsim.cli.__file__).resolve().parent.parent)
 
 
 def run_json(args, tmp_path, name="report.json"):
@@ -287,6 +293,43 @@ class TestErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestParserReuse:
+    """``main`` builds its parser on its first call and reuses it."""
+
+    WIRE = ["wire", "--nodes", "40", "--squeezing-db", "10", "--verify", "--emit-records", "--seed", "3"]
+
+    def test_reused_parser_carries_nothing_from_one_call_to_the_next(self, capsys):
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        first = call(self.WIRE)
+        assert first[0] == 0
+        compare = ["compare", "--topology", "lattice", "--nodes", "40", "--width", "3", "--range", "20..30"]
+        assert call(compare)[0] == 0
+        assert call(["unfold", "--width", "4", "--cols", "4"])[0] == 0
+        code, _, err = call(["wire", "--nodes", "3", "--bogus"])
+        assert code == 2
+        assert "unrecognized arguments: --bogus" in err
+        assert call(self.WIRE) == first
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import tcsim.cli as cli\n"
+            "assert cli._parser is None\n"
+            "cli.main(['unfold', '--width', '4', '--cols', '4'])\n"
+            "assert cli._parser is not None\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["unfolds"] is True
 
 
 def record_dict(rec):

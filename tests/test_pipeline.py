@@ -261,6 +261,13 @@ class TestWindowGuards:
             "cannot emit 3 into window 0..2",
         )
 
+    def test_deferred_ring_grows_once_to_the_range(self):
+        pipe = TemporalPipeline(wire_config(10), range(1, 5))  # K = 3, then 4
+        pipe.execute([PipelineEvent("emit", (label,)) for label in (1, 2, 3)])
+        assert pipe.cov.shape == (8, 8)
+        with pytest.raises(RuntimeError, match=re.escape("cannot emit 4 into window 0..3")):
+            pipe.execute([PipelineEvent("emit", (4,))])
+
     def test_unknown_event_kind(self):
         self.refuses([("divert", (0,))], ValueError, "unknown event kind 'divert'")
 

@@ -147,18 +147,23 @@ class TestRegisterChecks:
         with pytest.raises(ValueError, match="symmetric"):
             pipe.execute(tick_events(config, 5))
 
-    @pytest.mark.parametrize("poke", ["nudge", "nan", "inf"])
+    @pytest.mark.parametrize("poke", ["nudge", "-nudge", "nan", "inf", "-inf"])
     def test_guard_covers_the_whole_buffer(self, poke):
         # Tick 5 measures node 1 (slot 1: rows and columns 1 and K + 1).
         # (q_3, p_4) lies outside them, and tick 5's CZs only add a zero to
         # it, so a check of the measured rows alone would miss the fault.
+        # "-nudge" and "-inf" leave the positive defect on (p_4, q_3), the
+        # other side of the diagonal.
         config = lattice(3, 10)
         pipe = TemporalPipeline(config)
         for t in range(1, 5):
             pipe.execute(tick_events(config, t))
         k = pipe.slots
         i, j = 3 % k, k + 4 % k
-        pipe.cov[i, j] = {"nudge": pipe.cov[i, j] + 1e-6, "nan": np.nan, "inf": np.inf}[poke]
+        pipe.cov[i, j] = {
+            "nudge": pipe.cov[i, j] + 1e-6, "-nudge": pipe.cov[i, j] - 1e-6,
+            "nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+        }[poke]
         with pytest.raises(ValueError, match="symmetric"):
             pipe.execute(tick_events(config, 5))
 
@@ -173,6 +178,7 @@ class TestRegisterChecks:
         pipe = TemporalPipeline(lattice(8, 10))
         assert pipe.cov.shape == (20, 20)
         pipe.run()
+        assert pipe.cov.shape == (20, 20)
         assert not np.any(pipe.cov)
 
 
@@ -441,6 +447,43 @@ def test_deferred_run_certifies():
     report = TemporalPipeline(config, range(40, 121)).run()
     assert report.records.stretch.nodes == range(10, 40)
     assert [r.node for r in report.records] == list(range(1, 40))
+
+
+# The ring.  A deferred run keeps a stream's reach + 2 slots until an
+# emission would overflow them, which first happens one tick after the
+# range's first node was withheld from its slot (tick first + delay + 1);
+# then it re-lays its window out once on len(range) slots.
+
+
+@pytest.mark.parametrize("config, nodes", DEFERRED, ids=DEFERRED_IDS)
+def test_deferred_ring_grows_once_after_its_first_withheld_label(config, nodes, monkeypatch):
+    k = config.reach + 2
+    small, large = (2 * k, 2 * k), (2 * len(nodes), 2 * len(nodes))
+    pipe = TemporalPipeline(config, nodes)
+    ticks = range(1, nodes[-1] + config.delay + 1)
+    shapes = []
+    for t in ticks:
+        pipe.execute(tick_events(config, t, nodes))
+        shapes.append(pipe.cov.shape)
+    if len(nodes) <= k:
+        assert shapes == [small] * len(ticks)
+    else:
+        grow = nodes[0] + config.delay + 1
+        assert shapes == [small] * (grow - 1) + [large] * (len(ticks) - grow + 1)
+    want = range_oracle(config, nodes).cov  # the grown ring holds the right state
+    assert np.max(np.abs(pipe.snapshot().cov - want)) / np.max(np.abs(want)) <= STREAM_REL_TOL
+
+    # the certified run, on the ticks it runs kernels on
+    execute, buffers = TemporalPipeline.execute, []
+
+    def recorded(self, events):
+        execute(self, events)
+        if not buffers or buffers[-1] is not self.cov:
+            buffers.append(self.cov)
+
+    monkeypatch.setattr(TemporalPipeline, "execute", recorded)
+    TemporalPipeline(config, nodes).run()
+    assert [b.shape for b in buffers] == ([small] if len(nodes) <= k else [small, large])
 
 
 # Deterministic, so one sweep per topology; small streams take every range.
