@@ -6,10 +6,9 @@ variances to CSV (``--csv``) and add its measurement records to the JSON
 (``--emit-records``).  Exit code 0 iff every check passed, 1 on a failed
 check, 2 on usage errors (an output that cannot be written is one).
 A run's ``nullifiers`` and ``records`` rows are written by the row writer
-(``_render``), straight from the run, in exactly the layout
-``json.dumps(indent=2, sort_keys=True)`` would give them: a certified
-stretch in bulk, from its one captured measurement and its outcomes, with
-no record built.  ``json.dumps`` renders the rest of every report.
+(``_render``) straight from the run's stretches, each in bulk, in exactly
+the layout ``json.dumps(indent=2, sort_keys=True)`` would give them, with no
+record built.  ``json.dumps`` renders the rest of every report.
 
 ``build_parser`` states each subcommand once: its subparser sets the report
 builder ``main`` calls and the config values the subcommand implies.  It
@@ -27,7 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .gaussian import VACUUM_VARIANCE, MeasurementRecord, db_to_r, r_to_db
+from .gaussian import VACUUM_VARIANCE, db_to_r, r_to_db
 from .graphs import delete_nodes, sheared_cylinder_graph, unfolds_to_grid
 from .pipeline import PipelineConfig, Rows, equivalence_check, run_pipeline
 
@@ -135,7 +134,7 @@ def _run_report(args) -> dict:
     high = config.reach + 2
     checks = [_check("memory_bound", report.high_water <= high, report.high_water, high)]
     if config.mode == "verify":
-        variances = (v for _, v in _nullifier_blocks(report.nullifier_checks))
+        variances = (s.nullifier for s in report.nullifier_checks.stretches)
         err = max((abs(v - target) for v in variances), default=0.0)
         checks.append(_check("nullifier_exactness", err <= NULLIFIER_TOL, err, NULLIFIER_TOL))
     out = {
@@ -188,12 +187,12 @@ def _unfold_report(args) -> dict:
 # a Python float.  Both keys sort after every other top-level key, so their
 # rows are spliced in after json.dumps's text of the rest of the report.
 # Each row starts with the separator json.dumps puts before it; the first
-# row of a list drops the comma.  Rows come in blocks of consecutive nodes
-# that share a template: a kernel tick's row is a block of one, and a
-# certified stretch (``pipeline.Stretch``) is one block, rendered in bulk.
+# row of a list drops the comma.  A stretch (``pipeline.Stretch``) is a
+# block of consecutive nodes that share one row template.  The pipeline
+# measures only q, so every record's angle is 0.0.
 _NULLIFIER_ROW = ',\n    {\n      "node": %%d,\n      "variance": %r\n    }'
 _RECORD_ROW = (
-    ',\n    {\n      "angle": %r,\n      "feedforward": %s,\n'
+    ',\n    {\n      "angle": 0.0,\n      "feedforward": %s,\n'
     '      "node": %%d,\n      "outcome": %%r\n    }'
 )
 
@@ -208,41 +207,21 @@ def _check_finite(values: np.ndarray) -> None:
         )
 
 
-def _nullifier_blocks(checks: Rows) -> List[Tuple[range, float]]:
-    """(nodes, variance) per block of rows with one variance."""
-    return checks.blocks(
-        lambda check: (range(check[0], check[0] + 1), check[1]),
-        lambda stretch: (stretch.nodes, stretch.nullifier),
-    )
-
-
-def _record_block(record: MeasurementRecord) -> tuple:
-    """A kernel tick's record as a block of one row."""
-    nodes = range(record.node, record.node + 1)
-    return nodes, record.angle, [record.outcome], [record.feedforward]
-
-
 def _record_rows(records: Rows) -> List[str]:
-    """Per block: one finiteness pass, one ``tolist`` and one row template
-    for its angle and feedforward width."""
-    blocks = records.blocks(
-        _record_block, lambda s: (s.nodes, 0.0, s.outcomes, s.feedforward())
-    )
+    """Per stretch: one finiteness pass, one ``tolist`` and one row template
+    for its feedforward width."""
     rows: List[str] = []
-    for nodes, angle, outcomes, feedforward in blocks:
-        angle = float(angle)
-        outcomes = np.asarray(outcomes, dtype=float)
-        feedforward = np.asarray(feedforward, dtype=float)
-        finite = np.isfinite(outcomes).all() and np.isfinite(feedforward).all()
-        if not (finite and math.isfinite(angle)):
+    for s in records.stretches:
+        feedforward = s.feedforward()
+        if not (np.isfinite(s.outcomes).all() and np.isfinite(feedforward).all()):
             # each row's values in the order json.dumps writes them
-            _check_finite(np.column_stack([np.full(len(nodes), angle), feedforward, outcomes]))
+            _check_finite(np.column_stack([feedforward, s.outcomes]))
         width = feedforward.shape[1]
         entries = ",\n        ".join(["%r"] * width)
-        template = _RECORD_ROW % (angle, f"[\n        {entries}\n      ]" if width else "[]")
+        template = _RECORD_ROW % (f"[\n        {entries}\n      ]" if width else "[]")
         rows += [
             template % (*ff, node, outcome)
-            for node, outcome, ff in zip(nodes, outcomes.tolist(), feedforward.tolist())
+            for node, outcome, ff in zip(s.nodes, s.outcomes.tolist(), feedforward.tolist())
         ]
     return rows
 
@@ -262,14 +241,14 @@ def _render(report: dict) -> Tuple[str, str]:
     parts = [json.dumps(head, indent=2, sort_keys=True, allow_nan=False)[:-2]]  # drop "\n}"
     csv_rows: List[str] = []
     if "nullifiers" in report:
-        blocks = _nullifier_blocks(report["nullifiers"])
-        variances = np.array([variance for _, variance in blocks], dtype=float)
+        stretches = report["nullifiers"].stretches
+        variances = np.array([s.nullifier for s in stretches], dtype=float)
         _check_finite(variances)
         rows: List[str] = []
-        for (nodes, _), variance in zip(blocks, variances.tolist()):
+        for s, variance in zip(stretches, variances.tolist()):
             row, line = _NULLIFIER_ROW % variance, f"%d,{variance!r}\n"
-            rows += [row % node for node in nodes]
-            csv_rows += [line % node for node in nodes]
+            rows += [row % node for node in s.nodes]
+            csv_rows += [line % node for node in s.nodes]
         _splice(parts, "nullifiers", rows)
     if "records" in report:
         _splice(parts, "records", _record_rows(report["records"]))

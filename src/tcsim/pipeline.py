@@ -21,8 +21,10 @@ is terminated the same way.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -118,10 +120,9 @@ class PipelineEvent:
 
 @dataclass
 class Stretch:
-    """The certified stretch of a stream (see :meth:`TemporalPipeline._repeat`):
-    n measurements that repeat one captured measurement, j labels on.
-
-    Only the n outcomes are its own.  Record j is
+    """Measurements of n consecutive nodes that share one (var, b_keep,
+    nullifier): a kernel tick's (n = 1) or a certified stretch's
+    (:meth:`TemporalPipeline._repeat`).  Record j is
     ``MeasurementRecord(first + j, 0.0, outcomes[j], -(b_keep * (outcomes[j] / var)))``
     and, in verify mode, its nullifier check is ``(first + j, nullifier)``.
     """
@@ -153,52 +154,35 @@ class Stretch:
 
 
 class Rows(Sequence):
-    """A run's records or nullifier checks, in node order: one row per
-    kernel tick (``head``, then ``tail``) and, between them, at most one
-    certified ``stretch``, whose rows ``row(stretch, j)`` builds when read."""
+    """A read-only view of a run's records or nullifier checks, in node
+    order: ``row(s, j)`` for each row j of each of ``stretches``, built when
+    read."""
 
-    def __init__(self, row: Callable[[Stretch, int], object]) -> None:
-        self.head: list = []
-        self.stretch: Optional[Stretch] = None
-        self.tail: list = []
+    def __init__(self, stretches: List[Stretch], row: Callable[[Stretch, int], object]) -> None:
+        self.stretches = stretches
         self._row = row
-
-    def append(self, row) -> None:
-        (self.head if self.stretch is None else self.tail).append(row)
-
-    def blocks(self, one: Callable, bulk: Callable[[Stretch], object]) -> list:
-        """``one(row)`` for each kernel-tick row and ``bulk(stretch)`` for the
-        stretch, in node order."""
-        middle = [] if self.stretch is None else [bulk(self.stretch)]
-        return [*map(one, self.head), *middle, *map(one, self.tail)]
+        # the index of each stretch's first row, then the row count
+        self._starts = [0, *accumulate(len(s.outcomes) for s in stretches)]
 
     def __len__(self) -> int:
-        return len(self.head) + self._stretch_len() + len(self.tail)
+        return self._starts[-1]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # counts a negative i from the end; IndexError past it
-        if i < len(self.head):
-            return self.head[i]
-        i -= len(self.head)
-        if i < self._stretch_len():
-            return self._row(self.stretch, i)
-        return self.tail[i - self._stretch_len()]
+        b = bisect_right(self._starts, i) - 1
+        return self._row(self.stretches[b], i - self._starts[b])
 
     def __iter__(self):
-        yield from self.head
-        for j in range(self._stretch_len()):
-            yield self._row(self.stretch, j)
-        yield from self.tail
+        for s in self.stretches:
+            for j in range(len(s.outcomes)):
+                yield self._row(s, j)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Rows, list)):
             return NotImplemented
         return list(self) == list(other)
-
-    def _stretch_len(self) -> int:
-        return 0 if self.stretch is None else len(self.stretch.outcomes)
 
 
 @dataclass
@@ -206,9 +190,7 @@ class RunReport:
     """Aggregate result of one streaming run.
 
     ``records`` (``MeasurementRecord``s) and ``nullifier_checks``
-    (``(node, variance)`` pairs) read as sequences in node order; a stream's
-    certified stretch is stored once, as its captured measurement and its
-    outcomes, and its rows are built when read.
+    (``(node, variance)`` pairs) are ``Rows`` views of the run's stretches.
     """
 
     config: PipelineConfig
@@ -266,8 +248,10 @@ class TemporalPipeline:
     and both measure and trace then clear the slot.  The kernels keep the
     buffer exactly symmetric; the whole buffer is checked (symmetric and
     finite) once per tick that runs kernels, before the tick's measurement.
-    A tick that :meth:`run` certifies as steady, in a stream or in a
-    deferred run, runs no kernel: it repeats a checked buffer one label on.
+    A tick that :meth:`run` certifies as steady runs no kernel: it repeats a
+    checked buffer one label on.  ``measured`` holds every measurement, in
+    node order, as :class:`Stretch`es; ``records`` and ``nullifier_checks``
+    view it.
 
     In compute mode each node is q-measured as soon as its slot comes up,
     with the conditional mean shift cancelled by feedforward (pinned
@@ -288,12 +272,18 @@ class TemporalPipeline:
         self.lo, self.hi = ancillas[0], ancillas[-1]
         for label in ancillas:
             squeeze_slot(self.cov, label % self.slots, 0.0)
-        self.records = Rows(Stretch.record)
-        self.nullifier_checks = Rows(Stretch.check)
+        self.measured: List[Stretch] = []
         self.high_water = len(ancillas)
-        # an open candidate's buffer, rolled one slot, and the (var, b[keep],
-        # nullifier) of its next measurement (see run), or None
-        self._kept = self._period = None
+        # an open candidate's buffer, rolled one slot (see run), or None
+        self._kept = None
+
+    @property
+    def records(self) -> Rows:
+        return Rows(self.measured, Stretch.record)
+
+    @property
+    def nullifier_checks(self) -> Rows:
+        return Rows([s for s in self.measured if s.nullifier is not None], Stretch.check)
 
     def snapshot(self) -> GaussianState:
         """A copy of the live register, modes in ascending label order."""
@@ -333,11 +323,11 @@ class TemporalPipeline:
         after a steady emission tick t the buffer is kept, rolled one slot;
         if the buffer after tick t + 1 equals it bit for bit, every later
         emission tick up to ``stop`` repeats tick t + 1 one label on and is
-        built from its captured measurement (:meth:`_repeat`), else a new
-        candidate opens.  A stream's ticks are all such ticks, so ``stop``
-        is N; a deferred run's are a stream's until the first deferred label
-        reaches the measurement slot, so ``stop`` is the tick before, or its
-        last emission if that comes first.  The first candidate opens after
+        stored with its measurement (:meth:`_repeat`), else a new candidate
+        opens.  A stream's ticks are all such ticks, so ``stop`` is N; a
+        deferred run's are a stream's until the first deferred label reaches
+        the measurement slot, so ``stop`` is the tick before, or its last
+        emission if that comes first.  The first candidate opens after
         tick 2 reach + 1, since tick 2 reach + 2 already measures a
         non-boundary node with all its neighbours live, and the last after
         tick stop - 2, so that one tick is left to repeat.  When it passes, a
@@ -414,37 +404,32 @@ class TemporalPipeline:
         variance = None
         if config.mode == "verify" and node > config.reach:  # not a boundary node
             variance = self.live_nullifier_variance(node)
-            self.nullifier_checks.append((node, variance))
         keep = self._indices(self.lo, self.hi)
-        if self._kept is not None:
-            self._period = (self.cov[slot, slot], self.cov[slot, keep], variance)
+        b = self.cov[slot]
+        var, b_keep = b[slot], b[keep]
         record = measure_slot(self.cov, slot, keep, node, rng=self.rng)
-        self.records.append(record)
+        self.measured.append(Stretch(node, var, b_keep, variance, np.array([record.outcome])))
 
     def _repeat(self, t: int, stop: int) -> int:
         """Store ticks t + 1 .. stop after a certified tick t as one
-        :class:`Stretch` of the records and nullifier checks, built from its
-        captured measurement with no kernel; returns tick stop.
+        :class:`Stretch`, tick t's with n = stop - t new outcomes and no
+        kernel run; returns tick stop.
 
-        Tick t + j repeats tick t's var, b[keep] and nullifier, j labels on,
-        so the buffer is rolled n = stop - t slots to tick stop's phase, and
-        the window moves with it.  Only the outcome is new, sqrt(var) * z, with
-        z from one ``standard_normal(n)`` (bitwise the n scalar draws
-        :func:`measure_slot` would make); the stretch keeps those n floats
-        and nothing else per pulse.
+        Tick t + j repeats tick t's measurement j labels on, so the buffer
+        is rolled n slots to tick stop's phase, and the window moves with
+        it.  The outcomes are sqrt(var) * z, with z from one
+        ``standard_normal(n)`` (bitwise the n scalar draws
+        :func:`measure_slot` would make).
         """
-        var, b_keep, variance = self._period
-        self._kept = self._period = None  # released before the outcomes are drawn
+        last = self.measured[-1]
+        self._kept = None  # released before the outcomes are drawn
         n = stop - t
         shift = self._indices(-n, self.slots - 1 - n)  # slot s takes slot s - n
         self.cov[...] = self.cov[np.ix_(shift, shift)]
         self.lo, self.hi = self.lo + n, self.hi + n
         outcomes = self.rng.standard_normal(n)
-        outcomes *= math.sqrt(var)
-        stretch = Stretch(t + 1 - self.config.delay, var, b_keep, variance, outcomes)
-        self.records.stretch = stretch
-        if variance is not None:
-            self.nullifier_checks.stretch = stretch
+        outcomes *= math.sqrt(last.var)
+        self.measured.append(replace(last, first=last.first + 1, outcomes=outcomes))
         return t + n
 
     def live_nullifier_variance(self, node: int) -> float:

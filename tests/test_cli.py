@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 import tcsim.cli
 from tcsim.cli import NULLIFIER_TOL, _check, _config_dict, _config_from_args, build_parser, main
-from tcsim.gaussian import VACUUM_VARIANCE, MeasurementRecord, db_to_r
+from tcsim.gaussian import VACUUM_VARIANCE, db_to_r
 from tcsim.pipeline import Rows, Stretch, run_pipeline
 
 SRC = str(Path(tcsim.cli.__file__).resolve().parent.parent)
@@ -341,12 +340,6 @@ def record_dict(rec):
     }
 
 
-def rows_of(row, head, tail=(), stretch=None):
-    rows = Rows(row)
-    rows.head, rows.stretch, rows.tail = list(head), stretch, list(tail)
-    return rows
-
-
 def dict_rows(report):
     """A run report in the dict form json.dumps rendered before the row writer,
     with every row of ``Rows`` built one at a time."""
@@ -371,24 +364,27 @@ FINITE = st.one_of(
 )
 FLOATS = st.one_of(FINITE, FINITE.map(np.float64))
 NODES = st.integers(0, 2**62)
-RECORDS = st.builds(
-    MeasurementRecord,
-    node=NODES,
-    angle=FLOATS,
-    outcome=FLOATS,
-    feedforward=st.lists(FLOATS, max_size=8).map(lambda v: np.array(v, dtype=float)),
-)
-CHECKS = st.lists(st.tuples(NODES, FLOATS), max_size=5)
 # Values whose products and quotients underflow, overflow or lose a sign.
 EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, -1e16, 0.1, 3.0])
-STRETCHES = st.builds(
-    Stretch,
-    first=NODES,
-    var=EDGES,
-    b_keep=st.lists(EDGES, max_size=8).map(lambda v: np.array(v, dtype=float)),
-    nullifier=EDGES,
-    outcomes=st.lists(EDGES, max_size=5).map(lambda v: np.array(v, dtype=float)),
-)
+
+
+def blocks(values):
+    """Lists of stretches of ``values``: a kernel tick's block of one or a
+    certified block of any length."""
+    def arrays(lo, hi):
+        return st.lists(values, min_size=lo, max_size=hi).map(lambda v: np.array(v, dtype=float))
+
+    stretch = st.builds(
+        Stretch,
+        first=NODES,
+        var=values,
+        b_keep=arrays(0, 8),
+        nullifier=values,
+        outcomes=st.one_of(arrays(1, 1), arrays(0, 5)),
+    )
+    return st.lists(stretch, max_size=5)
+
+
 HEAD = {
     "checks": [_check("memory_bound", True, 3, 3)],
     "config": {"mode": "verify", "nodes": 5, "squeezing_r": 1.1512925464970227},
@@ -396,39 +392,27 @@ HEAD = {
 }
 
 
+def report_of(nullifiers, records=None):
+    report = {**HEAD, "nullifiers": Rows(nullifiers, Stretch.check)}
+    if records is not None:
+        report["records"] = Rows(records, Stretch.record)
+    return report
+
+
 class TestRowWriter:
-    @given(
-        nullifiers=st.lists(st.tuples(NODES, FLOATS), max_size=5),
-        records=st.one_of(st.none(), st.lists(RECORDS, max_size=5)),
-    )
+    @given(nullifiers=blocks(FLOATS), records=st.one_of(st.none(), blocks(FLOATS)))
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_rows_render_as_json_dumps_would(self, nullifiers, records):
-        report = {**HEAD, "nullifiers": rows_of(Stretch.check, nullifiers)}
-        if records is not None:
-            report["records"] = rows_of(Stretch.record, records)
-        assert tcsim.cli._render(report) == reference_outputs(dict_rows(report))
+        assert_renders_as_json_dumps(report_of(nullifiers, records))
 
-    @given(
-        stretch=STRETCHES,
-        nullifiers=st.tuples(CHECKS, CHECKS),
-        records=st.tuples(st.lists(RECORDS, max_size=3), st.lists(RECORDS, max_size=3)),
-    )
+    @given(nullifiers=blocks(EDGES), records=blocks(EDGES))
     @settings(max_examples=300, derandomize=True, deadline=None)
-    def test_certified_blocks_render_as_json_dumps_would(self, stretch, nullifiers, records):
-        report = {
-            **HEAD,
-            "nullifiers": rows_of(Stretch.check, *nullifiers, stretch),
-            "records": rows_of(Stretch.record, *records, stretch),
-        }
-        assert_renders_as_json_dumps(report)
+    def test_certified_blocks_render_as_json_dumps_would(self, nullifiers, records):
+        assert_renders_as_json_dumps(report_of(nullifiers, records))
 
     def test_overflowing_feedforward_is_refused_as_json_dumps_would(self):
         stretch = Stretch(7, 5e-324, np.array([1.0, 1e308]), 0.5, np.array([1.0, 0.0]))
-        report = {
-            **HEAD,
-            "nullifiers": rows_of(Stretch.check, [], stretch=stretch),
-            "records": rows_of(Stretch.record, [], stretch=stretch),
-        }
+        report = report_of([stretch], [stretch])
         with pytest.raises(ValueError, match="not JSON compliant"):
             tcsim.cli._render(report)
         assert_renders_as_json_dumps(report)
@@ -506,22 +490,27 @@ class TestByteIdenticalReports:
         assert capsys.readouterr().out == reference_outputs(reference_run_report(argv))[0]
 
 
+def certified(report):
+    """The run's certified stretch, its one block longer than one row."""
+    [stretch] = [s for s in report.records.stretches if len(s.outcomes) > 1]
+    return stretch
+
+
 class TestNonFiniteRows:
-    """A corrupted value in what a run stores (its kernel-tick rows, or its
-    certified stretch's outcomes and captured measurement) exits 2."""
+    """A corrupted value in what a run stores (a kernel tick's block, or the
+    certified stretch: outcomes and captured measurement) exits 2."""
 
     @pytest.mark.parametrize(
         "nodes, corrupt",
         [
-            (4, lambda r: r.records.head.__setitem__(
-                0, dataclasses.replace(r.records.head[0], outcome=math.nan))),
-            (4, lambda r: r.records.head[1].feedforward.__setitem__(0, math.inf)),
+            (4, lambda r: r.records.stretches[0].outcomes.__setitem__(0, math.nan)),
+            (4, lambda r: r.records.stretches[1].b_keep.__setitem__(0, math.inf)),
             # not the first nullifier: max() skips a later NaN, so the
             # nullifier_exactness check's value stays finite
-            (4, lambda r: r.nullifier_checks.head.__setitem__(-1, (4, math.nan))),
-            (50, lambda r: r.records.stretch.outcomes.__setitem__(20, math.nan)),
-            (50, lambda r: r.records.stretch.b_keep.__setitem__(0, math.inf)),
-            (50, lambda r: setattr(r.nullifier_checks.stretch, "nullifier", math.nan)),
+            (4, lambda r: setattr(r.nullifier_checks.stretches[-1], "nullifier", math.nan)),
+            (50, lambda r: certified(r).outcomes.__setitem__(20, math.nan)),
+            (50, lambda r: certified(r).b_keep.__setitem__(0, math.inf)),
+            (50, lambda r: setattr(certified(r), "nullifier", math.nan)),
         ],
         ids=["nan-outcome", "inf-feedforward", "nan-nullifier",
              "stretch-nan-outcome", "stretch-inf-b-keep", "stretch-nan-nullifier"],
@@ -529,7 +518,7 @@ class TestNonFiniteRows:
     def test_exits_2_and_writes_nothing(self, nodes, corrupt, monkeypatch, tmp_path, capsys):
         def corrupted_run(config):
             report = run_pipeline(config)
-            assert (report.records.stretch is None) == (nodes == 4)
+            assert any(len(s.outcomes) > 1 for s in report.records.stretches) == (nodes == 50)
             corrupt(report)
             return report
 

@@ -6,12 +6,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcsim.gaussian import db_to_r, states_equal, vacuum_state
 from tcsim.graphs import sheared_cylinder_graph, wire_graph
 from tcsim.pipeline import (
     PipelineConfig,
     PipelineEvent,
+    Rows,
+    Stretch,
     TemporalPipeline,
     build_schedule,
     equivalence_check,
@@ -305,3 +309,39 @@ class TestEquivalence:
             equivalence_check(wire_config(10), (5, 11))
         with pytest.raises(ValueError):
             equivalence_check(wire_config(10), (0, 3))
+
+
+# Blocks of 0 to 4 rows each, the ones of a run (1, or any n) among them.
+BLOCKS = st.lists(
+    st.builds(
+        lambda first, n: Stretch(first, 1.0, np.zeros(0), None, np.arange(n, dtype=float)),
+        st.integers(-50, 50),
+        st.integers(0, 4),
+    ),
+    max_size=6,
+)
+
+
+def first_and_outcome(s, j):
+    return s.first + j, s.outcomes[j]
+
+
+class TestRows:
+    """A ``Rows`` view reads as the flat list of its blocks' rows."""
+
+    @given(blocks=BLOCKS, data=st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_reads_as_the_flattened_rows(self, blocks, data):
+        rows = Rows(blocks, first_and_outcome)
+        flat = [first_and_outcome(s, j) for s in blocks for j in range(len(s.outcomes))]
+        assert len(rows) == len(flat)
+        assert list(rows) == flat
+        assert rows == flat and not rows != flat
+        assert rows != flat + [(0, 0.0)]
+        for i in range(-len(flat), len(flat)):
+            assert rows[i] == flat[i]
+        cut = data.draw(st.slices(len(flat)))
+        assert rows[cut] == flat[cut]
+        for past in (len(flat), -len(flat) - 1):
+            with pytest.raises(IndexError):
+                rows[past]

@@ -445,7 +445,8 @@ def test_deferred_run_certifies():
     # stretch holds the records of nodes 10..39
     config = lattice(8, 10)
     report = TemporalPipeline(config, range(40, 121)).run()
-    assert report.records.stretch.nodes == range(10, 40)
+    [stretch] = [s for s in report.records.stretches if len(s.outcomes) > 1]
+    assert stretch.nodes == range(10, 40)
     assert [r.node for r in report.records] == list(range(1, 40))
 
 
@@ -521,6 +522,34 @@ def test_deferred_run_costs_the_same_kernel_ticks_at_any_n(kernel_ticks):
         ran.append(len(kernel_ticks))
         kernel_ticks.clear()
     assert ran[0] == ran[1] == deferred_kernel_ticks_of(config, range(n - 99, n + 1))
+
+
+STORED = {
+    "wire": lambda n: TemporalPipeline(PipelineConfig("wire", n, squeezing_r=db_to_r(10), seed=1)),
+    "lattice-8-verify": lambda n: TemporalPipeline(
+        PipelineConfig("lattice", n, width=8, squeezing_r=db_to_r(10), mode="verify", seed=1)
+    ),
+    "lattice-8-deferred": lambda n: TemporalPipeline(
+        PipelineConfig("lattice", n, width=8, squeezing_r=db_to_r(10), seed=1), range(n - 99, n + 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("make", STORED.values(), ids=STORED.keys())
+def test_certified_run_stores_the_same_blocks_at_any_n(make, kernel_ticks):
+    # one block of one per measurement a kernel tick made, and one certified
+    # block of every other measured node
+    stored = []
+    for n in (10_000, 100_000):
+        pipe = make(n)
+        pipe.run()
+        measures = sum(e.kind == "measure" for events in kernel_ticks for e in events)
+        kernel_ticks.clear()
+        lengths = [len(s.outcomes) for s in pipe.measured]
+        assert lengths.count(1) == measures == len(lengths) - 1
+        assert sum(lengths) == n - len(pipe.deferred)
+        stored.append(len(pipe.measured))
+    assert stored[0] == stored[1]
 
 
 def test_range_that_ends_early_runs_no_tick_past_its_last(monkeypatch):
