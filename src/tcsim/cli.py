@@ -8,7 +8,13 @@ check, 2 on usage errors (an output that cannot be written is one).
 A run's ``nullifiers`` and ``records`` rows are written by the row writer
 (``_render``) straight from the run's stretches, each in bulk, in exactly
 the layout ``json.dumps(indent=2, sort_keys=True)`` would give them, with no
-record built.  ``json.dumps`` renders the rest of every report.
+record built.  ``json.dumps`` renders the rest of every report.  A record's
+feedforward is the rank-1 row -(x / var) * b_keep, so a stretch's records
+are built from its distinct values: each outcome is ``repr``'d once, a
+column whose b_keep entry is zero is a signed zero spelled in the row
+template (one template per outcome sign bit), a live cell bitwise equal to
+-x reuses the outcome's text with its sign flipped, and the rows are
+joined once per slice of at most ``_SLICE`` rows.
 
 ``build_parser`` states each subcommand once: its subparser sets the report
 builder ``main`` calls and the config values the subcommand implies.  It
@@ -22,13 +28,14 @@ import argparse
 import json
 import math
 import sys
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, db_to_r, r_to_db
 from .graphs import delete_nodes, sheared_cylinder_graph, unfolds_to_grid
-from .pipeline import PipelineConfig, Rows, equivalence_check, run_pipeline
+from .pipeline import PipelineConfig, Rows, Stretch, equivalence_check, run_pipeline
 
 NULLIFIER_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-9
@@ -188,13 +195,17 @@ def _unfold_report(args) -> dict:
 # rows are spliced in after json.dumps's text of the rest of the report.
 # Each row starts with the separator json.dumps puts before it; the first
 # row of a list drops the comma.  A stretch (``pipeline.Stretch``) is a
-# block of consecutive nodes that share one row template.  The pipeline
+# block of consecutive nodes that share one (var, b_keep).  The pipeline
 # measures only q, so every record's angle is 0.0.
 _NULLIFIER_ROW = ',\n    {\n      "node": %%d,\n      "variance": %r\n    }'
-_RECORD_ROW = (
-    ',\n    {\n      "angle": 0.0,\n      "feedforward": %s,\n'
-    '      "node": %%d,\n      "outcome": %%r\n    }'
-)
+_CELL = ",\n        "
+_RECORD_HEAD = ',\n    {\n      "angle": 0.0,\n      "feedforward": '
+_RECORD_NODE = ',\n      "node": '
+_RECORD_OUTCOME = ',\n      "outcome": '
+_RECORD_END = "\n    }"
+#: Records joined into one string at a time: the writer holds one slice's
+#: pieces, not one string per record.
+_SLICE = 512
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -208,22 +219,94 @@ def _check_finite(values: np.ndarray) -> None:
 
 
 def _record_rows(records: Rows) -> List[str]:
-    """Per stretch: one finiteness pass, one ``tolist`` and one row template
-    for its feedforward width."""
+    """The records' rows, joined per slice of at most ``_SLICE`` rows of a
+    stretch.  The arithmetic neither warns nor raises: a value that
+    overflows is refused by :func:`_stretch_rows`, as json.dumps would."""
     rows: List[str] = []
-    for s in records.stretches:
-        feedforward = s.feedforward()
-        if not (np.isfinite(s.outcomes).all() and np.isfinite(feedforward).all()):
-            # each row's values in the order json.dumps writes them
-            _check_finite(np.column_stack([feedforward, s.outcomes]))
-        width = feedforward.shape[1]
-        entries = ",\n        ".join(["%r"] * width)
-        template = _RECORD_ROW % (f"[\n        {entries}\n      ]" if width else "[]")
-        rows += [
-            template % (*ff, node, outcome)
-            for node, outcome, ff in zip(s.nodes, s.outcomes.tolist(), feedforward.tolist())
-        ]
+    with np.errstate(all="ignore"):
+        for s in records.stretches:
+            rows += _stretch_rows(s)
     return rows
+
+
+def _stretch_rows(s: Stretch) -> List[str]:
+    """A stretch's rows, rendered from its distinct values (see the module
+    docstring): only the outcomes and the live cells not bitwise equal to
+    -x call ``repr``, once each."""
+    x, b = s.outcomes, s.b_keep
+    n = len(x)
+    if not n:
+        return []
+    live = b.nonzero()[0]
+    q = x / s.var
+    cells = q[:, None] * b[live]
+    np.negative(cells, out=cells)  # the live columns of s.feedforward()
+    # a non-finite x makes q non-finite, a live cell is q times a nonzero
+    # and a zero column's cell is q times a zero
+    if not np.isfinite(cells if len(live) else q if len(b) else x).all():
+        # each row's values in the order json.dumps writes them
+        _check_finite(np.column_stack([s.feedforward(), x]))
+    signs = np.signbit(x).tolist()
+    fragments = _templates(s, live, signs)
+    spelled = cells.view(np.int64) != np.negative(x).view(np.int64)[:, None]
+    rr, cc = spelled.nonzero()
+    rr, cc, values = rr.tolist(), cc.tolist(), cells[spelled].tolist()
+    # a row's pieces: fragment, cell, ..., cell, fragment, node,
+    # _RECORD_OUTCOME, outcome, _RECORD_END
+    n_live = len(live)
+    stride = 2 * n_live + 5
+    rows = []
+    done = 0  # spelled cells placed
+    for lo in range(0, n, _SLICE):
+        hi = min(lo + _SLICE, n)
+        k = hi - lo
+        parts = [None] * (k * stride)
+        for i, pair in enumerate(fragments):
+            if pair[0] == pair[1]:
+                parts[2 * i::stride] = [pair[0]] * k
+            else:
+                parts[2 * i::stride] = map(pair.__getitem__, signs[lo:hi])
+        xs = list(map(repr, x[lo:hi].tolist()))
+        if n_live:
+            negated = [t[1:] if t[0] == "-" else "-" + t for t in xs]
+            for i in range(n_live):
+                parts[2 * i + 1::stride] = negated
+        end = bisect_left(rr, hi, done)
+        for j, i, v in zip(rr[done:end], cc[done:end], values[done:end]):
+            parts[(j - lo) * stride + 2 * i + 1] = repr(v)
+        done = end
+        parts[2 * n_live + 1::stride] = map(str, range(s.first + lo, s.first + hi))
+        parts[2 * n_live + 2::stride] = [_RECORD_OUTCOME] * k
+        parts[2 * n_live + 3::stride] = xs
+        parts[2 * n_live + 4::stride] = [_RECORD_END] * k
+        rows.append("".join(parts))
+    return rows
+
+
+def _templates(s: Stretch, live: np.ndarray, signs: List[bool]) -> List[Tuple[str, str]]:
+    """A stretch's row text up to its node, split at its live cells: the
+    (+ outcome, - outcome) pair of fragments before each live cell and
+    before the node.
+
+    Each zero column's cell is -(q * ±0), a zero whose sign bit is
+    sign(x) XOR sign(var) XOR sign(b) negated, so a template for each
+    outcome sign bit that occurs spells every zero column.
+    """
+    b = s.b_keep
+    live_at = live.tolist()
+    sb = np.signbit(b)
+    sb = sb.tolist() if sb.any() else None
+    sv = bool(np.signbit(s.var))
+    templates = {}
+    for sx in set(signs):
+        zeros = ("0.0", "-0.0") if sx != sv else ("-0.0", "0.0")  # by sign(b)
+        cols = [zeros[0]] * len(b) if sb is None else list(map(zeros.__getitem__, sb))
+        for c in live_at:
+            cols[c] = "\0"
+        body = f"[\n        {_CELL.join(cols)}\n      ]" if cols else "[]"
+        templates[sx] = f"{_RECORD_HEAD}{body}{_RECORD_NODE}".split("\0")
+    plus, minus = templates.get(False), templates.get(True)
+    return list(zip(plus or minus, minus or plus))
 
 
 def _splice(parts: List[str], key: str, rows: List[str]) -> None:

@@ -160,12 +160,12 @@ def rotate_slot(cov: np.ndarray, k: int, theta: float) -> None:
 def measure_slot(
     cov: np.ndarray,
     k: int,
-    keep: np.ndarray,
     mode: Label,
     outcome: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
-) -> MeasurementRecord:
+) -> float:
     """Homodyne-measure q on slot k: see :func:`measure_quadrature`.
+    Returns the outcome.
 
     Conditions the buffer by one rank-1 Schur downdate
     cov -= b b^T / var, with b the q column of slot k and var its variance,
@@ -174,11 +174,9 @@ def measure_slot(
     neighbourhood, not the whole buffer.  Each entry is (b_i b_j) / var
     subtracted as in the dense downdate, so on a buffer whose zeros are all
     +0.0 the result is bitwise equal to it.  b is read as row k, which is
-    contiguous, since the buffer is exactly symmetric.  ``keep`` lists the
-    survivors' q and p positions in the order the record's feedforward
-    follows; ``mode`` is the measured mode's label, for the record.
-    Another quadrature is measured by rotating the slot first
-    (:func:`rotate_slot`).
+    contiguous, since the buffer is exactly symmetric.  ``mode`` is the
+    measured mode's label, for the error message.  Another quadrature is
+    measured by rotating the slot first (:func:`rotate_slot`).
     """
     var = cov[k, k]
     if var < MARGINAL_FLOOR:
@@ -188,13 +186,12 @@ def measure_slot(
             raise ValueError("either a forced outcome or an rng is required")
         outcome = math.sqrt(var) * rng.standard_normal()
     b = cov[k].copy()
-    shift = b[keep] * (outcome / var)
     support = b.nonzero()[0]
     downdate = b[support, None] * b
     downdate /= var
     cov[support] -= downdate
     clear_slot(cov, k)
-    return MeasurementRecord(node=mode, angle=0.0, outcome=float(outcome), feedforward=-shift)
+    return float(outcome)
 
 
 def nullifier_slot(cov: np.ndarray, k: int, neighbours: Sequence[int]) -> float:
@@ -358,10 +355,12 @@ def measure_quadrature(
     survivors, keep_idx = _drop_modes(state.labels, [k])
     cov = state.cov.copy()
     rotate_slot(cov, k, angle)
-    record = measure_slot(cov, k, keep_idx, mode, outcome, rng)
+    var, b_keep = cov[k, k], cov[k, keep_idx]
+    outcome = measure_slot(cov, k, mode, outcome, rng)
+    feedforward = -(b_keep * (outcome / var))
     half_turns, angle = divmod(angle, math.pi)
     sign = -1.0 if half_turns % 2 else 1.0
-    record = MeasurementRecord(mode, angle, sign * record.outcome, record.feedforward)
+    record = MeasurementRecord(mode, angle, sign * outcome, feedforward)
     return GaussianState(survivors, cov[np.ix_(keep_idx, keep_idx)]), record
 
 

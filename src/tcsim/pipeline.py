@@ -24,6 +24,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, List, Optional, Tuple
 
@@ -47,7 +48,12 @@ from .graphs import Graph, make_graph
 @dataclass(frozen=True)
 class PipelineConfig:
     """Declarative description of one streaming run, valid by construction:
-    ``__post_init__`` rejects a bad one, so no consumer re-checks it."""
+    ``__post_init__`` rejects a bad one, so no consumer re-checks it.
+
+    The topology's derived values (``offsets``, ``reach``, ``delay``,
+    ``ancilla_labels``) are computed once per config, on first read, and
+    kept outside the fields, so ``==``, ``hash`` and ``replace`` see only
+    the fields."""
 
     topology: str  # "wire" | "lattice"
     n_pulses: int
@@ -75,17 +81,17 @@ class PipelineConfig:
             if self.n_pulses < 2 * self.width:
                 raise ValueError("lattice needs at least 2 * width pulses")
 
-    @property
+    @cached_property
     def offsets(self) -> Tuple[int, ...]:
         """The topology rule: pulse t is CZ-linked to t - d for each offset d."""
         return (1, self.width) if self.topology == "lattice" else (1,)
 
-    @property
+    @cached_property
     def reach(self) -> int:
         """Largest CZ-partner offset: 1 for a wire, M for a lattice."""
         return self.offsets[-1]
 
-    @property
+    @cached_property
     def delay(self) -> int:
         """Ticks between a node's emission and its measurement slot.
 
@@ -94,7 +100,7 @@ class PipelineConfig:
         """
         return self.reach + 1
 
-    @property
+    @cached_property
     def ancilla_labels(self) -> Tuple[int, ...]:
         """Initial loop occupants: label 0 (wire) or 1-M .. 0 (lattice)."""
         return tuple(range(1 - self.reach, 1))
@@ -407,8 +413,8 @@ class TemporalPipeline:
         keep = self._indices(self.lo, self.hi)
         b = self.cov[slot]
         var, b_keep = b[slot], b[keep]
-        record = measure_slot(self.cov, slot, keep, node, rng=self.rng)
-        self.measured.append(Stretch(node, var, b_keep, variance, np.array([record.outcome])))
+        outcome = measure_slot(self.cov, slot, node, rng=self.rng)
+        self.measured.append(Stretch(node, var, b_keep, variance, np.array([outcome])))
 
     def _repeat(self, t: int, stop: int) -> int:
         """Store ticks t + 1 .. stop after a certified tick t as one

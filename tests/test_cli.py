@@ -124,6 +124,27 @@ class TestCompareCommand:
         assert growth <= 16
 
 
+class TestRecordWriterMemory:
+    def test_peak_memory_grows_by_at_most_400_bytes_per_pulse(self, tmp_path):
+        # A wire's records are about 190 bytes of text each.  Joined per
+        # slice, the rows and the report's text cost about twice that at
+        # the final join; one string per row costs 510.
+        def peak(n):
+            argv = ["wire", "--nodes", str(n), "--squeezing-db", "10", "--emit-records",
+                    "--out", str(tmp_path / "report.json")]
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # lazy set-up outside the measured peaks
+        growth = (peak(10_000) - peak(1_000)) / (10_000 - 1_000)
+        assert growth <= 400
+
+
 class TestUnfoldCommand:
     def test_unfold_4x4(self, tmp_path):
         code, report = run_json(["unfold", "--width", "4", "--cols", "4"], tmp_path)
@@ -392,6 +413,42 @@ HEAD = {
 }
 
 
+@st.composite
+def writer_stretches(draw):
+    """A stretch that reaches each branch of the record writer: b_keep
+    entries from {0.0, -0.0, var, -var, any float}, so zero columns of
+    either sign and live cells that are or are not -x; 1-1200 outcomes, so
+    some stretches cross a slice boundary; and some outcomes +-0.0 or
+    +-5e-324."""
+    var = draw(st.one_of(st.sampled_from([0.5, 4.987091227407359, -2.0]), FINITE))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, var, -var]), FINITE)
+    b_keep = np.array(draw(st.lists(entry, max_size=8)), dtype=float)
+    n = draw(st.one_of(st.integers(1, 3), st.integers(1, 1200)))
+    outcomes = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    special = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), FINITE)
+    for j, value in draw(st.lists(st.tuples(st.integers(0, n - 1), special), max_size=6)):
+        outcomes[j] = value
+    return Stretch(draw(NODES), var, b_keep, None, outcomes)
+
+
+def writer_branches(stretch):
+    """Which of the writer's ways to spell a value a rendered stretch takes."""
+    with np.errstate(all="ignore"):
+        feedforward = stretch.feedforward()
+    x = stretch.outcomes
+    if not (np.isfinite(feedforward).all() and np.isfinite(x).all()):
+        return set()  # refused
+    live = feedforward[:, stretch.b_keep != 0]
+    reused = live.view(np.int64) == (-x).view(np.int64)[:, None]
+    branches = {
+        "zero column": (stretch.b_keep == 0).any(),
+        "reused -x": reused.any(),
+        "repr": not reused.all(),
+        "slices": len(x) > tcsim.cli._SLICE,
+    }
+    return {name for name, taken in branches.items() if taken}
+
+
 def report_of(nullifiers, records=None):
     report = {**HEAD, "nullifiers": Rows(nullifiers, Stretch.check)}
     if records is not None:
@@ -409,6 +466,19 @@ class TestRowWriter:
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_certified_blocks_render_as_json_dumps_would(self, nullifiers, records):
         assert_renders_as_json_dumps(report_of(nullifiers, records))
+
+    def test_every_way_to_spell_a_cell_renders_as_json_dumps_would(self):
+        taken = set()
+
+        @given(records=st.lists(writer_stretches(), min_size=1, max_size=3))
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        def renders(records):
+            assert_renders_as_json_dumps(report_of([], records))
+            for stretch in records:
+                taken.update(writer_branches(stretch))
+
+        renders()
+        assert taken == {"zero column", "reused -x", "repr", "slices"}
 
     def test_overflowing_feedforward_is_refused_as_json_dumps_would(self):
         stretch = Stretch(7, 5e-324, np.array([1.0, 1e308]), 0.5, np.array([1.0, 0.0]))

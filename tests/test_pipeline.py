@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import re
@@ -58,6 +59,42 @@ class TestConfig:
     def test_non_finite_squeezing(self, r):
         with pytest.raises(ValueError):
             wire_config(4, r=r)
+
+    def test_derived_values_are_computed_once_outside_the_fields(self):
+        read, fresh = lattice_config(20, 4), lattice_config(20, 4)
+        derived = (read.offsets, read.reach, read.delay, read.ancilla_labels)
+        assert derived == ((1, 4), 4, 5, (-3, -2, -1, 0))
+        assert read.offsets is read.offsets and read.ancilla_labels is read.ancilla_labels
+        # a config that has cached them equals and hashes like one that has not
+        assert read == fresh and hash(read) == hash(fresh)
+        assert {read, fresh} == {fresh}
+        assert read != lattice_config(20, 5)
+        # replace builds a new config from the fields: nothing cached carries over
+        wider = dataclasses.replace(read, width=6)
+        assert (wider.offsets, wider.reach, wider.delay) == ((1, 6), 6, 7)
+        assert wider.ancilla_labels == tuple(range(-5, 1))
+        assert wider == lattice_config(20, 6)
+        assert dataclasses.replace(wire_config(5), n_pulses=9).reach == 1
+        for name in ("width", "reach", "offsets"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(read, name, 3)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"width": 1}, "lattice width must be at least 2"),
+            ({"n_pulses": 7}, "lattice needs at least 2 \\* width pulses"),
+            ({"topology": "ring"}, "unknown topology 'ring'"),
+            ({"mode": "replay"}, "unknown mode 'replay'"),
+            ({"squeezing_r": -1.0}, "squeezing parameter must be nonnegative"),
+            ({"squeezing_r": math.nan}, "squeezing parameter must be finite"),
+        ],
+    )
+    def test_replace_of_a_read_config_still_rejects(self, change, message):
+        config = lattice_config(20, 4)
+        assert config.reach == 4  # cached before the replace
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(config, **change)
 
 
 class TestSchedule:
