@@ -37,20 +37,17 @@ print(f"  nullifier variances: {min(variances.values()):.6f} .. "
       f"{max(variances.values()):.6f}")
 
 # --- streaming construction: one squeezer, one CZ gate --------------------
-report = run_pipeline(
-    PipelineConfig("wire", N, squeezing_r=r, mode="verify", seed=1)
-)
+config = PipelineConfig("wire", N, squeezing_r=r, seed=1)
+report = run_pipeline(config)
 checked = dict(report.nullifier_checks)
-print("\nstreaming pipeline (verify mode):")
+print("\nstreaming pipeline:")
 print(f"  modes held at once (high water): {report.high_water}")
 print(f"  node 1 deleted by a q measurement: {sorted(report.config.boundary_nodes)}")
 print(f"  nullifier variances: {min(checked.values()):.6f} .. "
       f"{max(checked.values()):.6f}")
 
 # --- the two states agree on a mid-wire window ----------------------------
-discrepancy = equivalence_check(
-    PipelineConfig("wire", N, squeezing_r=r, seed=1), (5, 10)
-)
+discrepancy = equivalence_check(config, (5, 10))
 print(f"\nmax |pipeline cov - canonical cov| on nodes 5..10: {discrepancy:.2e}")
 assert discrepancy < 1e-9
 print("the stream reproduces the canonical wire exactly.")

@@ -18,7 +18,7 @@ import tracemalloc
 from tcsim import PipelineConfig, run_pipeline
 
 M = 4
-print(f"lattice pipeline, width M={M}, squeezing r=1.0, compute mode\n")
+print(f"lattice pipeline, width M={M}, squeezing r=1.0\n")
 print(f"{'pulses':>9}  {'live modes (max)':>17}  {'peak traced':>12}  {'wall time':>10}")
 
 run_pipeline(PipelineConfig("lattice", 2 * M, width=M))  # one-time set-up, untimed

@@ -1,14 +1,14 @@
 """Command-line front end: configure runs, verify, and emit reports.
 
 Subcommands: wire, lattice, compare, unfold.  Structured output is JSON
-(``--out``); a wire or lattice run can also write per-node nullifier
-variances to CSV (``--csv``) and add its measurement records to the JSON
-(``--emit-records``).  Exit code 0 iff every check passed, 1 on a failed
-check, 2 on usage errors (an output that cannot be written is one).
-A run's ``nullifiers`` and ``records`` rows are written by the row writer
-(``_render``) straight from the run's stretches, each in bulk, in exactly
-the layout ``json.dumps(indent=2, sort_keys=True)`` would give them, with no
-record built.  ``json.dumps`` renders the rest of every report.  A record's
+(``--out``).  A wire or lattice run adds its per-node nullifier variances and
+their check with ``--verify`` (and writes them to CSV with ``--csv``), and its
+measurement records with ``--emit-records``.  Exit code 0 iff every check
+passed, 1 on a failed check, 2 on usage errors (an output that cannot be
+written is one).  The ``nullifiers`` and ``records`` rows are written by the
+row writer (``_render_json``) straight from the run's stretches, each in
+bulk, in exactly the layout ``json.dumps(indent=2, sort_keys=True)`` would
+give them, with no record built; ``json.dumps`` renders the rest.  A record's
 feedforward is the rank-1 row -(x / var) * b_keep, so a stretch's records
 are built from its distinct values: each outcome is ``repr``'d once, a
 column whose b_keep entry is zero is a signed zero spelled in the row
@@ -35,7 +35,7 @@ import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, db_to_r, r_to_db
 from .graphs import delete_nodes, sheared_cylinder_graph, unfolds_to_grid
-from .pipeline import PipelineConfig, Rows, Stretch, equivalence_check, run_pipeline
+from .pipeline import PipelineConfig, Stretch, equivalence_check, run_pipeline
 
 NULLIFIER_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-9
@@ -113,7 +113,6 @@ def _config_from_args(args) -> PipelineConfig:
         n_pulses=args.nodes,
         width=args.width,
         squeezing_r=args.squeezing_r,
-        mode="verify" if args.verify else "compute",
         seed=args.seed,
     )
 
@@ -125,7 +124,6 @@ def _config_dict(config: PipelineConfig) -> dict:
         "width": config.width,
         "squeezing_r": config.squeezing_r,
         "squeezing_db": r_to_db(config.squeezing_r),
-        "mode": config.mode,
         "seed": config.seed,
     }
 
@@ -140,18 +138,18 @@ def _run_report(args) -> dict:
     target = VACUUM_VARIANCE * math.exp(-2 * config.squeezing_r)
     high = config.reach + 2
     checks = [_check("memory_bound", report.high_water <= high, report.high_water, high)]
-    if config.mode == "verify":
-        variances = (s.nullifier for s in report.nullifier_checks.stretches)
-        err = max((abs(v - target) for v in variances), default=0.0)
+    nullifiers = report.nullifier_checks.stretches if args.verify else []
+    if args.verify:
+        err = max((abs(s.nullifier - target) for s in nullifiers), default=0.0)
         checks.append(_check("nullifier_exactness", err <= NULLIFIER_TOL, err, NULLIFIER_TOL))
     out = {
-        "config": _config_dict(config),
+        "config": {**_config_dict(config), "mode": "verify" if args.verify else "compute"},
         "high_water": report.high_water,
-        "nullifiers": report.nullifier_checks,
+        "nullifiers": nullifiers,
         "checks": checks,
     }
     if args.emit_records:
-        out["records"] = report.records
+        out["records"] = report.records.stretches
     return out
 
 
@@ -161,6 +159,7 @@ def _compare_report(args) -> dict:
     return {
         "config": {
             **_config_dict(config),
+            "mode": "compute",
             "range": f"{args.node_range[0]}..{args.node_range[1]}",
         },
         "max_discrepancy": discrepancy,
@@ -218,13 +217,13 @@ def _check_finite(values: np.ndarray) -> None:
         )
 
 
-def _record_rows(records: Rows) -> List[str]:
+def _record_rows(stretches: List[Stretch]) -> List[str]:
     """The records' rows, joined per slice of at most ``_SLICE`` rows of a
     stretch.  The arithmetic neither warns nor raises: a value that
     overflows is refused by :func:`_stretch_rows`, as json.dumps would."""
     rows: List[str] = []
     with np.errstate(all="ignore"):
-        for s in records.stretches:
+        for s in stretches:
             rows += _stretch_rows(s)
     return rows
 
@@ -317,32 +316,40 @@ def _splice(parts: List[str], key: str, rows: List[str]) -> None:
     parts += [f',\n  "{key}": [', *rows, "\n  ]"]
 
 
-def _render(report: dict) -> Tuple[str, str]:
-    """The report's JSON text and the CSV text of its nullifiers, both
-    rendered before anything is written."""
+def _variances(stretches: List[Stretch]) -> List[float]:
+    """Each stretch's nullifier as a Python float; a non-finite one is refused."""
+    variances = np.array([s.nullifier for s in stretches], dtype=float)
+    _check_finite(variances)
+    return variances.tolist()
+
+
+def _render_json(report: dict) -> str:
+    """The report's JSON text."""
     head = {key: value for key, value in report.items() if key not in ("nullifiers", "records")}
     parts = [json.dumps(head, indent=2, sort_keys=True, allow_nan=False)[:-2]]  # drop "\n}"
-    csv_rows: List[str] = []
     if "nullifiers" in report:
-        stretches = report["nullifiers"].stretches
-        variances = np.array([s.nullifier for s in stretches], dtype=float)
-        _check_finite(variances)
-        rows: List[str] = []
-        for s, variance in zip(stretches, variances.tolist()):
-            row, line = _NULLIFIER_ROW % variance, f"%d,{variance!r}\n"
-            rows += [row % node for node in s.nodes]
-            csv_rows += [line % node for node in s.nodes]
+        stretches, rows = report["nullifiers"], []
+        for s, variance in zip(stretches, _variances(stretches)):
+            rows += map((_NULLIFIER_ROW % variance).__mod__, s.nodes)
         _splice(parts, "nullifiers", rows)
     if "records" in report:
         _splice(parts, "records", _record_rows(report["records"]))
     parts.append("\n}\n")
-    return "".join(parts), "node,variance\n" + "".join(csv_rows)
+    return "".join(parts)
+
+
+def _render_csv(nullifiers: List[Stretch]) -> str:
+    lines = ["node,variance\n"]
+    for s, variance in zip(nullifiers, _variances(nullifiers)):
+        lines += map(f"%d,{variance!r}\n".__mod__, s.nodes)
+    return "".join(lines)
 
 
 def _write_outputs(report: dict, out: Optional[str], csv: Optional[str]) -> None:
-    # A report that cannot be rendered (a NaN, say) leaves no file behind.
-    text, csv_text = _render(report)
+    # Everything asked for is rendered first: a NaN, say, leaves no file behind.
+    text = _render_json(report)
     if csv:
+        csv_text = _render_csv(report["nullifiers"])
         with open(csv, "w") as fh:
             fh.write(csv_text)
     # The report goes last, so a run whose CSV cannot be written leaves no

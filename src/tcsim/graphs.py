@@ -73,7 +73,7 @@ class Graph:
 
 
 def make_graph(nodes: Iterable, edges: Iterable) -> Graph:
-    return Graph(tuple(nodes), frozenset(frozenset(e) for e in edges))
+    return Graph(nodes, edges)  # Graph.__post_init__ normalizes both
 
 
 def wire_graph(n: int) -> Graph:

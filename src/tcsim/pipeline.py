@@ -59,14 +59,11 @@ class PipelineConfig:
     n_pulses: int
     width: int = 0  # lattice stripe height M
     squeezing_r: float = 0.0
-    mode: str = "compute"  # | "verify"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.topology not in ("wire", "lattice"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.mode not in ("compute", "verify"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_pulses < 1:
             raise ValueError("need at least one pulse")
         if not math.isfinite(self.squeezing_r):
@@ -130,7 +127,7 @@ class Stretch:
     nullifier): a kernel tick's (n = 1) or a certified stretch's
     (:meth:`TemporalPipeline._repeat`).  Record j is
     ``MeasurementRecord(first + j, 0.0, outcomes[j], -(b_keep * (outcomes[j] / var)))``
-    and, in verify mode, its nullifier check is ``(first + j, nullifier)``.
+    and, past the boundary, its nullifier check is ``(first + j, nullifier)``.
     """
 
     first: int
@@ -259,12 +256,11 @@ class TemporalPipeline:
     node order, as :class:`Stretch`es; ``records`` and ``nullifier_checks``
     view it.
 
-    In compute mode each node is q-measured as soon as its slot comes up,
-    with the conditional mean shift cancelled by feedforward (pinned
-    convention), and the feedforward lists the survivors in ascending label
-    order.  In verify mode the nullifier variance of each non-boundary node
-    is read on the live register just before the node is measured in the q
-    basis, by one more kernel, ``nullifier_slot``.
+    Each node is q-measured as soon as its slot comes up, with the
+    conditional mean shift cancelled by feedforward (pinned convention) that
+    lists the survivors in ascending label order; just before, a non-boundary
+    node's nullifier variance is read by one more kernel, ``nullifier_slot``,
+    which writes no entry and draws no outcome.
     """
 
     def __init__(self, config: PipelineConfig, deferred: range = range(0)):
@@ -404,12 +400,9 @@ class TemporalPipeline:
         return label % self.slots
 
     def _finalize(self, node: int) -> None:
-        config = self.config
         slot = self._retire(node)
         _check_symmetric(self.cov)
-        variance = None
-        if config.mode == "verify" and node > config.reach:  # not a boundary node
-            variance = self.live_nullifier_variance(node)
+        variance = self.live_nullifier_variance(node) if node > self.config.reach else None
         keep = self._indices(self.lo, self.hi)
         b = self.cov[slot]
         var, b_keep = b[slot], b[keep]
@@ -488,9 +481,9 @@ def range_oracle(config: PipelineConfig, nodes: range) -> GaussianState:
 def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> float:
     """Max discrepancy between the pipeline output and the canonical cluster.
 
-    Runs :meth:`TemporalPipeline.run` in compute mode with ``node_range``
-    deferred (see :func:`tick_events`), so it ends holding exactly the
-    range's nodes, and releases its register before building the oracle,
+    Runs :meth:`TemporalPipeline.run` with ``node_range`` deferred (see
+    :func:`tick_events`), so it ends holding exactly the range's nodes, and
+    releases its register before building the oracle,
     :func:`range_oracle`; no outcome is replayed.  Neither grows with N: the
     run certifies like a stream until the range's first node reaches the
     measurement slot, on a stream's reach + 2 slots, so it runs kernels on a
@@ -504,7 +497,7 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
         raise ValueError(f"node range {node_range} outside 1..{config.n_pulses}")
 
     nodes = range(first, last + 1)
-    pipe = TemporalPipeline(replace(config, mode="compute"), nodes)
+    pipe = TemporalPipeline(config, nodes)
     pipe.run()
     got = pipe.snapshot()
     del pipe

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import tcsim.cli
@@ -145,6 +145,27 @@ class TestRecordWriterMemory:
         assert growth <= 400
 
 
+class TestNullifierWriterMemory:
+    def test_peak_memory_without_csv_grows_by_at_most_250_bytes_per_pulse(self, tmp_path):
+        # A lattice's nullifier rows are about 60 bytes of text each; the
+        # rows and the report's text cost about 220 per pulse at the final
+        # join.  Building the CSV rows too, unasked, costs about 350.
+        def peak(n):
+            argv = ["lattice", "--nodes", str(n), "--width", "8", "--squeezing-db", "10",
+                    "--verify", "--out", str(tmp_path / "report.json")]
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # lazy set-up outside the measured peaks
+        growth = (peak(10_000) - peak(1_000)) / (10_000 - 1_000)
+        assert growth <= 250
+
+
 class TestUnfoldCommand:
     def test_unfold_4x4(self, tmp_path):
         code, report = run_json(["unfold", "--width", "4", "--cols", "4"], tmp_path)
@@ -194,6 +215,46 @@ class TestReportFlags:
         assert len(report["records"]) == report["config"]["nodes"]
         rows = csv_path.read_text().splitlines()[1:]
         assert len(rows) == len(report["nullifiers"])
+
+
+class TestVerifyOnlyChoosesTheReport:
+    """A run with --verify is the same run as one without: the flag only
+    adds the nullifier rows and their check to what the CLI writes."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["wire", "--nodes", "1"],
+            ["wire", "--nodes", "5"],
+            ["wire", "--nodes", "300", "--seed", "7919"],
+            ["lattice", "--nodes", "100", "--width", "8", "--squeezing-db", "10", "--seed", "3"],
+        ],
+        ids=["wire-1", "wire-5", "wire-300", "lattice-8-certified"],
+    )
+    def test_verify_changes_only_the_nullifier_rows(self, command, tmp_path):
+        runs = {}
+        for name, flag in (("compute", []), ("verify", ["--verify"])):
+            out, csv_path = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            argv = command + flag + ["--emit-records", "--out", str(out), "--csv", str(csv_path)]
+            assert main(argv) == 0
+            text = out.read_text()
+            runs[name] = (text, json.loads(text), csv_path.read_text())
+        (c_text, compute, c_csv), (v_text, verify, v_csv) = runs["compute"], runs["verify"]
+
+        records = '\n  "records": ['
+        assert c_text[c_text.index(records):] == v_text[v_text.index(records):]
+        assert compute["high_water"] == verify["high_water"]
+        [c_bound], [v_bound] = ([c for c in r["checks"] if c["name"] == "memory_bound"]
+                                for r in (compute, verify))
+        assert c_bound == v_bound
+        assert compute["nullifiers"] == [] and c_csv == "node,variance\n"
+        assert [c["name"] for c in verify["checks"]] == ["memory_bound", "nullifier_exactness"]
+
+        config = _config_from_args(build_parser().parse_args(command))
+        checks = list(run_pipeline(config).nullifier_checks)
+        assert len(checks) == config.n_pulses - config.reach
+        assert [(n["node"], n["variance"]) for n in verify["nullifiers"]] == checks
+        assert v_csv == "node,variance\n" + "".join(f"{n},{v!r}\n" for n, v in checks)
 
 
 class TestCheckRecords:
@@ -363,11 +424,12 @@ def record_dict(rec):
 
 def dict_rows(report):
     """A run report in the dict form json.dumps rendered before the row writer,
-    with every row of ``Rows`` built one at a time."""
+    with every row of its stretches built one at a time."""
     out = {**report}
-    out["nullifiers"] = [{"node": node, "variance": var} for node, var in report["nullifiers"]]
+    checks = Rows(report["nullifiers"], Stretch.check)
+    out["nullifiers"] = [{"node": node, "variance": var} for node, var in checks]
     if "records" in report:
-        out["records"] = [record_dict(rec) for rec in report["records"]]
+        out["records"] = [record_dict(rec) for rec in Rows(report["records"], Stretch.record)]
     return out
 
 
@@ -450,10 +512,16 @@ def writer_branches(stretch):
 
 
 def report_of(nullifiers, records=None):
-    report = {**HEAD, "nullifiers": Rows(nullifiers, Stretch.check)}
+    report = {**HEAD, "nullifiers": nullifiers}
     if records is not None:
-        report["records"] = Rows(records, Stretch.record)
+        report["records"] = records
     return report
+
+
+def render(report):
+    """The report's JSON text and the CSV text of its nullifiers, the JSON
+    first, as ``main`` renders them when given --csv."""
+    return tcsim.cli._render_json(report), tcsim.cli._render_csv(report["nullifiers"])
 
 
 class TestRowWriter:
@@ -470,8 +538,14 @@ class TestRowWriter:
     def test_every_way_to_spell_a_cell_renders_as_json_dumps_would(self):
         taken = set()
 
+        # Without the shrink phase: shrinking stretches of up to 1200 rows
+        # through the json.dumps reference takes minutes, so a failure
+        # reports its first failing example instead.
         @given(records=st.lists(writer_stretches(), min_size=1, max_size=3))
-        @settings(max_examples=150, derandomize=True, deadline=None)
+        @settings(
+            max_examples=150, derandomize=True, deadline=None,
+            phases=[phase for phase in Phase if phase != Phase.shrink],
+        )
         def renders(records):
             assert_renders_as_json_dumps(report_of([], records))
             for stretch in records:
@@ -484,7 +558,7 @@ class TestRowWriter:
         stretch = Stretch(7, 5e-324, np.array([1.0, 1e308]), 0.5, np.array([1.0, 0.0]))
         report = report_of([stretch], [stretch])
         with pytest.raises(ValueError, match="not JSON compliant"):
-            tcsim.cli._render(report)
+            render(report)
         assert_renders_as_json_dumps(report)
 
 
@@ -497,10 +571,10 @@ def assert_renders_as_json_dumps(report):
         expected = reference_outputs(reference)
     except ValueError as exc:
         with pytest.raises(ValueError) as refused:
-            tcsim.cli._render(report)
+            render(report)
         assert str(refused.value) == str(exc)
     else:
-        assert tcsim.cli._render(report) == expected
+        assert render(report) == expected
 
 
 def reference_run_report(argv):
@@ -512,15 +586,14 @@ def reference_run_report(argv):
     target = VACUUM_VARIANCE * math.exp(-2 * config.squeezing_r)
     high = config.reach + 2
     checks = [_check("memory_bound", report.high_water <= high, report.high_water, high)]
-    if config.mode == "verify":
-        err = max((abs(v - target) for _, v in report.nullifier_checks), default=0.0)
+    nullifiers = report.nullifier_checks if args.verify else []
+    if args.verify:
+        err = max((abs(v - target) for _, v in nullifiers), default=0.0)
         checks.append(_check("nullifier_exactness", err <= NULLIFIER_TOL, err, NULLIFIER_TOL))
     out = {
-        "config": _config_dict(config),
+        "config": {**_config_dict(config), "mode": "verify" if args.verify else "compute"},
         "high_water": report.high_water,
-        "nullifiers": [
-            {"node": node, "variance": var} for node, var in report.nullifier_checks
-        ],
+        "nullifiers": [{"node": node, "variance": var} for node, var in nullifiers],
         "checks": checks,
     }
     if args.emit_records:

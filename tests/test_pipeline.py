@@ -26,12 +26,12 @@ from tcsim.pipeline import (
 )
 
 
-def wire_config(n, r=1.0, mode="compute", seed=0, **kw):
-    return PipelineConfig("wire", n, squeezing_r=r, mode=mode, seed=seed, **kw)
+def wire_config(n, r=1.0, seed=0, **kw):
+    return PipelineConfig("wire", n, squeezing_r=r, seed=seed, **kw)
 
 
-def lattice_config(n, m, r=1.0, mode="compute", seed=0, **kw):
-    return PipelineConfig("lattice", n, width=m, squeezing_r=r, mode=mode, seed=seed, **kw)
+def lattice_config(n, m, r=1.0, seed=0, **kw):
+    return PipelineConfig("lattice", n, width=m, squeezing_r=r, seed=seed, **kw)
 
 
 class TestConfig:
@@ -47,9 +47,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig("ring", 5)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown mode 'replay'"):
-            PipelineConfig("wire", 5, mode="replay")
+    def test_a_run_has_no_mode(self):
+        # every run reads its nullifiers; the CLI's --verify only reports them
+        with pytest.raises(TypeError, match="mode"):
+            PipelineConfig("wire", 5, mode="verify")
+        assert [n for n, _ in run_pipeline(wire_config(5)).nullifier_checks] == [2, 3, 4, 5]
 
     def test_wire_rejects_width(self):
         with pytest.raises(ValueError, match="width applies only to a lattice"):
@@ -85,7 +87,6 @@ class TestConfig:
             ({"width": 1}, "lattice width must be at least 2"),
             ({"n_pulses": 7}, "lattice needs at least 2 \\* width pulses"),
             ({"topology": "ring"}, "unknown topology 'ring'"),
-            ({"mode": "replay"}, "unknown mode 'replay'"),
             ({"squeezing_r": -1.0}, "squeezing parameter must be nonnegative"),
             ({"squeezing_r": math.nan}, "squeezing parameter must be finite"),
         ],
@@ -191,7 +192,7 @@ class TestTopologyRule:
 class TestVerifyMode:
     def test_wire_nullifiers_exact(self):
         r = 0.7
-        report = run_pipeline(wire_config(12, r=r, mode="verify"))
+        report = run_pipeline(wire_config(12, r=r))
         target = math.exp(-2 * r) / 2
         checked = dict(report.nullifier_checks)
         assert set(checked) == set(range(2, 13))
@@ -200,7 +201,7 @@ class TestVerifyMode:
 
     def test_lattice_nullifiers_exact(self):
         r = 1.0
-        report = run_pipeline(lattice_config(40, 4, r=r, mode="verify"))
+        report = run_pipeline(lattice_config(40, 4, r=r))
         target = math.exp(-2 * r) / 2
         checked = dict(report.nullifier_checks)
         assert set(checked) == set(range(5, 41))
@@ -208,7 +209,7 @@ class TestVerifyMode:
             assert v == pytest.approx(target, abs=1e-9)
 
     def test_boundary_reported_as_deleted(self):
-        report = run_pipeline(lattice_config(24, 3, mode="verify"))
+        report = run_pipeline(lattice_config(24, 3))
         assert report.config.boundary_nodes == frozenset({1, 2, 3})
         assert all(n not in report.config.boundary_nodes for n, _ in report.nullifier_checks)
 
@@ -232,9 +233,9 @@ class TestMemoryBound:
         "config",
         [
             lambda n: wire_config(n, r=db_to_r(10)),
-            lambda n: lattice_config(n, 8, r=db_to_r(10), mode="verify"),
+            lambda n: lattice_config(n, 8, r=db_to_r(10)),
         ],
-        ids=["wire-compute", "lattice-8-verify"],
+        ids=["wire", "lattice-8"],
     )
     def test_run_grows_by_at_most_32_bytes_per_pulse(self, config):
         # The certified stretch keeps one float64 outcome per pulse; the
@@ -255,8 +256,8 @@ class TestMemoryBound:
 
 class TestDeterminism:
     def test_same_seed_same_report(self):
-        a = run_pipeline(lattice_config(40, 4, mode="verify", seed=7))
-        b = run_pipeline(lattice_config(40, 4, mode="verify", seed=7))
+        a = run_pipeline(lattice_config(40, 4, seed=7))
+        b = run_pipeline(lattice_config(40, 4, seed=7))
         assert a.high_water == b.high_water
         assert a.nullifier_checks == b.nullifier_checks
         for ra, rb in zip(a.records, b.records):

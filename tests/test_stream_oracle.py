@@ -39,12 +39,12 @@ from tcsim.pipeline import (
 STREAM_REL_TOL = 100 * np.finfo(float).eps
 
 
-def wire(n, db, mode="compute", seed=1):
-    return PipelineConfig("wire", n, squeezing_r=db_to_r(db), mode=mode, seed=seed)
+def wire(n, db, seed=1):
+    return PipelineConfig("wire", n, squeezing_r=db_to_r(db), seed=seed)
 
 
-def lattice(m, db, mode="compute", seed=1):
-    return PipelineConfig("lattice", 10 * m, width=m, squeezing_r=db_to_r(db), mode=mode, seed=seed)
+def lattice(m, db, seed=1):
+    return PipelineConfig("lattice", 10 * m, width=m, squeezing_r=db_to_r(db), seed=seed)
 
 
 STREAMS = [wire(60, db) for db in (10, 40)] + [lattice(m, db) for m in (3, 4, 8) for db in (10, 40)]
@@ -104,7 +104,7 @@ def reference_run(config: PipelineConfig):
                 state = trace_out(state, event.labels)
             else:
                 node = event.labels[0]
-                if config.mode == "verify" and node not in config.boundary_nodes:
+                if node not in config.boundary_nodes:
                     live = graph.neighbors(node) & set(state.labels)
                     nullifiers.append((node, nullifier_variance(state, node, live)))
                 state, record = measure_quadrature(state, node, 0.0, rng=rng)
@@ -113,16 +113,10 @@ def reference_run(config: PipelineConfig):
     return records, nullifiers
 
 
-REPLAYS = [
-    config
-    for mode in ("compute", "verify")
-    for config in (wire(40, 10, mode, seed=3), lattice(3, 20, mode, seed=4), lattice(8, 10, mode, seed=5))
-]
+REPLAYS = [wire(40, 10, seed=3), lattice(3, 20, seed=4), lattice(8, 10, seed=5)]
 
 
-@pytest.mark.parametrize(
-    "config", REPLAYS, ids=[f"{c.topology}-{c.width}-{c.mode}" for c in REPLAYS]
-)
+@pytest.mark.parametrize("config", REPLAYS, ids=[f"{c.topology}-{c.width}" for c in REPLAYS])
 def test_run_matches_copy_per_op_replay_bitwise(config):
     records, nullifiers = reference_run(config)
     report = run_pipeline(config)
@@ -134,7 +128,7 @@ def test_run_matches_copy_per_op_replay_bitwise(config):
     assert [(n, v.hex()) for n, v in report.nullifier_checks] == [
         (n, v.hex()) for n, v in nullifiers
     ]
-    assert len(nullifiers) == (config.n_pulses - config.reach if config.mode == "verify" else 0)
+    assert len(nullifiers) == config.n_pulses - config.reach
 
 
 class TestRegisterChecks:
@@ -233,14 +227,14 @@ def kernel_ticks(monkeypatch):
 # tick, N certified with one tick to repeat, N at each phase of the K-slot
 # ring a few ticks on, and long streams.
 CERTIFIED = [
-    PipelineConfig(topology, n, width=width, squeezing_r=db_to_r(10), mode=mode, seed=seed)
+    PipelineConfig(topology, n, width=width, squeezing_r=db_to_r(10), seed=seed)
     for topology, width, ns in (
         ("wire", 0, (3, 4, 5, 6, 7, 8, 9, 40, 10_000)),
         ("lattice", 3, (7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 36, 10_000)),
+        ("lattice", 4, (9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 45)),
         ("lattice", 8, (17, 18, 19, 20, 27, 28, 33, 97, 10_000)),
     )
     for n in ns
-    for mode in ("compute", "verify")
     for seed in (1, 7919)
     if n < 10_000 or seed == 1  # their kernel runs take most of this module's time
 ]
@@ -249,7 +243,7 @@ CERTIFIED = [
 @pytest.mark.parametrize(
     "config",
     CERTIFIED,
-    ids=[f"{c.topology}-{c.width}-N{c.n_pulses}-{c.mode}-s{c.seed}" for c in CERTIFIED],
+    ids=[f"{c.topology}-{c.width}-N{c.n_pulses}-s{c.seed}" for c in CERTIFIED],
 )
 def test_certified_run_matches_kernel_run_bitwise(config, kernel_ticks):
     report = run_pipeline(config)
@@ -258,18 +252,33 @@ def test_certified_run_matches_kernel_run_bitwise(config, kernel_ticks):
     assert ran == kernel_ticks_of(config)
 
 
+@pytest.mark.parametrize(
+    "config",
+    CERTIFIED,
+    ids=[f"{c.topology}-{c.width}-N{c.n_pulses}-s{c.seed}" for c in CERTIFIED],
+)
+def test_every_run_reads_each_nullifier_at_the_squeezed_variance(config):
+    # Every run reads the nullifier of each node past the boundary, the
+    # certified stretches included, and each read is the closed form
+    # e^(-2r) / 2: checked against the physics, not against a second run.
+    report = run_pipeline(config)
+    checked = list(report.nullifier_checks)
+    assert [n for n, _ in checked] == list(range(config.reach + 1, config.n_pulses + 1))
+    target = np.exp(-2 * config.squeezing_r) / 2
+    assert max(abs(v - target) for _, v in checked) <= 1e-9
+
+
 SQUEEZED = [
-    PipelineConfig(topology, n, width=width, squeezing_r=db_to_r(db), mode=mode, seed=1)
+    PipelineConfig(topology, n, width=width, squeezing_r=db_to_r(db), seed=1)
     for topology, width, n in (("wire", 0, 40), ("lattice", 3, 36), ("lattice", 8, 97))
     for db in (0, 10, 20, 60, 80)
-    for mode in ("compute", "verify")
 ]
 
 
 @pytest.mark.parametrize(
     "config",
     SQUEEZED,
-    ids=[f"{c.topology}-{c.width}-r{c.squeezing_r:.2f}-{c.mode}" for c in SQUEEZED],
+    ids=[f"{c.topology}-{c.width}-r{c.squeezing_r:.2f}" for c in SQUEEZED],
 )
 def test_certificate_tick_does_not_depend_on_squeezing(config, kernel_ticks):
     report = run_pipeline(config)
@@ -284,16 +293,10 @@ def test_long_wire_runs_a_handful_of_kernel_ticks(kernel_ticks):
     assert [r.node for r in report.records] == list(range(1, 10_001))
 
 
-PERTURBED = [
-    config
-    for mode in ("compute", "verify")
-    for config in (wire(40, 10, mode, seed=3), lattice(3, 20, mode, seed=4), lattice(8, 10, mode, seed=5))
-]
+PERTURBED = [wire(40, 10, seed=3), lattice(3, 20, seed=4), lattice(8, 10, seed=5)]
 
 
-@pytest.mark.parametrize(
-    "config", PERTURBED, ids=[f"{c.topology}-{c.width}-{c.mode}" for c in PERTURBED]
-)
+@pytest.mark.parametrize("config", PERTURBED, ids=[f"{c.topology}-{c.width}" for c in PERTURBED])
 def test_candidate_period_that_is_not_periodic_is_refused(config, monkeypatch):
     # The first candidate opens after tick t0.  Scaling, at the end of that
     # tick, the q variance of the node that tick t0 + 1 measures makes tick
@@ -433,6 +436,9 @@ def test_certified_deferred_run_matches_kernel_run_bitwise(config, nodes, kernel
     for a, b in zip(report.records, want.records):
         assert a.outcome.hex() == b.outcome.hex()
         assert [x.hex() for x in a.feedforward.tolist()] == [x.hex() for x in b.feedforward.tolist()]
+    assert [(n, v.hex()) for n, v in report.nullifier_checks] == [
+        (n, v.hex()) for n, v in want.nullifier_checks
+    ]
     assert report.high_water == want.high_water
     assert ran == deferred_kernel_ticks_of(config, nodes)
     oracle = replayed_oracle(config, nodes, [r.node for r in want.records])
@@ -526,8 +532,8 @@ def test_deferred_run_costs_the_same_kernel_ticks_at_any_n(kernel_ticks):
 
 STORED = {
     "wire": lambda n: TemporalPipeline(PipelineConfig("wire", n, squeezing_r=db_to_r(10), seed=1)),
-    "lattice-8-verify": lambda n: TemporalPipeline(
-        PipelineConfig("lattice", n, width=8, squeezing_r=db_to_r(10), mode="verify", seed=1)
+    "lattice-8": lambda n: TemporalPipeline(
+        PipelineConfig("lattice", n, width=8, squeezing_r=db_to_r(10), seed=1)
     ),
     "lattice-8-deferred": lambda n: TemporalPipeline(
         PipelineConfig("lattice", n, width=8, squeezing_r=db_to_r(10), seed=1), range(n - 99, n + 1)
