@@ -5,16 +5,19 @@ Subcommands: wire, lattice, compare, unfold.  Structured output is JSON
 their check with ``--verify`` (and writes them to CSV with ``--csv``), and its
 measurement records with ``--emit-records``.  Exit code 0 iff every check
 passed, 1 on a failed check, 2 on usage errors (an output that cannot be
-written is one).  The ``nullifiers`` and ``records`` rows are written by the
-row writer (``_render_json``) straight from the run's stretches, each in
-bulk, in exactly the layout ``json.dumps(indent=2, sort_keys=True)`` would
-give them, with no record built; ``json.dumps`` renders the rest.  A record's
-feedforward is the rank-1 row -(x / var) * b_keep, so a stretch's records
-are built from its distinct values: each outcome is ``repr``'d once, a
-column whose b_keep entry is zero is a signed zero spelled in the row
-template (one template per outcome sign bit), a live cell bitwise equal to
--x reuses the outcome's text with its sign flipped, and the rows are
-joined once per slice of at most ``_SLICE`` rows.
+written is one, and so are ``--out`` and ``--csv`` naming one file) and on a
+stored measurement off the pinned feedforward convention.  The
+``nullifiers`` and ``records`` rows are written by the row writer
+(``_render_json``) straight from the run's stretches, each in bulk, in
+exactly the layout ``json.dumps(indent=2, sort_keys=True)`` would give them,
+with no record built; ``json.dumps`` renders the rest.  A record's
+feedforward is -(x / var) * b_keep, and on the convention (one unit-weight
+CZ, q-basis deletion) var > 0 and each b_keep entry is +0.0 or var, bitwise,
+so a row has one cell value c = -((x / var) * var).  Each outcome is
+``repr``'d once; c reuses the outcome's text with its sign flipped when it
+is bitwise -x and is ``repr``'d otherwise; a zero column reads -0.0 unless
+x's sign bit is set, spelled in the row template (one per outcome sign);
+and the rows are joined once per slice of at most ``_SLICE`` rows.
 
 ``build_parser`` states each subcommand once: its subparser sets the report
 builder ``main`` calls and the config values the subcommand implies.  It
@@ -27,8 +30,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -95,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--topology", choices=("wire", "lattice"), required=True)
     compare.add_argument("--width", type=int, default=0)
     compare.add_argument("--range", type=_parse_range, required=True, dest="node_range")
-    compare.set_defaults(build=_compare_report, verify=False, csv=None)
+    compare.set_defaults(build=_compare_report, csv=None)
 
     unfold = sub.add_parser(
         "unfold", parents=[report], help="sheared-cylinder unfolding check"
@@ -133,6 +136,8 @@ def _check(name: str, passed: bool, value, tolerance) -> dict:
 
 
 def _run_report(args) -> dict:
+    if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
+        raise ValueError(f"--out {args.out} and --csv {args.csv} name the same file")
     config = _config_from_args(args)
     report = run_pipeline(config)
     target = VACUUM_VARIANCE * math.exp(-2 * config.squeezing_r)
@@ -155,12 +160,15 @@ def _run_report(args) -> dict:
 
 def _compare_report(args) -> dict:
     config = _config_from_args(args)
+    first, last = args.node_range
+    if not 1 <= first <= last <= config.n_pulses:
+        raise ValueError(f"--range {first}..{last}: need 1 <= A <= B <= {config.n_pulses}")
     discrepancy = equivalence_check(config, args.node_range)
     return {
         "config": {
             **_config_dict(config),
             "mode": "compute",
-            "range": f"{args.node_range[0]}..{args.node_range[1]}",
+            "range": f"{first}..{last}",
         },
         "max_discrepancy": discrepancy,
         "checks": [
@@ -172,6 +180,8 @@ def _compare_report(args) -> dict:
 
 def _unfold_report(args) -> dict:
     m, k = args.width, args.cols
+    if k < 1:
+        raise ValueError("--cols must be at least 1")
     graph = sheared_cylinder_graph(m * k, m)
     reduced = delete_nodes(graph, [j for j in graph.nodes if j % m == 0])
     result = unfolds_to_grid(reduced, m)
@@ -229,83 +239,57 @@ def _record_rows(stretches: List[Stretch]) -> List[str]:
 
 
 def _stretch_rows(s: Stretch) -> List[str]:
-    """A stretch's rows, rendered from its distinct values (see the module
-    docstring): only the outcomes and the live cells not bitwise equal to
-    -x call ``repr``, once each."""
+    """A stretch's rows on the pinned feedforward convention (see the
+    module docstring): only the outcomes and the cell values not bitwise
+    equal to -x call ``repr``, once each."""
     x, b = s.outcomes, s.b_keep
-    n = len(x)
-    if not n:
+    if not len(x):
         return []
-    live = b.nonzero()[0]
-    q = x / s.var
-    cells = q[:, None] * b[live]
-    np.negative(cells, out=cells)  # the live columns of s.feedforward()
-    # a non-finite x makes q non-finite, a live cell is q times a nonzero
-    # and a zero column's cell is q times a zero
-    if not np.isfinite(cells if len(live) else q if len(b) else x).all():
+    c = np.negative((x / s.var) * s.var)  # each row's live cell value
+    # c is finite only if x and var are, and x / var does not overflow; then,
+    # with b finite, so is every value a row holds
+    if not (np.isfinite(c).all() and np.isfinite(b).all()):
         # each row's values in the order json.dumps writes them
         _check_finite(np.column_stack([s.feedforward(), x]))
-    signs = np.signbit(x).tolist()
-    fragments = _templates(s, live, signs)
-    spelled = cells.view(np.int64) != np.negative(x).view(np.int64)[:, None]
-    rr, cc = spelled.nonzero()
-    rr, cc, values = rr.tolist(), cc.tolist(), cells[spelled].tolist()
-    # a row's pieces: fragment, cell, ..., cell, fragment, node,
-    # _RECORD_OUTCOME, outcome, _RECORD_END
-    n_live = len(live)
-    stride = 2 * n_live + 5
+    if not s.var > 0 or np.signbit(b).any() or (b[b != 0] != s.var).any():
+        raise ValueError(
+            f"node {s.first}: stored measurement is off the pinned feedforward "
+            "convention (var > 0, every b_keep entry +0.0 or var)"
+        )
+    fragments = _fragments(b)
+    reused = c.view(np.int64) == np.negative(x).view(np.int64)
     rows = []
-    done = 0  # spelled cells placed
-    for lo in range(0, n, _SLICE):
-        hi = min(lo + _SLICE, n)
-        k = hi - lo
-        parts = [None] * (k * stride)
-        for i, pair in enumerate(fragments):
-            if pair[0] == pair[1]:
-                parts[2 * i::stride] = [pair[0]] * k
-            else:
-                parts[2 * i::stride] = map(pair.__getitem__, signs[lo:hi])
+    for lo in range(0, len(x), _SLICE):
+        hi = lo + _SLICE
         xs = list(map(repr, x[lo:hi].tolist()))
-        if n_live:
-            negated = [t[1:] if t[0] == "-" else "-" + t for t in xs]
-            for i in range(n_live):
-                parts[2 * i + 1::stride] = negated
-        end = bisect_left(rr, hi, done)
-        for j, i, v in zip(rr[done:end], cc[done:end], values[done:end]):
-            parts[(j - lo) * stride + 2 * i + 1] = repr(v)
-        done = end
-        parts[2 * n_live + 1::stride] = map(str, range(s.first + lo, s.first + hi))
-        parts[2 * n_live + 2::stride] = [_RECORD_OUTCOME] * k
-        parts[2 * n_live + 3::stride] = xs
-        parts[2 * n_live + 4::stride] = [_RECORD_END] * k
+        cells = [t[1:] if t[0] == "-" else "-" + t for t in xs]
+        for j in np.flatnonzero(~reused[lo:hi]).tolist():
+            cells[j] = repr(c[lo + j].item())
+        signs = np.signbit(x[lo:hi]).tolist()
+        # a row's pieces: fragment, cell, ..., cell, fragment, node, outcome
+        columns = []
+        for pair in fragments:
+            columns += [map(pair.__getitem__, signs), cells]
+        k = len(xs)
+        columns[-1:] = [map(str, s.nodes[lo:hi]), [_RECORD_OUTCOME] * k, xs, [_RECORD_END] * k]
+        parts = [None] * (k * len(columns))
+        for i, column in enumerate(columns):
+            parts[i::len(columns)] = column
         rows.append("".join(parts))
     return rows
 
 
-def _templates(s: Stretch, live: np.ndarray, signs: List[bool]) -> List[Tuple[str, str]]:
-    """A stretch's row text up to its node, split at its live cells: the
+def _fragments(b: np.ndarray) -> List[Tuple[str, str]]:
+    """A row's text up to its node, split at its live cells: the
     (+ outcome, - outcome) pair of fragments before each live cell and
-    before the node.
-
-    Each zero column's cell is -(q * ±0), a zero whose sign bit is
-    sign(x) XOR sign(var) XOR sign(b) negated, so a template for each
-    outcome sign bit that occurs spells every zero column.
-    """
-    b = s.b_keep
-    live_at = live.tolist()
-    sb = np.signbit(b)
-    sb = sb.tolist() if sb.any() else None
-    sv = bool(np.signbit(s.var))
-    templates = {}
-    for sx in set(signs):
-        zeros = ("0.0", "-0.0") if sx != sv else ("-0.0", "0.0")  # by sign(b)
-        cols = [zeros[0]] * len(b) if sb is None else list(map(zeros.__getitem__, sb))
-        for c in live_at:
-            cols[c] = "\0"
-        body = f"[\n        {_CELL.join(cols)}\n      ]" if cols else "[]"
-        templates[sx] = f"{_RECORD_HEAD}{body}{_RECORD_NODE}".split("\0")
-    plus, minus = templates.get(False), templates.get(True)
-    return list(zip(plus or minus, minus or plus))
+    before the node.  A zero column's cell is -((x / var) * +0.0), so it
+    reads -0.0 unless the outcome's sign bit is set."""
+    cols = ["\1"] * len(b)  # a zero column
+    for j in np.flatnonzero(b).tolist():
+        cols[j] = "\0"
+    body = f"[\n        {_CELL.join(cols)}\n      ]" if cols else "[]"
+    template = f"{_RECORD_HEAD}{body}{_RECORD_NODE}"
+    return list(zip(*(template.replace("\1", zero).split("\0") for zero in ("-0.0", "0.0"))))
 
 
 def _splice(parts: List[str], key: str, rows: List[str]) -> None:

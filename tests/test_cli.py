@@ -13,6 +13,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import tcsim.cli
+import tcsim.pipeline
 from tcsim.cli import NULLIFIER_TOL, _check, _config_dict, _config_from_args, build_parser, main
 from tcsim.gaussian import VACUUM_VARIANCE, db_to_r
 from tcsim.pipeline import Rows, Stretch, run_pipeline
@@ -365,6 +366,60 @@ class TestErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spelling", ["{}", "./{}"], ids=["same", "dot-prefixed"])
+    def test_out_and_csv_naming_one_file_returns_2_and_writes_nothing(
+        self, spelling, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["lattice", "--nodes", "40", "--width", "4", "--verify",
+                "--out", "x", "--csv", spelling.format("x")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out x and --csv {spelling.format('x')} name the same file\n"
+        )
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare", "--topology", "lattice", "--nodes", "40", "--width", "4", "--range", "20..10"],
+             "--range 20..10: need 1 <= A <= B <= 40"),
+            (["compare", "--topology", "wire", "--nodes", "40", "--range", "0..10"],
+             "--range 0..10: need 1 <= A <= B <= 40"),
+            (["compare", "--topology", "wire", "--nodes", "40", "--range", "30..41"],
+             "--range 30..41: need 1 <= A <= B <= 40"),
+            (["unfold", "--width", "3", "--cols", "0"], "--cols must be at least 1"),
+        ],
+        ids=["range-reversed", "range-below-1", "range-past-n", "no-cols"],
+    )
+    def test_bad_range_or_cols_states_the_rule(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_wrong_cz_weight_with_records_returns_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Off the pinned feedforward convention: each b_keep entry is var
+        # times the weight, not var.
+        weight = 1 + 2**-50
+
+        def weighted_cz(cov, i, j):
+            n = len(cov) // 2
+            cov[n + i, :] += weight * cov[j, :]
+            cov[n + j, :] += weight * cov[i, :]
+            cov[:, n + i] += weight * cov[:, j]
+            cov[:, n + j] += weight * cov[:, i]
+            cov[n + j, n + i] = cov[n + i, n + j]
+
+        monkeypatch.setattr(tcsim.pipeline, "cz_slots", weighted_cz)
+        out = tmp_path / "r.json"
+        argv = ["lattice", "--nodes", "2000", "--width", "8", "--squeezing-db", "10",
+                "--emit-records", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: node 1: stored measurement is off the pinned feedforward convention")
+        assert not out.exists()
+
     def test_unwritable_csv_returns_2_and_writes_no_report(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         argv = ["wire", "--nodes", "3", "--verify", "--out", str(out),
@@ -451,21 +506,24 @@ NODES = st.integers(0, 2**62)
 EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, -1e16, 0.1, 3.0])
 
 
-def blocks(values):
-    """Lists of stretches of ``values``: a kernel tick's block of one or a
-    certified block of any length."""
-    def arrays(lo, hi):
-        return st.lists(values, min_size=lo, max_size=hi).map(lambda v: np.array(v, dtype=float))
+def arrays(values, lo, hi):
+    return st.lists(values, min_size=lo, max_size=hi).map(lambda v: np.array(v, dtype=float))
 
-    stretch = st.builds(
-        Stretch,
-        first=NODES,
-        var=values,
-        b_keep=arrays(0, 8),
-        nullifier=values,
-        outcomes=st.one_of(arrays(1, 1), arrays(0, 5)),
-    )
-    return st.lists(stretch, max_size=5)
+
+@st.composite
+def stretch(draw, values, records):
+    """A kernel tick's block of one or a certified block of any length.  A
+    record stretch is drawn on the pinned feedforward convention: var > 0
+    from ``values``, each b_keep entry +0.0 or var."""
+    var = draw(values.filter(lambda v: v > 0) if records else values)
+    entries = st.sampled_from([0.0, var]) if records else values
+    outcomes = st.one_of(arrays(values, 1, 1), arrays(values, 0, 5))
+    return Stretch(draw(NODES), var, draw(arrays(entries, 0, 8)), draw(values), draw(outcomes))
+
+
+def blocks(values, records=False):
+    """Lists of stretches of ``values``."""
+    return st.lists(stretch(values, records), max_size=5)
 
 
 HEAD = {
@@ -477,14 +535,13 @@ HEAD = {
 
 @st.composite
 def writer_stretches(draw):
-    """A stretch that reaches each branch of the record writer: b_keep
-    entries from {0.0, -0.0, var, -var, any float}, so zero columns of
-    either sign and live cells that are or are not -x; 1-1200 outcomes, so
-    some stretches cross a slice boundary; and some outcomes +-0.0 or
-    +-5e-324."""
-    var = draw(st.one_of(st.sampled_from([0.5, 4.987091227407359, -2.0]), FINITE))
-    entry = st.one_of(st.sampled_from([0.0, -0.0, var, -var]), FINITE)
-    b_keep = np.array(draw(st.lists(entry, max_size=8)), dtype=float)
+    """A record stretch on the convention that reaches each branch of the
+    record writer: b_keep entries from {+0.0, var}, so zero columns and
+    live cells whose value is or is not -x; 1-1200 outcomes, so some
+    stretches cross a slice boundary; and some outcomes +-0.0 or +-5e-324,
+    so zero columns of either sign."""
+    var = draw(st.one_of(st.sampled_from([0.5, 4.987091227407359]), FINITE.filter(lambda v: v > 0)))
+    b_keep = np.array(draw(st.lists(st.sampled_from([0.0, var]), max_size=8)), dtype=float)
     n = draw(st.one_of(st.integers(1, 3), st.integers(1, 1200)))
     outcomes = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
     special = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), FINITE)
@@ -525,12 +582,12 @@ def render(report):
 
 
 class TestRowWriter:
-    @given(nullifiers=blocks(FLOATS), records=st.one_of(st.none(), blocks(FLOATS)))
+    @given(nullifiers=blocks(FLOATS), records=st.one_of(st.none(), blocks(FLOATS, records=True)))
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_rows_render_as_json_dumps_would(self, nullifiers, records):
         assert_renders_as_json_dumps(report_of(nullifiers, records))
 
-    @given(nullifiers=blocks(EDGES), records=blocks(EDGES))
+    @given(nullifiers=blocks(EDGES), records=blocks(EDGES, records=True))
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_certified_blocks_render_as_json_dumps_would(self, nullifiers, records):
         assert_renders_as_json_dumps(report_of(nullifiers, records))
@@ -555,11 +612,38 @@ class TestRowWriter:
         assert taken == {"zero column", "reused -x", "repr", "slices"}
 
     def test_overflowing_feedforward_is_refused_as_json_dumps_would(self):
-        stretch = Stretch(7, 5e-324, np.array([1.0, 1e308]), 0.5, np.array([1.0, 0.0]))
+        # x / var overflows: the live cell is -inf and the zero column nan
+        stretch = Stretch(7, 5e-324, np.array([5e-324, 0.0]), 0.5, np.array([1.0, 0.0]))
         report = report_of([stretch], [stretch])
+        with pytest.raises(ValueError, match="not JSON compliant: -inf"):
+            render(report)
+        assert_renders_as_json_dumps(report)
+
+    @pytest.mark.parametrize(
+        "var, b_keep, outcome",
+        [(2.0, [0.0, 2.0], math.nan), (2.0, [0.0, 2.0], -math.inf),
+         (2.0, [math.inf, 2.0], 1.0), (math.inf, [0.0, math.inf], 1.0), (math.nan, [0.0, 2.0], 1.0)],
+        ids=["nan-outcome", "inf-outcome", "inf-b-keep", "inf-var", "nan-var"],
+    )
+    def test_non_finite_stored_value_is_refused_as_json_dumps_would(self, var, b_keep, outcome):
+        stretch = Stretch(7, var, np.array(b_keep), None, np.array([1.0, outcome]))
+        report = report_of([], [stretch])
         with pytest.raises(ValueError, match="not JSON compliant"):
             render(report)
         assert_renders_as_json_dumps(report)
+
+    @pytest.mark.parametrize(
+        "var, b_keep",
+        [(-2.0, [0.0, -2.0]), (2.0, [-0.0, 2.0]), (2.0, [0.0, -2.0]), (2.0, [0.0, np.nextafter(2.0, 3.0)])],
+        ids=["var-not-positive", "minus-zero-entry", "negative-entry", "entry-not-var"],
+    )
+    def test_stretch_off_the_convention_is_refused_naming_its_first_node(self, var, b_keep):
+        # b_keep [0.0, 2.0] is on it; json.dumps would render each of these
+        on = Stretch(3, 2.0, np.array([0.0, 2.0]), None, np.array([0.5]))
+        off = Stretch(10, var, np.array(b_keep), None, np.array([1.0, -3.0, 0.0]))
+        json.dumps(dict_rows(report_of([], [on, off])), allow_nan=False)
+        with pytest.raises(ValueError, match=r"^node 10: stored measurement is off the pinned feedforward convention"):
+            render(report_of([], [on, off]))
 
 
 def assert_renders_as_json_dumps(report):

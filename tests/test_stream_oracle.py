@@ -569,3 +569,49 @@ def test_range_that_ends_early_runs_no_tick_past_its_last(monkeypatch):
     config = PipelineConfig("lattice", 1_000_000, width=8, squeezing_r=db_to_r(10), seed=1)
     TemporalPipeline(config, range(40, 121)).run()
     assert max(ticks) == 120 + config.delay
+
+
+# The pinned feedforward convention.  With one unit-weight CZ and q-basis
+# deletion, a measured node's q row holds var on each live CZ partner's p
+# and +0.0 elsewhere, so every stored measurement has var > 0 and each
+# b_keep entry bitwise +0.0 or var: the record writer renders one cell value
+# per row on it and refuses a stretch off it.
+
+
+def off_convention(stretches):
+    """The first node of each stretch off the convention."""
+    return [
+        s.first for s in stretches
+        if not (s.var > 0 and not np.signbit(s.b_keep).any()
+                and (s.b_keep[s.b_keep != 0].view(np.int64) == np.float64(s.var).view(np.int64)).all())
+    ]
+
+
+STORED = [(config, range(0)) for config in CERTIFIED] + DEFERRED
+
+
+@pytest.mark.parametrize(
+    "config, nodes",
+    STORED,
+    ids=[f"{c.topology}-{c.width}-N{c.n_pulses}-s{c.seed}" for c in CERTIFIED] + DEFERRED_IDS,
+)
+def test_every_stored_measurement_is_on_the_feedforward_convention(config, nodes):
+    assert off_convention(TemporalPipeline(config, nodes).run().records.stretches) == []
+
+
+def weighted_cz(weight):
+    """``gaussian.cz_slots`` with a CZ of ``weight`` in place of 1."""
+    def cz(cov, i, j):
+        n = len(cov) // 2
+        cov[n + i, :] += weight * cov[j, :]
+        cov[n + j, :] += weight * cov[i, :]
+        cov[:, n + i] += weight * cov[:, j]
+        cov[:, n + j] += weight * cov[:, i]
+        cov[n + j, n + i] = cov[n + i, n + j]
+    return cz
+
+
+@pytest.mark.parametrize("config, nodes", [STORED[0], STORED[-1]], ids=["wire", "lattice-deferred"])
+def test_wrong_cz_weight_is_off_the_convention(config, nodes, monkeypatch):
+    monkeypatch.setattr("tcsim.pipeline.cz_slots", weighted_cz(1 + 2**-50))
+    assert off_convention(TemporalPipeline(config, nodes).run().records.stretches)
