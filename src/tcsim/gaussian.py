@@ -157,21 +157,14 @@ def rotate_slot(cov: np.ndarray, k: int, theta: float) -> None:
     cov[j, k] = cov[k, j]
 
 
-def measure_slot(
-    cov: np.ndarray,
-    k: int,
-    mode: Label,
-    outcome: Optional[float] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Homodyne-measure q on slot k: see :func:`measure_quadrature`.
-    Returns the outcome.
+def measure_slot(cov: np.ndarray, k: int, mode: Label) -> None:
+    """Homodyne-measure q on slot k: condition the buffer, then clear slot k.
 
-    Conditions the buffer by one rank-1 Schur downdate
-    cov -= b b^T / var, with b the q column of slot k and var its variance,
-    then clears slot k.  Only the rows in b's support change, so only they
-    are downdated: a measurement costs the measured mode's graph
-    neighbourhood, not the whole buffer.  Each entry is (b_i b_j) / var
+    The update does not depend on the outcome, so none is taken or drawn.
+    It is one rank-1 Schur downdate cov -= b b^T / var, with b the q column
+    of slot k and var its variance.  Only the rows in b's support change,
+    so only they are downdated: a measurement costs the measured mode's
+    graph neighbourhood, not the whole buffer.  Each entry is (b_i b_j) / var
     subtracted as in the dense downdate, so on a buffer whose zeros are all
     +0.0 the result is bitwise equal to it.  b is read as row k, which is
     contiguous, since the buffer is exactly symmetric.  ``mode`` is the
@@ -181,17 +174,12 @@ def measure_slot(
     var = cov[k, k]
     if var < MARGINAL_FLOOR:
         raise ValueError(f"degenerate marginal variance {var:.3e} on mode {mode!r}")
-    if outcome is None:
-        if rng is None:
-            raise ValueError("either a forced outcome or an rng is required")
-        outcome = math.sqrt(var) * rng.standard_normal()
     b = cov[k].copy()
     support = b.nonzero()[0]
     downdate = b[support, None] * b
     downdate /= var
     cov[support] -= downdate
     clear_slot(cov, k)
-    return float(outcome)
 
 
 def nullifier_slot(cov: np.ndarray, k: int, neighbours: Sequence[int]) -> float:
@@ -339,13 +327,13 @@ def measure_quadrature(
 ):
     """Homodyne-measure x_theta = q cos(theta) + p sin(theta) on one mode.
 
-    The outcome of x_theta is drawn from its zero-mean marginal using ``rng``
-    unless a forced ``outcome`` is given (post-selection for tests).
     Rotating the mode by theta turns x_theta into its q, so this runs
     :func:`rotate_slot` on a copy of cov and then the q measurement
     :func:`measure_slot`, which conditions the survivors by a rank-1 Schur
     complement and clears the mode; its rows and columns are then dropped.
-    The conditional mean shift is cancelled by feedforward and recorded, so
+    The outcome is the forced ``outcome`` (post-selection for tests) or
+    sqrt(var) times one normal draw from ``rng``, var the marginal of x_theta;
+    its conditional mean shift is cancelled by feedforward and recorded, so
     survivors stay at zero mean (pinned convention).  The record holds the
     normalized angle theta mod pi, and since x_theta = -x_{theta-pi} its
     outcome is negated when floor(theta / pi) is odd.  Returns (reduced
@@ -356,7 +344,12 @@ def measure_quadrature(
     cov = state.cov.copy()
     rotate_slot(cov, k, angle)
     var, b_keep = cov[k, k], cov[k, keep_idx]
-    outcome = measure_slot(cov, k, mode, outcome, rng)
+    measure_slot(cov, k, mode)
+    if outcome is None:
+        if rng is None:
+            raise ValueError("either a forced outcome or an rng is required")
+        outcome = math.sqrt(var) * rng.standard_normal()
+    outcome = float(outcome)
     feedforward = -(b_keep * (outcome / var))
     half_turns, angle = divmod(angle, math.pi)
     sign = -1.0 if half_turns % 2 else 1.0

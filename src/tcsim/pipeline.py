@@ -70,6 +70,8 @@ class PipelineConfig:
             raise ValueError(f"squeezing parameter must be finite, got {self.squeezing_r}")
         if self.squeezing_r < 0:
             raise ValueError("squeezing parameter must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.topology == "wire" and self.width:
             raise ValueError("width applies only to a lattice")
         if self.topology == "lattice":
@@ -125,7 +127,7 @@ class PipelineEvent:
 class Stretch:
     """Measurements of n consecutive nodes that share one (var, b_keep,
     nullifier): a kernel tick's (n = 1) or a certified stretch's
-    (:meth:`TemporalPipeline._repeat`).  Record j is
+    (:meth:`TemporalPipeline._repeat`), outcomes by ``_draw``.  Record j is
     ``MeasurementRecord(first + j, 0.0, outcomes[j], -(b_keep * (outcomes[j] / var)))``
     and, past the boundary, its nullifier check is ``(first + j, nullifier)``.
     """
@@ -260,7 +262,7 @@ class TemporalPipeline:
     conditional mean shift cancelled by feedforward (pinned convention) that
     lists the survivors in ascending label order; just before, a non-boundary
     node's nullifier variance is read by one more kernel, ``nullifier_slot``,
-    which writes no entry and draws no outcome.
+    which writes no entry.  No kernel draws: :meth:`_draw` draws each outcome.
     """
 
     def __init__(self, config: PipelineConfig, deferred: range = range(0)):
@@ -314,8 +316,8 @@ class TemporalPipeline:
         past it :func:`tick_events` schedules nothing.  Either way the run
         must end with exactly ``deferred`` live (nothing, for a stream).
 
-        Both runs certify their steady state.  Measurement updates of a
-        covariance do not depend on the outcomes, so the buffer is the state
+        Both runs certify their steady state.  No kernel takes an outcome (a
+        covariance update does not depend on one), so the buffer is the state
         of a deterministic machine; past the boundary, tick t + 1's events
         are tick t's shifted by one label; and every kernel maps a cyclic
         relabelling of the slots to the same relabelling of its output, bit
@@ -403,22 +405,19 @@ class TemporalPipeline:
         slot = self._retire(node)
         _check_symmetric(self.cov)
         variance = self.live_nullifier_variance(node) if node > self.config.reach else None
-        keep = self._indices(self.lo, self.hi)
         b = self.cov[slot]
-        var, b_keep = b[slot], b[keep]
-        outcome = measure_slot(self.cov, slot, node, rng=self.rng)
-        self.measured.append(Stretch(node, var, b_keep, variance, np.array([outcome])))
+        var, b_keep = b[slot], b[self._indices(self.lo, self.hi)]
+        measure_slot(self.cov, slot, node)
+        self.measured.append(Stretch(node, var, b_keep, variance, self._draw(1, var)))
 
     def _repeat(self, t: int, stop: int) -> int:
         """Store ticks t + 1 .. stop after a certified tick t as one
         :class:`Stretch`, tick t's with n = stop - t new outcomes and no
         kernel run; returns tick stop.
 
-        Tick t + j repeats tick t's measurement j labels on, so the buffer
-        is rolled n slots to tick stop's phase, and the window moves with
-        it.  The outcomes are sqrt(var) * z, with z from one
-        ``standard_normal(n)`` (bitwise the n scalar draws
-        :func:`measure_slot` would make).
+        Tick t + j repeats tick t's measurement j labels on: the buffer is
+        rolled n slots to tick stop's phase, the window moves with it, and
+        the n outcomes are drawn in node order (:meth:`_draw`).
         """
         last = self.measured[-1]
         self._kept = None  # released before the outcomes are drawn
@@ -426,10 +425,15 @@ class TemporalPipeline:
         shift = self._indices(-n, self.slots - 1 - n)  # slot s takes slot s - n
         self.cov[...] = self.cov[np.ix_(shift, shift)]
         self.lo, self.hi = self.lo + n, self.hi + n
-        outcomes = self.rng.standard_normal(n)
-        outcomes *= math.sqrt(last.var)
+        outcomes = self._draw(n, last.var)
         self.measured.append(replace(last, first=last.first + 1, outcomes=outcomes))
         return t + n
+
+    def _draw(self, n: int, var: float) -> np.ndarray:
+        """n outcomes of variance var: the run's next n normal draws, times sqrt(var)."""
+        outcomes = self.rng.standard_normal(n)
+        outcomes *= math.sqrt(var)
+        return outcomes
 
     def live_nullifier_variance(self, node: int) -> float:
         """Variance of p_node - sum(q over live graph neighbors).
@@ -494,7 +498,9 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     """
     first, last = node_range
     if not (1 <= first <= last <= config.n_pulses):
-        raise ValueError(f"node range {node_range} outside 1..{config.n_pulses}")
+        raise ValueError(
+            f"node range {first}..{last}: need 1 <= first <= last <= {config.n_pulses}"
+        )
 
     nodes = range(first, last + 1)
     pipe = TemporalPipeline(config, nodes)

@@ -321,6 +321,12 @@ class TestErrors:
         assert main(["lattice", "--nodes", "5", "--width", "4"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_negative_seed_returns_2_and_names_the_seed(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["wire", "--nodes", "5", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not out.exists()
+
     def test_unallocatable_register_returns_2(self, tmp_path, capsys):
         # A 2e8-slot register needs 284 PiB, beyond any 64-bit address space,
         # so the allocation fails at once without touching memory.

@@ -53,6 +53,11 @@ class TestConfig:
             PipelineConfig("wire", 5, mode="verify")
         assert [n for n, _ in run_pipeline(wire_config(5)).nullifier_checks] == [2, 3, 4, 5]
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            PipelineConfig("wire", 5, seed=-1)
+        assert PipelineConfig("wire", 5, seed=0).seed == 0
+
     def test_wire_rejects_width(self):
         with pytest.raises(ValueError, match="width applies only to a lattice"):
             PipelineConfig("wire", 20, width=5)
@@ -347,6 +352,9 @@ class TestEquivalence:
             equivalence_check(wire_config(10), (5, 11))
         with pytest.raises(ValueError):
             equivalence_check(wire_config(10), (0, 3))
+        # both ends lie in 1..40, but in the wrong order
+        with pytest.raises(ValueError, match=r"^node range 20\.\.10: need 1 <= first <= last <= 40$"):
+            equivalence_check(wire_config(40), (20, 10))
 
 
 # Blocks of 0 to 4 rows each, the ones of a run (1, or any n) among them.

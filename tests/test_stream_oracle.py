@@ -5,7 +5,10 @@ cluster after every tick, and a tick-by-tick replay of the same events on
 ``GaussianState`` values, which must match ``run_pipeline`` bit for bit.
 A third, which runs every tick's kernels, checks the certified steady state
 that lets ``run`` skip them, in a stream and in ``compare``'s deferred run.
+Every stored outcome is checked against numpy's normal stream for the seed.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -588,15 +591,27 @@ def off_convention(stretches):
 
 
 STORED = [(config, range(0)) for config in CERTIFIED] + DEFERRED
+STORED_IDS = [
+    f"{c.topology}-{c.width}-N{c.n_pulses}-s{c.seed}" for c in CERTIFIED
+] + DEFERRED_IDS
 
 
-@pytest.mark.parametrize(
-    "config, nodes",
-    STORED,
-    ids=[f"{c.topology}-{c.width}-N{c.n_pulses}-s{c.seed}" for c in CERTIFIED] + DEFERRED_IDS,
-)
+@pytest.mark.parametrize("config, nodes", STORED, ids=STORED_IDS)
 def test_every_stored_measurement_is_on_the_feedforward_convention(config, nodes):
     assert off_convention(TemporalPipeline(config, nodes).run().records.stretches) == []
+
+
+@pytest.mark.parametrize("config, nodes", STORED, ids=STORED_IDS)
+def test_outcomes_are_the_seeds_normal_stream_in_node_order(config, nodes):
+    # Checked against numpy, not against a second run: a reordered, skipped
+    # or extra draw fails it, on kernel ticks and certified stretches alike.
+    stretches = TemporalPipeline(config, nodes).run().records.stretches
+    count = nodes[0] - 1 if nodes else config.n_pulses
+    assert [node for s in stretches for node in s.nodes] == list(range(1, count + 1))
+    z = np.random.default_rng(config.seed).standard_normal(count)
+    for s in stretches:
+        want = z[s.first - 1 : s.first - 1 + len(s.outcomes)] * math.sqrt(s.var)
+        assert np.array_equal(s.outcomes.view(np.int64), want.view(np.int64)), s.first
 
 
 def weighted_cz(weight):
