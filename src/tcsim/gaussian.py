@@ -9,8 +9,11 @@ is cancelled by feedforward and recorded, not stored.
 
 Emit, CZ, phase rotation, q measurement and trace are in-place kernels on a
 covariance buffer and mode slots; the ``GaussianState`` operations run them
-on a copy, and the streaming pipeline runs them on its preallocated live
-register.  ``nullifier_slot`` is the one nullifier evaluator for both.
+on a copy.  The streaming pipeline's live register
+(:mod:`tcsim.register`) stores only the diagonals its topology can fill and
+runs the same arithmetic on them, bit for bit, with these dense kernels as
+its reference.  ``nullifier_slot`` is the nullifier evaluator of states and
+graphs.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ Label = Hashable
 VACUUM_VARIANCE = 0.5
 
 #: Largest |cov - cov^T| entry accepted.  ``GaussianState`` construction
-#: checks and then re-symmetrizes; the streaming register's kernels keep it
+#: checks and then re-symmetrizes.  The streaming register's kernels keep it
 #: exactly symmetric (``measure_slot`` relies on that to read a row as its
-#: column), so the whole buffer is only checked, once per tick.
+#: column), so the register only checks, once per tick, that each stored
+#: entry is within this of its stored mirror.
 SYMMETRY_TOL = 1e-12
 
 #: Marginal variances below this are treated as degenerate (no pseudo-inverse
@@ -73,7 +77,10 @@ def _check_symmetric(cov: np.ndarray) -> None:
     In IEEE arithmetic fl(a - b) = -fl(b - a), so the max of cov - cov^T is
     already the max of its absolute value.  Written as ``not (defect <= tol)``
     so that a NaN defect fails the test: a NaN entry gives one, and an
-    infinite entry gives NaN or +inf on one side of the diagonal.
+    infinite entry gives NaN or +inf on one side of the diagonal.  The
+    streaming register's guard, ``DiagonalRegister.check``, is this test on
+    its stored entries and their mirrors, which is the same test: off its
+    pattern the dense buffer holds zeros.
     """
     if not cov.size:
         return

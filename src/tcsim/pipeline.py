@@ -21,6 +21,7 @@ is terminated the same way.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -31,18 +32,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .canonical import build_canonical_cluster
-from .gaussian import (
-    GaussianState,
-    MeasurementRecord,
-    _check_symmetric,
-    clear_slot,
-    cz_slots,
-    measure_slot,
-    nullifier_slot,
-    squeeze_slot,
-    trace_out,
-)
+from .gaussian import GaussianState, MeasurementRecord, trace_out
 from .graphs import Graph, make_graph
+from .register import DiagonalRegister
 
 
 @dataclass(frozen=True)
@@ -64,6 +56,10 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.topology not in ("wire", "lattice"):
             raise ValueError(f"unknown topology {self.topology!r}")
+        for name in ("n_pulses", "width", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_pulses < 1:
             raise ValueError("need at least one pulse")
         if not math.isfinite(self.squeezing_r):
@@ -239,46 +235,48 @@ class TemporalPipeline:
     """Executes the run tick by tick on a ring-buffer live register.
 
     The live labels always form one consecutive window, so the mode with
-    label l lives in slot l mod K of one preallocated 2K x 2K covariance
-    (block ordering), with no label map and no free list; slots outside the
-    window hold zeros.  K is reach + 2, a stream's high-water mark.  A run
-    with a nonempty ``deferred`` range (see :func:`tick_events`) ends holding
-    the whole range, so when an emission would overflow its ring, which first
-    happens the tick after its first deferred label was withheld from the
-    measurement slot, it re-lays its window out once on K = len(range) slots;
-    a stream's ring never grows.  Every event is one in-place kernel of
-    :mod:`tcsim.gaussian`: emit writes two diagonal entries, CZ adds two rows
-    and two columns, measure is one rank-1 downdate of the rows in the
-    measured q column's support (the node and its live graph neighbours),
-    and both measure and trace then clear the slot.  The kernels keep the
-    buffer exactly symmetric; the whole buffer is checked (symmetric and
-    finite) once per tick that runs kernels, before the tick's measurement.
-    A tick that :meth:`run` certifies as steady runs no kernel: it repeats a
-    checked buffer one label on.  ``measured`` holds every measurement, in
-    node order, as :class:`Stretch`es; ``records`` and ``nullifier_checks``
-    view it.
+    label l lives in slot l mod K, with no label map and no free list; slots
+    outside the window hold zeros.  K is reach + 2, a stream's high-water
+    mark.  The register, a :class:`~tcsim.register.DiagonalRegister`, stores
+    only the slot-offset diagonals of the covariance that the topology can
+    fill, so it holds O(K) values, not (2K)^2.  A run with a nonempty
+    ``deferred`` range (see :func:`tick_events`) ends holding the whole
+    range, so when an emission would overflow its ring, which first happens
+    the tick after its first deferred label was withheld from the
+    measurement slot, it re-lays its window out once on K = len(range)
+    slots; a stream's ring never grows.  Every event is one in-place kernel
+    of the register, each the dense kernel of :mod:`tcsim.gaussian` on the
+    stored entries, bit for bit: emit writes two diagonal entries, CZ adds
+    two rows and two columns, measure is one rank-1 downdate of the p rows
+    of the measured node's live graph neighbours, and both measure and trace
+    then clear the slot.  The kernels keep the register exactly symmetric;
+    every stored entry is checked (mirrored and finite) once per tick that
+    runs kernels, before the tick's measurement.  A tick that :meth:`run`
+    certifies as steady runs no kernel: it repeats a checked register one
+    label on.  ``measured`` holds every measurement, in node order, as
+    :class:`Stretch`es; ``records`` and ``nullifier_checks`` view it.
 
     Each node is q-measured as soon as its slot comes up, with the
     conditional mean shift cancelled by feedforward (pinned convention) that
     lists the survivors in ascending label order; just before, a non-boundary
-    node's nullifier variance is read by one more kernel, ``nullifier_slot``,
-    which writes no entry.  No kernel draws: :meth:`_draw` draws each outcome.
+    node's nullifier variance is read by one more kernel, the register's
+    ``nullifier``, which writes no entry.  No kernel draws: :meth:`_draw`
+    draws each outcome.
     """
 
     def __init__(self, config: PipelineConfig, deferred: range = range(0)):
         self.config = config
         self.deferred = deferred
         self.rng = np.random.default_rng(config.seed)
-        self.slots = config.reach + 2
-        self.cov = np.zeros((2 * self.slots, 2 * self.slots))
+        self.register = DiagonalRegister(config.offsets, config.reach + 2)
         ancillas = config.ancilla_labels
         # the live window is lo..hi; it is empty when hi < lo
         self.lo, self.hi = ancillas[0], ancillas[-1]
         for label in ancillas:
-            squeeze_slot(self.cov, label % self.slots, 0.0)
+            self.register.emit(label % self.register.slots, 0.0)
         self.measured: List[Stretch] = []
         self.high_water = len(ancillas)
-        # an open candidate's buffer, rolled one slot (see run), or None
+        # an open candidate's diagonals, rolled one slot (see run), or None
         self._kept = None
 
     @property
@@ -291,20 +289,20 @@ class TemporalPipeline:
 
     def snapshot(self) -> GaussianState:
         """A copy of the live register, modes in ascending label order."""
-        idx = self._indices(self.lo, self.hi)
-        return GaussianState(range(self.lo, self.hi + 1), self.cov[np.ix_(idx, idx)])
+        return GaussianState(range(self.lo, self.hi + 1), self.register.window(self.lo, self.hi))
 
     def execute(self, events: List[PipelineEvent]) -> None:
         for event in events:
             kind, labels = event.kind, event.labels
             if kind == "cz":
-                cz_slots(self.cov, labels[0] % self.slots, labels[1] % self.slots)
+                slots = self.register.slots
+                self.register.cz(labels[0] % slots, labels[1] % slots)
             elif kind == "emit":
                 self._emit(labels[0])
             elif kind == "measure":
                 self._finalize(labels[0])
             elif kind == "trace":
-                clear_slot(self.cov, self._retire(labels[0]))
+                self.register.clear(self._retire(labels[0]))
             else:
                 raise ValueError(f"unknown event kind {kind!r}")
 
@@ -317,15 +315,16 @@ class TemporalPipeline:
         must end with exactly ``deferred`` live (nothing, for a stream).
 
         Both runs certify their steady state.  No kernel takes an outcome (a
-        covariance update does not depend on one), so the buffer is the state
-        of a deterministic machine; past the boundary, tick t + 1's events
-        are tick t's shifted by one label; and every kernel maps a cyclic
-        relabelling of the slots to the same relabelling of its output, bit
-        for bit, on a ring of any size (``measure_slot`` computes each entry
-        on its own, the keep order and ``nullifier_slot`` follow label
-        order, and the symmetry check's max does not depend on order).  So
-        after a steady emission tick t the buffer is kept, rolled one slot;
-        if the buffer after tick t + 1 equals it bit for bit, every later
+        covariance update does not depend on one), so the register is the
+        state of a deterministic machine; past the boundary, tick t + 1's
+        events are tick t's shifted by one label; and every kernel maps a
+        cyclic relabelling of the slots to the same relabelling of its
+        output, bit for bit, on a ring of any size (a diagonal's slot offset
+        does not change under it, the q measurement computes each entry on
+        its own, the keep order and the nullifier follow label order, and
+        the symmetry check's max does not depend on order).  So after a
+        steady emission tick t the register's diagonals are kept, rolled one
+        slot; if they equal it bit for bit after tick t + 1, every later
         emission tick up to ``stop`` repeats tick t + 1 one label on and is
         stored with its measurement (:meth:`_repeat`), else a new candidate
         opens.  A stream's ticks are all such ticks, so ``stop`` is N; a
@@ -353,42 +352,28 @@ class TemporalPipeline:
         while t <= last + config.delay:
             self.execute(tick_events(config, t, deferred))
             # bitwise, since the kernels never store a -0.0; a NaN fails it
-            if self._kept is not None and np.array_equal(self.cov, self._kept):
+            if self._kept is not None and np.array_equal(self.register.diagonals, self._kept):
                 t = self._repeat(t, stop)
             self._kept = None
             if t in steady:
-                roll = self._indices(-1, self.slots - 2)  # slot s takes slot s - 1
-                self._kept = self.cov[np.ix_(roll, roll)]
+                self._kept = self.register.rolled(1)  # slot s takes slot s - 1
             t += 1
         if range(self.lo, self.hi + 1) != deferred:
             raise RuntimeError(f"schedule left live modes {self.snapshot().labels}")
         return RunReport(self.config, self.records, self.high_water, self.nullifier_checks)
 
-    def _indices(self, lo: int, hi: int) -> np.ndarray:
-        """Buffer positions of labels lo..hi: their q slots, then their p slots."""
-        q = np.arange(lo, hi + 1) % self.slots
-        return np.concatenate((q, q + self.slots))
-
     def _emit(self, label: int) -> None:
-        if label == self.hi + 1 and label - self.lo == self.slots < len(self.deferred):
-            self._grow(len(self.deferred))
-        if label != self.hi + 1 or label - self.lo >= self.slots:
+        slots = self.register.slots
+        if label == self.hi + 1 and label - self.lo == slots < len(self.deferred):
+            # re-lay the window out once on a ring of len(deferred) slots
+            self.register = self.register.grown(len(self.deferred), self.lo, self.hi)
+            slots = self.register.slots
+        if label != self.hi + 1 or label - self.lo >= slots:
             raise RuntimeError(f"cannot emit {label} into window {self.lo}..{self.hi}")
         self.hi = label
-        squeeze_slot(self.cov, label % self.slots, self.config.squeezing_r)
+        self.register.emit(label % slots, self.config.squeezing_r)
         if label - self.lo + 1 > self.high_water:
             self.high_water = label - self.lo + 1
-
-    def _grow(self, slots: int) -> None:
-        """Re-lay the live window out on a ring of ``slots`` slots: one
-        gather of its exact values and one scatter into a fresh zero buffer,
-        so label l moves from slot l mod K to slot l mod ``slots``."""
-        old = self._indices(self.lo, self.hi)
-        self.slots = slots
-        new = self._indices(self.lo, self.hi)
-        cov = np.zeros((2 * slots, 2 * slots))
-        cov[np.ix_(new, new)] = self.cov[np.ix_(old, old)]
-        self.cov = cov
 
     def _retire(self, label: int) -> int:
         """Take the oldest live label out of the window; returns its slot.
@@ -399,15 +384,14 @@ class TemporalPipeline:
         if label != self.lo or label > self.hi:
             raise RuntimeError(f"cannot finalize {label} in window {self.lo}..{self.hi}")
         self.lo = label + 1
-        return label % self.slots
+        return label % self.register.slots
 
     def _finalize(self, node: int) -> None:
         slot = self._retire(node)
-        _check_symmetric(self.cov)
+        self.register.check()
         variance = self.live_nullifier_variance(node) if node > self.config.reach else None
-        b = self.cov[slot]
-        var, b_keep = b[slot], b[self._indices(self.lo, self.hi)]
-        measure_slot(self.cov, slot, node)
+        var, b_keep = self.register.measured_row(slot, self.hi - node)
+        self.register.measure(slot, node)
         self.measured.append(Stretch(node, var, b_keep, variance, self._draw(1, var)))
 
     def _repeat(self, t: int, stop: int) -> int:
@@ -415,15 +399,14 @@ class TemporalPipeline:
         :class:`Stretch`, tick t's with n = stop - t new outcomes and no
         kernel run; returns tick stop.
 
-        Tick t + j repeats tick t's measurement j labels on: the buffer is
+        Tick t + j repeats tick t's measurement j labels on: the register is
         rolled n slots to tick stop's phase, the window moves with it, and
         the n outcomes are drawn in node order (:meth:`_draw`).
         """
         last = self.measured[-1]
         self._kept = None  # released before the outcomes are drawn
         n = stop - t
-        shift = self._indices(-n, self.slots - 1 - n)  # slot s takes slot s - n
-        self.cov[...] = self.cov[np.ix_(shift, shift)]
+        self.register.roll(n)  # slot s takes slot s - n
         self.lo, self.hi = self.lo + n, self.hi + n
         outcomes = self._draw(n, last.var)
         self.measured.append(replace(last, first=last.first + 1, outcomes=outcomes))
@@ -440,11 +423,12 @@ class TemporalPipeline:
 
         Read once the node is retired: its neighbours node - d are measured,
         in the q basis, so they drop out and the variance is unchanged.  The
-        live ones, node + d up to ``hi``, go to ``nullifier_slot`` in
-        ascending label order.
+        live ones, node + d up to ``hi``, go to the register's ``nullifier``
+        in ascending label order.
         """
-        live = [(node + d) % self.slots for d in self.config.offsets if node + d <= self.hi]
-        return nullifier_slot(self.cov, node % self.slots, live)
+        slots = self.register.slots
+        live = [(node + d) % slots for d in self.config.offsets if node + d <= self.hi]
+        return self.register.nullifier(node % slots, live)
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:

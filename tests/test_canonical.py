@@ -7,6 +7,7 @@ import tcsim
 import tcsim.canonical
 import tcsim.gaussian
 import tcsim.pipeline
+import tcsim.register
 from tcsim.canonical import build_canonical_cluster, canonical_covariance
 from tcsim.gaussian import (
     GaussianState,
@@ -111,8 +112,9 @@ class TestOrderIndependence:
 class TestIndependentOracle:
     def test_shared_cz_fault_is_caught(self, monkeypatch):
         """A CZ of weight 1 + 1e-3 patched into every module that binds the
-        in-place CZ kernel ``cz_slots`` (which ``apply_cz`` also runs): an
-        oracle built from the same gate would share the fault and report 0."""
+        in-place CZ kernel ``cz_slots`` (which ``apply_cz`` also runs) and
+        into the pipeline's register: an oracle built from the same gate
+        would share the fault and report 0."""
 
         def skewed_cz(cov, i, j):
             n = len(cov) // 2
@@ -120,8 +122,14 @@ class TestIndependentOracle:
             s[n + i, j] = s[n + j, i] = 1.0 + 1e-3
             cov[:] = s @ cov @ s.T
 
+        def skewed_register_cz(register, i, j):
+            cov = register.dense()
+            skewed_cz(cov, i, j)
+            register.load(cov)
+
         for module in (tcsim, tcsim.gaussian, tcsim.canonical, tcsim.pipeline):
             monkeypatch.setattr(module, "cz_slots", skewed_cz, raising=False)
+        monkeypatch.setattr(tcsim.register.DiagonalRegister, "cz", skewed_register_cz)
         for config, node_range in (
             (PipelineConfig("wire", 20, squeezing_r=1.0, seed=5), (5, 10)),
             (PipelineConfig("lattice", 30, width=3, squeezing_r=1.0, seed=5), (7, 12)),

@@ -13,7 +13,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import tcsim.cli
-import tcsim.pipeline
+import tcsim.register
 from tcsim.cli import NULLIFIER_TOL, _check, _config_dict, _config_from_args, build_parser, main
 from tcsim.gaussian import VACUUM_VARIANCE, db_to_r
 from tcsim.pipeline import Rows, Stretch, run_pipeline
@@ -389,11 +389,11 @@ class TestErrors:
         "argv, message",
         [
             (["compare", "--topology", "lattice", "--nodes", "40", "--width", "4", "--range", "20..10"],
-             "--range 20..10: need 1 <= A <= B <= 40"),
+             "node range 20..10: need 1 <= first <= last <= 40"),
             (["compare", "--topology", "wire", "--nodes", "40", "--range", "0..10"],
-             "--range 0..10: need 1 <= A <= B <= 40"),
+             "node range 0..10: need 1 <= first <= last <= 40"),
             (["compare", "--topology", "wire", "--nodes", "40", "--range", "30..41"],
-             "--range 30..41: need 1 <= A <= B <= 40"),
+             "node range 30..41: need 1 <= first <= last <= 40"),
             (["unfold", "--width", "3", "--cols", "0"], "--cols must be at least 1"),
         ],
         ids=["range-reversed", "range-below-1", "range-past-n", "no-cols"],
@@ -409,15 +409,17 @@ class TestErrors:
         # times the weight, not var.
         weight = 1 + 2**-50
 
-        def weighted_cz(cov, i, j):
+        def weighted_cz(register, i, j):
+            cov = register.dense()
             n = len(cov) // 2
             cov[n + i, :] += weight * cov[j, :]
             cov[n + j, :] += weight * cov[i, :]
             cov[:, n + i] += weight * cov[:, j]
             cov[:, n + j] += weight * cov[:, i]
             cov[n + j, n + i] = cov[n + i, n + j]
+            register.load(cov)
 
-        monkeypatch.setattr(tcsim.pipeline, "cz_slots", weighted_cz)
+        monkeypatch.setattr(tcsim.register.DiagonalRegister, "cz", weighted_cz)
         out = tmp_path / "r.json"
         argv = ["lattice", "--nodes", "2000", "--width", "8", "--squeezing-db", "10",
                 "--emit-records", "--out", str(out)]

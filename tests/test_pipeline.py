@@ -58,6 +58,29 @@ class TestConfig:
             PipelineConfig("wire", 5, seed=-1)
         assert PipelineConfig("wire", 5, seed=0).seed == 0
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"n_pulses": 5.5}, "n_pulses"),
+            ({"n_pulses": 5.0}, "n_pulses"),
+            ({"n_pulses": True}, "n_pulses"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": False}, "seed"),
+            ({"topology": "lattice", "n_pulses": 10, "width": 2.5}, "width"),
+            ({"topology": "lattice", "n_pulses": 10, "width": True}, "width"),
+        ],
+        ids=["n-float", "n-integral-float", "n-bool", "seed-float", "seed-bool",
+             "width-float", "width-bool"],
+    )
+    def test_integer_fields_reject_other_types(self, kwargs, field):
+        kwargs = {"topology": "wire", "n_pulses": 5, **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            PipelineConfig(**kwargs)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        config = PipelineConfig("lattice", np.int64(10), width=np.int32(2), seed=np.uint8(3))
+        assert [r.node for r in run_pipeline(config).records] == list(range(1, 11))
+
     def test_wire_rejects_width(self):
         with pytest.raises(ValueError, match="width applies only to a lattice"):
             PipelineConfig("wire", 20, width=5)
@@ -258,6 +281,21 @@ class TestMemoryBound:
         growth = (peak(100_000) - peak(1_000)) / (100_000 - 1_000)
         assert growth <= 32
 
+    def test_wide_lattice_register_is_not_dense(self):
+        # M = 256: a dense 2K x 2K register (K = 258) is 2.1 MB, and a run
+        # that held it, its certificate copy and the guard's temporaries
+        # peaked at 7.6 MB.  The diagonals are 19 x 258 values; most of what
+        # is left is the kernel ticks' b_keep rows, about 1.6 MB.
+        config = lattice_config(1024, 256, r=db_to_r(10))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_pipeline(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
+
 
 class TestDeterminism:
     def test_same_seed_same_report(self):
@@ -311,7 +349,7 @@ class TestWindowGuards:
     def test_deferred_ring_grows_once_to_the_range(self):
         pipe = TemporalPipeline(wire_config(10), range(1, 5))  # K = 3, then 4
         pipe.execute([PipelineEvent("emit", (label,)) for label in (1, 2, 3)])
-        assert pipe.cov.shape == (8, 8)
+        assert pipe.register.slots == 4
         with pytest.raises(RuntimeError, match=re.escape("cannot emit 4 into window 0..3")):
             pipe.execute([PipelineEvent("emit", (4,))])
 

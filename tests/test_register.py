@@ -1,0 +1,237 @@
+"""The diagonal register against the dense kernels of ``tcsim.gaussian``.
+
+Each register kernel runs on a random buffer with the register's pattern,
+and the matching dense kernel on the same buffer held densely; the register's
+densified result must equal the dense one bit for bit.  The rings are a
+wire's K = 3, a lattice's M + 2 and grown rings of len(range) slots.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tcsim.gaussian import (
+    _check_symmetric,
+    clear_slot,
+    cz_slots,
+    measure_slot,
+    nullifier_slot,
+    squeeze_slot,
+)
+from tcsim.register import DiagonalRegister, pattern
+
+
+def pattern_mask(offsets, k):
+    """Where a dense 2K x 2K buffer may be nonzero, read from ``pattern``
+    alone: entry (r, c) at slot offset (c - r) mod K of its block's set."""
+    allowed = [{o % k for o in block} for block in pattern(offsets)]
+    mask = np.zeros((2 * k, 2 * k), dtype=bool)
+    for r in range(2 * k):
+        for c in range(2 * k):
+            mask[r, c] = (c % k - r % k) % k in allowed[2 * (r // k) + c // k]
+    return mask
+
+
+@st.composite
+def rings(draw):
+    """Offsets and a ring size: a wire's 3 slots, a lattice's M + 2, or a
+    grown ring of len(range) slots, more than reach + 2."""
+    offsets = draw(st.sampled_from([(1,), (1, 2), (1, 3), (1, 4), (1, 8)]))
+    reach = offsets[-1]
+    grown = draw(st.booleans())
+    k = draw(st.integers(reach + 3, 3 * reach + 6)) if grown else reach + 2
+    return offsets, k
+
+
+@st.composite
+def buffers(draw):
+    """A ring and an exactly symmetric buffer with its pattern: random
+    entries on the pattern, some of them zero, some slots empty, every zero
+    +0.0, every q variance at least 0.1 on an occupied slot."""
+    offsets, k = draw(rings())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((2 * k, 2 * k))
+    m[rng.random((2 * k, 2 * k)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    cov = np.where(pattern_mask(offsets, k), 0.5 * (m + m.T), 0.0)
+    for s in range(k):
+        cov[s, s] = abs(cov[s, s]) + 0.1
+    for s in draw(st.sets(st.integers(0, k - 1), max_size=k - 2)):
+        clear_slot(cov, s)
+    cov += 0.0  # no -0.0
+    register = DiagonalRegister(offsets, k)
+    register.load(cov)
+    assert register.dense().tobytes() == cov.tobytes()
+    return register, cov
+
+
+def occupied(cov):
+    k = len(cov) // 2
+    return [s for s in range(k) if cov[s, s] != 0]
+
+
+class TestKernelsMatchDense:
+    @given(case=buffers(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cz(self, case, data):
+        register, cov = case
+        k = register.slots
+        i = data.draw(st.integers(0, k - 1))
+        d = data.draw(st.sampled_from([s * d for d in register.offsets for s in (1, -1)]))
+        cz_slots(cov, i, (i + d) % k)
+        register.cz(i, (i + d) % k)
+        assert register.dense().tobytes() == cov.tobytes()
+
+    @given(case=buffers(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_measure(self, case, data):
+        register, cov = case
+        k = data.draw(st.sampled_from(occupied(cov)))
+        measure_slot(cov, k, "m")
+        assert register.measure(k, "m") is None
+        assert register.dense().tobytes() == cov.tobytes()
+
+    @given(case=buffers(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_emit_and_clear(self, case, data):
+        register, cov = case
+        k = data.draw(st.integers(0, register.slots - 1))
+        clear_slot(cov, k)
+        register.clear(k)
+        assert register.dense().tobytes() == cov.tobytes()
+        r = data.draw(st.floats(0.0, 3.0))
+        squeeze_slot(cov, k, r)
+        register.emit(k, r)
+        assert register.dense().tobytes() == cov.tobytes()
+
+    @given(case=buffers(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_nullifier(self, case, data):
+        register, cov = case
+        k = data.draw(st.integers(0, register.slots - 1))
+        links = [(k + d) % register.slots for d in register.offsets]
+        neighbours = data.draw(st.permutations(links))[: data.draw(st.integers(0, len(links)))]
+        want = nullifier_slot(cov, k, neighbours)
+        assert register.nullifier(k, neighbours).hex() == want.hex()
+        assert register.dense().tobytes() == cov.tobytes()  # a read writes nothing
+
+    @given(case=buffers(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_guard(self, case, data):
+        register, cov = case
+        register.check()
+        _check_symmetric(cov)
+        # a fault on one side of an off-diagonal stored entry, or a non-finite one
+        mask = pattern_mask(register.offsets, register.slots)
+        np.fill_diagonal(mask, False)
+        r, c = data.draw(st.sampled_from([tuple(rc) for rc in np.argwhere(mask)]))
+        fault = data.draw(st.sampled_from([1e-6, -1e-6, np.nan, np.inf, -np.inf]))
+        cov[r, c] = cov[r, c] + fault if abs(fault) < 1 else fault
+        register.load(cov)
+        with pytest.raises(ValueError, match="symmetric and finite"):
+            _check_symmetric(cov)
+        with pytest.raises(ValueError, match="symmetric and finite"):
+            register.check()
+
+
+@st.composite
+def windows(draw):
+    """A buffer and a live window lo..hi of at most K labels: the slots
+    outside it are empty, and an entry of two live modes is zero unless
+    their label offset is on the pattern (on a small ring a slot offset
+    can stand for a label offset off it)."""
+    register, cov = draw(buffers())
+    k = register.slots
+    lo = draw(st.integers(-k, 3 * k))
+    n = draw(st.integers(0, k))
+    for label in range(lo + n, lo + k):
+        clear_slot(cov, label % k)
+    blocks = pattern(register.offsets)
+    idx = positions(k, lo, lo + n - 1)
+    for x, r in enumerate(idx):
+        for y, c in enumerate(idx):
+            if (y % n - x % n) not in blocks[2 * (x // n) + y // n]:
+                cov[r, c] = 0.0
+    register.load(cov)
+    return register, cov, lo, lo + n - 1
+
+
+def positions(k, lo, hi):
+    """Dense positions of labels lo..hi: their q slots, then their p slots."""
+    q = np.arange(lo, hi + 1) % k
+    return np.concatenate((q, q + k))
+
+
+class TestWindowReads:
+    @given(case=windows())
+    @settings(max_examples=150, deadline=None)
+    def test_window_is_the_dense_gather(self, case):
+        register, cov, lo, hi = case
+        idx = positions(register.slots, lo, hi)
+        assert register.window(lo, hi).tobytes() == cov[np.ix_(idx, idx)].tobytes()
+
+    @given(case=windows())
+    @settings(max_examples=150, deadline=None)
+    def test_measured_row_is_the_dense_row(self, case):
+        register, cov, lo, hi = case
+        assume(lo <= hi)
+        k = lo % register.slots  # the oldest label, retired
+        var, b_keep = register.measured_row(k, hi - lo)
+        assert np.float64(var).tobytes() == cov[k, k].tobytes()
+        assert b_keep.tobytes() == cov[k][positions(register.slots, lo + 1, hi)].tobytes()
+
+    @given(case=windows(), n=st.integers(-5, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_roll_relabels_the_slots(self, case, n):
+        register, cov, _, _ = case
+        shift = positions(register.slots, -n, register.slots - 1 - n)  # slot s takes s - n
+        want = cov[np.ix_(shift, shift)]
+        rolled = register.rolled(n)
+        register.roll(n)
+        assert np.array_equal(register.diagonals, rolled)
+        assert register.dense().tobytes() == want.tobytes()
+
+    @given(case=windows(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_grown_ring_holds_the_window(self, case, data):
+        register, cov, lo, hi = case
+        slots = data.draw(st.integers(register.slots, 3 * register.slots))
+        grown = register.grown(slots, lo, hi)
+        assert grown.slots == slots
+        old, new = positions(register.slots, lo, hi), positions(slots, lo, hi)
+        want = np.zeros((2 * slots, 2 * slots))
+        want[np.ix_(new, new)] = cov[np.ix_(old, old)]
+        assert grown.dense().tobytes() == want.tobytes()
+
+
+class TestPattern:
+    def test_storage_is_linear_in_the_ring(self):
+        # 1 qq, 4 qp, 4 pq and 9 pp diagonals, and the zero row
+        for k in (66, 1026):
+            assert DiagonalRegister((1, k - 2), k).diagonals.shape == (19, k)
+
+    def test_cz_off_the_pattern_raises(self):
+        register = DiagonalRegister((1, 4), 6)  # links at slot offsets 1, 2, 4, 5
+        for s in range(6):
+            register.emit(s, 0.5)
+        with pytest.raises(ValueError, match=re.escape("off the register's diagonals")):
+            register.cz(0, 3)
+
+    def test_cz_off_the_pattern_on_empty_slots_writes_zeros(self):
+        register = DiagonalRegister((1, 4), 6)
+        register.cz(0, 3)
+        assert not register.diagonals.any()
+
+    def test_load_off_the_pattern_raises(self):
+        register = DiagonalRegister((1, 4), 6)
+        cov = np.zeros((12, 12))
+        cov[0, 1] = cov[1, 0] = 0.1  # qq at slot offset 1
+        with pytest.raises(ValueError, match=re.escape("off the register's diagonals")):
+            register.load(cov)
+
+    def test_pattern_is_the_closed_forms(self):
+        qq, qp, pq, pp = pattern((1, 4))
+        assert qq == {0} and qp == pq == {1, -1, 4, -4}
+        assert pp == {0, 2, -2, 3, -3, 5, -5, 8, -8}

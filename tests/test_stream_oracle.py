@@ -1,4 +1,4 @@
-"""The ring-buffer live register along the whole stream.
+"""The diagonal live register along the whole stream.
 
 Two references that do not use the register: the closed-form canonical
 cluster after every tick, and a tick-by-tick replay of the same events on
@@ -35,6 +35,7 @@ from tcsim.pipeline import (
     run_pipeline,
     tick_events,
 )
+from tcsim.register import DiagonalRegister
 
 #: Max |register - closed form| / max |closed form| along a stream, set from
 #: float64 rounding (about 100 eps) before measuring; a relative fault of
@@ -134,18 +135,27 @@ def test_run_matches_copy_per_op_replay_bitwise(config):
     assert len(nullifiers) == config.n_pulses - config.reach
 
 
+def poke(register: DiagonalRegister, i: int, j: int, value) -> None:
+    """Set entry (i, j) of the register's dense buffer (slot order) to
+    ``value(entry)``, leaving its mirror (j, i) as it is."""
+    cov = register.dense()
+    cov[i, j] = value(cov[i, j])
+    register.load(cov)
+
+
 class TestRegisterChecks:
     def test_corrupted_register_rejected_at_next_measurement(self):
+        # (q_0, p_1), label offset 1: an entry the register stores
         config = lattice(3, 10)
         pipe = TemporalPipeline(config)
         for t in range(1, 5):
             pipe.execute(tick_events(config, t))
-        pipe.cov[0, 1] += 1e-6
+        poke(pipe.register, 0, pipe.register.slots + 1, lambda x: x + 1e-6)
         with pytest.raises(ValueError, match="symmetric"):
             pipe.execute(tick_events(config, 5))
 
-    @pytest.mark.parametrize("poke", ["nudge", "-nudge", "nan", "inf", "-inf"])
-    def test_guard_covers_the_whole_buffer(self, poke):
+    @pytest.mark.parametrize("fault", ["nudge", "-nudge", "nan", "inf", "-inf"])
+    def test_guard_covers_the_whole_buffer(self, fault):
         # Tick 5 measures node 1 (slot 1: rows and columns 1 and K + 1).
         # (q_3, p_4) lies outside them, and tick 5's CZs only add a zero to
         # it, so a check of the measured rows alone would miss the fault.
@@ -155,12 +165,12 @@ class TestRegisterChecks:
         pipe = TemporalPipeline(config)
         for t in range(1, 5):
             pipe.execute(tick_events(config, t))
-        k = pipe.slots
-        i, j = 3 % k, k + 4 % k
-        pipe.cov[i, j] = {
-            "nudge": pipe.cov[i, j] + 1e-6, "-nudge": pipe.cov[i, j] - 1e-6,
-            "nan": np.nan, "inf": np.inf, "-inf": -np.inf,
-        }[poke]
+        k = pipe.register.slots
+        fault = {
+            "nudge": lambda x: x + 1e-6, "-nudge": lambda x: x - 1e-6,
+            "nan": lambda x: np.nan, "inf": lambda x: np.inf, "-inf": lambda x: -np.inf,
+        }[fault]
+        poke(pipe.register, 3 % k, k + 4 % k, fault)
         with pytest.raises(ValueError, match="symmetric"):
             pipe.execute(tick_events(config, 5))
 
@@ -173,10 +183,10 @@ class TestRegisterChecks:
 
     def test_register_keeps_reach_plus_two_slots(self):
         pipe = TemporalPipeline(lattice(8, 10))
-        assert pipe.cov.shape == (20, 20)
+        assert pipe.register.slots == 10
         pipe.run()
-        assert pipe.cov.shape == (20, 20)
-        assert not np.any(pipe.cov)
+        assert pipe.register.slots == 10
+        assert not np.any(pipe.register.diagonals)
 
 
 # Certified steady state.  ``run`` keeps the buffer after a steady emission
@@ -318,10 +328,10 @@ def test_candidate_period_that_is_not_periodic_is_refused(config, monkeypatch):
         execute(self, events)
         runs.append(events)
         if events[0] == PipelineEvent("emit", (t0,)):
-            slot = node % self.slots
-            self.cov[slot, slot] *= 1.5
+            slot = node % self.register.slots
+            poke(self.register, slot, slot, lambda x: x * 1.5)
         if len(runs) == t0 + config.delay:
-            healed.append(np.array_equal(self.cov, clean.cov))
+            healed.append(np.array_equal(self.register.diagonals, clean.register.diagonals))
 
     monkeypatch.setattr(TemporalPipeline, "execute", perturbed)
     report = run_pipeline(config)
@@ -467,14 +477,14 @@ def test_deferred_run_certifies():
 
 @pytest.mark.parametrize("config, nodes", DEFERRED, ids=DEFERRED_IDS)
 def test_deferred_ring_grows_once_after_its_first_withheld_label(config, nodes, monkeypatch):
-    k = config.reach + 2
-    small, large = (2 * k, 2 * k), (2 * len(nodes), 2 * len(nodes))
+    small = k = config.reach + 2
+    large = len(nodes)
     pipe = TemporalPipeline(config, nodes)
     ticks = range(1, nodes[-1] + config.delay + 1)
     shapes = []
     for t in ticks:
         pipe.execute(tick_events(config, t, nodes))
-        shapes.append(pipe.cov.shape)
+        shapes.append(pipe.register.slots)
     if len(nodes) <= k:
         assert shapes == [small] * len(ticks)
     else:
@@ -484,16 +494,16 @@ def test_deferred_ring_grows_once_after_its_first_withheld_label(config, nodes, 
     assert np.max(np.abs(pipe.snapshot().cov - want)) / np.max(np.abs(want)) <= STREAM_REL_TOL
 
     # the certified run, on the ticks it runs kernels on
-    execute, buffers = TemporalPipeline.execute, []
+    execute, registers = TemporalPipeline.execute, []
 
     def recorded(self, events):
         execute(self, events)
-        if not buffers or buffers[-1] is not self.cov:
-            buffers.append(self.cov)
+        if not registers or registers[-1] is not self.register:
+            registers.append(self.register)
 
     monkeypatch.setattr(TemporalPipeline, "execute", recorded)
     TemporalPipeline(config, nodes).run()
-    assert [b.shape for b in buffers] == ([small] if len(nodes) <= k else [small, large])
+    assert [r.slots for r in registers] == ([small] if len(nodes) <= k else [small, large])
 
 
 # Deterministic, so one sweep per topology; small streams take every range.
@@ -615,18 +625,21 @@ def test_outcomes_are_the_seeds_normal_stream_in_node_order(config, nodes):
 
 
 def weighted_cz(weight):
-    """``gaussian.cz_slots`` with a CZ of ``weight`` in place of 1."""
-    def cz(cov, i, j):
+    """``DiagonalRegister.cz`` with a CZ of ``weight`` in place of 1: the
+    dense kernel ``gaussian.cz_slots``, weighted, on the register's buffer."""
+    def cz(register, i, j):
+        cov = register.dense()
         n = len(cov) // 2
         cov[n + i, :] += weight * cov[j, :]
         cov[n + j, :] += weight * cov[i, :]
         cov[:, n + i] += weight * cov[:, j]
         cov[:, n + j] += weight * cov[:, i]
         cov[n + j, n + i] = cov[n + i, n + j]
+        register.load(cov)
     return cz
 
 
 @pytest.mark.parametrize("config, nodes", [STORED[0], STORED[-1]], ids=["wire", "lattice-deferred"])
 def test_wrong_cz_weight_is_off_the_convention(config, nodes, monkeypatch):
-    monkeypatch.setattr("tcsim.pipeline.cz_slots", weighted_cz(1 + 2**-50))
+    monkeypatch.setattr(DiagonalRegister, "cz", weighted_cz(1 + 2**-50))
     assert off_convention(TemporalPipeline(config, nodes).run().records.stretches)
