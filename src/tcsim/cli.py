@@ -6,18 +6,18 @@ their check with ``--verify`` (and writes them to CSV with ``--csv``), and its
 measurement records with ``--emit-records``.  Exit code 0 iff every check
 passed, 1 on a failed check, 2 on usage errors (an output that cannot be
 written is one, and so are ``--out`` and ``--csv`` naming one file) and on a
-stored measurement off the pinned feedforward convention.  The
-``nullifiers`` and ``records`` rows are written by the row writer
+measurement that the run refuses as off the pinned feedforward convention.
+The ``nullifiers`` and ``records`` rows are written by the row writer
 (``_render_json``) straight from the run's stretches, each in bulk, in
 exactly the layout ``json.dumps(indent=2, sort_keys=True)`` would give them,
 with no record built; ``json.dumps`` renders the rest.  A record's
-feedforward is -(x / var) * b_keep, and on the convention (one unit-weight
-CZ, q-basis deletion) var > 0 and each b_keep entry is +0.0 or var, bitwise,
-so a row has one cell value c = -((x / var) * var).  Each outcome is
-``repr``'d once; c reuses the outcome's text with its sign flipped when it
-is bitwise -x and is ``repr``'d otherwise; a zero column reads -0.0 unless
-x's sign bit is set, spelled in the row template (one per outcome sign);
-and the rows are joined once per slice of at most ``_SLICE`` rows.
+feedforward is -(x / var) * b_keep, and the register has checked that each
+b_keep entry is +0.0 or var > 0, so a row has one cell value
+c = -((x / var) * var).  Each outcome is ``repr``'d once; c reuses the
+outcome's text with its sign flipped when it is bitwise -x and is ``repr``'d
+otherwise; a zero column reads -0.0 unless x's sign bit is set, spelled in
+the row template (one per outcome sign); and the rows are joined once per
+slice of at most ``_SLICE`` rows.
 
 ``build_parser`` states each subcommand once: its subparser sets the report
 builder ``main`` calls and the config values the subcommand implies.  It
@@ -202,7 +202,7 @@ def _unfold_report(args) -> dict:
 # rows are spliced in after json.dumps's text of the rest of the report.
 # Each row starts with the separator json.dumps puts before it; the first
 # row of a list drops the comma.  A stretch (``pipeline.Stretch``) is a
-# block of consecutive nodes that share one (var, b_keep).  The pipeline
+# block of consecutive nodes that share one measured row.  The pipeline
 # measures only q, so every record's angle is 0.0.
 _NULLIFIER_ROW = ',\n    {\n      "node": %%d,\n      "variance": %r\n    }'
 _CELL = ",\n        "
@@ -225,35 +225,19 @@ def _check_finite(values: np.ndarray) -> None:
         )
 
 
-def _record_rows(stretches: List[Stretch]) -> List[str]:
-    """The records' rows, joined per slice of at most ``_SLICE`` rows of a
-    stretch.  The arithmetic neither warns nor raises: a value that
-    overflows is refused by :func:`_stretch_rows`, as json.dumps would."""
-    rows: List[str] = []
-    with np.errstate(all="ignore"):
-        for s in stretches:
-            rows += _stretch_rows(s)
-    return rows
-
-
 def _stretch_rows(s: Stretch) -> List[str]:
     """A stretch's rows on the pinned feedforward convention (see the
     module docstring): only the outcomes and the cell values not bitwise
-    equal to -x call ``repr``, once each."""
+    equal to -x call ``repr``, once each.  The arithmetic neither warns nor
+    raises: a value that overflows is refused, as json.dumps would."""
     x, b = s.outcomes, s.b_keep
-    if not len(x):
-        return []
-    c = np.negative((x / s.var) * s.var)  # each row's live cell value
+    with np.errstate(all="ignore"):
+        c = np.negative((x / s.var) * s.var)  # each row's live cell value
     # c is finite only if x and var are, and x / var does not overflow; then,
     # with b finite, so is every value a row holds
     if not (np.isfinite(c).all() and np.isfinite(b).all()):
         # each row's values in the order json.dumps writes them
         _check_finite(np.column_stack([s.feedforward(), x]))
-    if not s.var > 0 or np.signbit(b).any() or (b[b != 0] != s.var).any():
-        raise ValueError(
-            f"node {s.first}: stored measurement is off the pinned feedforward "
-            "convention (var > 0, every b_keep entry +0.0 or var)"
-        )
     fragments = _fragments(b)
     reused = c.view(np.int64) == np.negative(x).view(np.int64)
     rows = []
@@ -315,7 +299,7 @@ def _render_json(report: dict) -> str:
             rows += map((_NULLIFIER_ROW % variance).__mod__, s.nodes)
         _splice(parts, "nullifiers", rows)
     if "records" in report:
-        _splice(parts, "records", _record_rows(report["records"]))
+        _splice(parts, "records", [row for s in report["records"] for row in _stretch_rows(s)])
     parts.append("\n}\n")
     return "".join(parts)
 

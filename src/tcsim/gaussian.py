@@ -97,14 +97,20 @@ class MeasurementRecord:
     ``outcome`` is the value of x_angle at that normalized angle.
     ``feedforward`` is the displacement applied to the survivors to cancel
     the conditional mean shift (pinned convention), so its length is
-    2 * (surviving mode count).  It is recorded here; the zero-mean state
-    never holds it.
+    2 * (surviving mode count).  It is recorded here, never in the
+    zero-mean state; ``==`` compares it with ``np.array_equal``.
     """
 
     node: Label
     angle: float
     outcome: float
     feedforward: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MeasurementRecord):
+            return NotImplemented
+        same = (self.node, self.angle, self.outcome) == (other.node, other.angle, other.outcome)
+        return same and np.array_equal(self.feedforward, other.feedforward)
 
 
 # In-place kernels.  Each acts on a 2n x 2n covariance buffer in block

@@ -123,7 +123,9 @@ class PipelineEvent:
 class Stretch:
     """Measurements of n consecutive nodes that share one (var, b_keep,
     nullifier): a kernel tick's (n = 1) or a certified stretch's
-    (:meth:`TemporalPipeline._repeat`), outcomes by ``_draw``.  Record j is
+    (:meth:`TemporalPipeline._repeat`), outcomes by ``_draw``.  ``b_keep`` is
+    on the pinned feedforward convention, each entry +0.0 or var, as
+    :meth:`DiagonalRegister.measured_row` checked it.  Record j is
     ``MeasurementRecord(first + j, 0.0, outcomes[j], -(b_keep * (outcomes[j] / var)))``
     and, past the boundary, its nullifier check is ``(first + j, nullifier)``.
     """
@@ -257,11 +259,12 @@ class TemporalPipeline:
     :class:`Stretch`es; ``records`` and ``nullifier_checks`` view it.
 
     Each node is q-measured as soon as its slot comes up, with the
-    conditional mean shift cancelled by feedforward (pinned convention) that
-    lists the survivors in ascending label order; just before, a non-boundary
-    node's nullifier variance is read by one more kernel, the register's
-    ``nullifier``, which writes no entry.  No kernel draws: :meth:`_draw`
-    draws each outcome.
+    conditional mean shift cancelled by feedforward that lists the survivors
+    in ascending label order; the register's ``measured_row`` reads the q
+    row and refuses one off the pinned feedforward convention.  Just before,
+    a non-boundary node's nullifier variance is read by one more kernel, the
+    register's ``nullifier``, which writes no entry.  No kernel draws:
+    :meth:`_draw` draws each outcome.
     """
 
     def __init__(self, config: PipelineConfig, deferred: range = range(0)):
@@ -390,7 +393,7 @@ class TemporalPipeline:
         slot = self._retire(node)
         self.register.check()
         variance = self.live_nullifier_variance(node) if node > self.config.reach else None
-        var, b_keep = self.register.measured_row(slot, self.hi - node)
+        var, b_keep = self.register.measured_row(slot, self.hi - node, node)
         self.register.measure(slot, node)
         self.measured.append(Stretch(node, var, b_keep, variance, self._draw(1, var)))
 

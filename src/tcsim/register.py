@@ -29,7 +29,6 @@ row per slot, so a call reads one row and runs no loop over entries.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from itertools import accumulate, chain
 from typing import List, Sequence, Tuple
 
@@ -75,10 +74,9 @@ class DiagonalRegister:
         self._size = self._zero * k
         self._qq0, self._pp0 = int(self._row[QQ, 0]), int(self._row[PP, 0])
         links = [o for b, o in self._stored if b == QP]  # a q row's p columns
-        # measured_row: each link's window position o - 1, in ascending order
-        self._link_at = [o - 1 for o in links]
-        self._link_at_array = np.array(self._link_at)
         self._link_rows = self._row[QP, links]
+        # measured_row: each link's window position o - 1 and its row
+        self._link_at = [(o - 1, int(w)) for o, w in zip(links, self._link_rows)]
         self._links = links
 
         # The tables every run of these offsets uses, built in one pass: the
@@ -252,16 +250,25 @@ class DiagonalRegister:
 
     # Reads and re-layouts, on a window of consecutive labels.
 
-    def measured_row(self, k: int, n: int) -> Tuple[float, np.ndarray]:
-        """Slot k's q variance and its q row over the n labels that follow
-        slot k's (their q, then their p, in label order), as a dense row
-        reads them: label l + a lies in slot k + a, so a link o of slot k is
-        window position o - 1, and only the p entries of links can be
-        nonzero."""
-        live = bisect_left(self._link_at, n)
-        b_keep = np.zeros(2 * n)
-        b_keep[n:][self._link_at_array[:live]] = self.diagonals[self._link_rows[:live], k]
-        return self.diagonals[self._qq0, k], b_keep
+    def measured_row(self, k: int, n: int, mode) -> Tuple[float, np.ndarray]:
+        """Slot k's q variance var and its q row over the n labels that
+        follow slot k's (their q, then their p, in label order), as a dense
+        row reads them: label l + a lies in slot k + a, so a link o of slot
+        k is window position o - 1, and only the p entries of links can be
+        nonzero.  This is the one check of the pinned feedforward convention
+        (one unit-weight CZ, q-basis deletion): each entry is +0.0 or var,
+        and one that is neither, bitwise, is refused."""
+        column = self.diagonals[:, k].tolist()
+        var, b_keep = column[self._qq0], np.zeros(2 * n)
+        for at, w in self._link_at:
+            if at < n and var and column[w] == var:  # equal to a nonzero var: its bits
+                b_keep[n + at] = var
+            elif at < n and (column[w] or math.copysign(1.0, column[w]) < 0):
+                raise ValueError(
+                    f"node {mode}: stored measurement is off the pinned feedforward "
+                    "convention (var > 0, every b_keep entry +0.0 or var)"
+                )
+        return var, b_keep
 
     def _window_entries(self, lo: int, hi: int):
         """The stored entries whose modes both lie in labels lo..hi: their

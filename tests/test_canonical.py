@@ -114,7 +114,9 @@ class TestIndependentOracle:
         """A CZ of weight 1 + 1e-3 patched into every module that binds the
         in-place CZ kernel ``cz_slots`` (which ``apply_cz`` also runs) and
         into the pipeline's register: an oracle built from the same gate
-        would share the fault and report 0."""
+        would share the fault and report 0.  A run that measures a node
+        refuses its q row, which is off the pinned feedforward convention;
+        a range from node 1 measures none, so the oracle must catch it."""
 
         def skewed_cz(cov, i, j):
             n = len(cov) // 2
@@ -130,10 +132,12 @@ class TestIndependentOracle:
         for module in (tcsim, tcsim.gaussian, tcsim.canonical, tcsim.pipeline):
             monkeypatch.setattr(module, "cz_slots", skewed_cz, raising=False)
         monkeypatch.setattr(tcsim.register.DiagonalRegister, "cz", skewed_register_cz)
-        for config, node_range in (
-            (PipelineConfig("wire", 20, squeezing_r=1.0, seed=5), (5, 10)),
-            (PipelineConfig("lattice", 30, width=3, squeezing_r=1.0, seed=5), (7, 12)),
-        ):
+        wire = PipelineConfig("wire", 20, squeezing_r=1.0, seed=5)
+        lattice = PipelineConfig("lattice", 30, width=3, squeezing_r=1.0, seed=5)
+        for config, node_range in ((wire, (5, 10)), (lattice, (7, 12))):
+            with pytest.raises(ValueError, match="^node 1: stored measurement is off the pinned"):
+                equivalence_check(config, node_range)
+        for config, node_range in ((wire, (1, 10)), (lattice, (1, 12))):
             assert equivalence_check(config, node_range) > 1e-6
 
 

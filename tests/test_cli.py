@@ -293,6 +293,21 @@ class TestSqueezingFlags:
         assert by_db["config"]["squeezing_r"] == by_r["config"]["squeezing_r"] == db_to_r(10)
 
 
+def weighted_cz(weight):
+    """``DiagonalRegister.cz`` with a CZ of ``weight`` in place of 1: the
+    dense kernel ``gaussian.cz_slots``, weighted, on the register's buffer."""
+    def cz(register, i, j):
+        cov = register.dense()
+        n = len(cov) // 2
+        cov[n + i, :] += weight * cov[j, :]
+        cov[n + j, :] += weight * cov[i, :]
+        cov[:, n + i] += weight * cov[:, j]
+        cov[:, n + j] += weight * cov[:, i]
+        cov[n + j, n + i] = cov[n + i, n + j]
+        register.load(cov)
+    return cz
+
+
 class TestErrors:
     def test_wire_compare_with_width_exits_2(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -407,23 +422,31 @@ class TestErrors:
     ):
         # Off the pinned feedforward convention: each b_keep entry is var
         # times the weight, not var.
-        weight = 1 + 2**-50
-
-        def weighted_cz(register, i, j):
-            cov = register.dense()
-            n = len(cov) // 2
-            cov[n + i, :] += weight * cov[j, :]
-            cov[n + j, :] += weight * cov[i, :]
-            cov[:, n + i] += weight * cov[:, j]
-            cov[:, n + j] += weight * cov[:, i]
-            cov[n + j, n + i] = cov[n + i, n + j]
-            register.load(cov)
-
-        monkeypatch.setattr(tcsim.register.DiagonalRegister, "cz", weighted_cz)
+        monkeypatch.setattr(tcsim.register.DiagonalRegister, "cz", weighted_cz(1 + 2**-50))
         out = tmp_path / "r.json"
         argv = ["lattice", "--nodes", "2000", "--width", "8", "--squeezing-db", "10",
                 "--emit-records", "--out", str(out)]
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: node 1: stored measurement is off the pinned feedforward convention")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattice", "--nodes", "2000", "--width", "8", "--squeezing-db", "10", "--verify"],
+            ["compare", "--topology", "lattice", "--nodes", "2000", "--width", "8",
+             "--squeezing-db", "10", "--range", "1900..2000"],
+        ],
+        ids=["verify", "compare"],
+    )
+    def test_wrong_cz_weight_without_records_returns_2_and_writes_nothing(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        # The run refuses node 1's measured row, whatever the report writes.
+        monkeypatch.setattr(tcsim.register.DiagonalRegister, "cz", weighted_cz(1 + 2**-50))
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: node 1: stored measurement is off the pinned feedforward convention")
         assert not out.exists()
@@ -639,19 +662,6 @@ class TestRowWriter:
         with pytest.raises(ValueError, match="not JSON compliant"):
             render(report)
         assert_renders_as_json_dumps(report)
-
-    @pytest.mark.parametrize(
-        "var, b_keep",
-        [(-2.0, [0.0, -2.0]), (2.0, [-0.0, 2.0]), (2.0, [0.0, -2.0]), (2.0, [0.0, np.nextafter(2.0, 3.0)])],
-        ids=["var-not-positive", "minus-zero-entry", "negative-entry", "entry-not-var"],
-    )
-    def test_stretch_off_the_convention_is_refused_naming_its_first_node(self, var, b_keep):
-        # b_keep [0.0, 2.0] is on it; json.dumps would render each of these
-        on = Stretch(3, 2.0, np.array([0.0, 2.0]), None, np.array([0.5]))
-        off = Stretch(10, var, np.array(b_keep), None, np.array([1.0, -3.0, 0.0]))
-        json.dumps(dict_rows(report_of([], [on, off])), allow_nan=False)
-        with pytest.raises(ValueError, match=r"^node 10: stored measurement is off the pinned feedforward convention"):
-            render(report_of([], [on, off]))
 
 
 def assert_renders_as_json_dumps(report):

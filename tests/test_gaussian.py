@@ -349,6 +349,16 @@ class TestNullifierSlotMatchesDense:
 
 
 class TestMeasurement:
+    def test_records_compare_by_value(self):
+        state = apply_cz(apply_cz(vacuum_state(3), 1, 2), 2, 3)
+        _, a = measure_quadrature(state, 1, 0.0, outcome=0.25)
+        _, b = measure_quadrature(state, 1, 0.0, outcome=0.25)
+        assert a.feedforward is not b.feedforward
+        assert a == b and not a != b
+        assert a != measure_quadrature(state, 1, 0.0, outcome=0.5)[1]
+        assert a != measure_quadrature(state, 2, 0.0, outcome=0.25)[1]
+        assert a != (a.node, a.angle, a.outcome, a.feedforward)
+
     def test_vacuum_forced_zero(self):
         reduced, rec = measure_quadrature(vacuum_state(1), 1, 0.0, outcome=0.0)
         assert reduced.n_modes == 0

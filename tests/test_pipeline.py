@@ -303,6 +303,7 @@ class TestDeterminism:
         b = run_pipeline(lattice_config(40, 4, seed=7))
         assert a.high_water == b.high_water
         assert a.nullifier_checks == b.nullifier_checks
+        assert a.records == b.records and not a.records != b.records
         for ra, rb in zip(a.records, b.records):
             assert ra.node == rb.node and ra.outcome == rb.outcome
             assert np.array_equal(ra.feedforward, rb.feedforward)
@@ -311,6 +312,7 @@ class TestDeterminism:
         a = run_pipeline(wire_config(10, seed=1))
         b = run_pipeline(wire_config(10, seed=2))
         assert any(ra.outcome != rb.outcome for ra, rb in zip(a.records, b.records))
+        assert a.records != b.records
 
 
 class TestWindowGuards:

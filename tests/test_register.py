@@ -158,6 +158,22 @@ def windows(draw):
     return register, cov, lo, lo + n - 1
 
 
+def on_convention(case, data):
+    """A window whose oldest label's q row over the rest of the window, its
+    measured row, is on the pinned feedforward convention: each entry the
+    window may hold is +0.0 or that label's q variance var, bitwise.
+    Returns the window, the label's slot and the row's dense positions."""
+    register, cov, lo, hi = case
+    assume(lo <= hi)
+    k = lo % register.slots  # the oldest label, retired
+    assume(cov[k, k] > 0)  # it holds a mode
+    row = positions(register.slots, lo + 1, hi)
+    for c in row[np.flatnonzero(cov[k, row])]:
+        cov[k, c] = cov[c, k] = data.draw(st.sampled_from([0.0, cov[k, k]]))
+    register.load(cov)
+    return register, cov, lo, hi, k, row
+
+
 def positions(k, lo, hi):
     """Dense positions of labels lo..hi: their q slots, then their p slots."""
     q = np.arange(lo, hi + 1) % k
@@ -172,15 +188,39 @@ class TestWindowReads:
         idx = positions(register.slots, lo, hi)
         assert register.window(lo, hi).tobytes() == cov[np.ix_(idx, idx)].tobytes()
 
-    @given(case=windows())
+    @given(case=windows(), data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_measured_row_is_the_dense_row(self, case):
-        register, cov, lo, hi = case
-        assume(lo <= hi)
-        k = lo % register.slots  # the oldest label, retired
-        var, b_keep = register.measured_row(k, hi - lo)
+    def test_measured_row_is_the_dense_row(self, case, data):
+        register, cov, lo, hi, k, row = on_convention(case, data)
+        var, b_keep = register.measured_row(k, hi - lo, lo)
         assert np.float64(var).tobytes() == cov[k, k].tobytes()
-        assert b_keep.tobytes() == cov[k][positions(register.slots, lo + 1, hi)].tobytes()
+        assert b_keep.tobytes() == cov[k][row].tobytes()
+
+    @given(case=windows(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_measured_row_off_the_convention_is_refused(self, case, data):
+        register, cov, lo, hi, k, row = on_convention(case, data)
+        stored = row[np.flatnonzero(pattern_mask(register.offsets, register.slots)[k, row])]
+        assume(stored.size)
+        c = data.draw(st.sampled_from(stored.tolist()))
+        var = cov[k, k]
+        wrong = [-0.0, -var, np.nextafter(var, 0.0), np.nextafter(var, np.inf), var / 3]
+        cov[k, c] = cov[c, k] = data.draw(st.sampled_from(wrong))
+        register.load(cov)
+        with pytest.raises(ValueError, match=f"^node {lo}: stored measurement is off the pinned feedforward convention"):
+            register.measured_row(k, hi - lo, lo)
+
+    @pytest.mark.parametrize("var", [-2.0, 0.0, 1e-13])
+    def test_measure_refuses_a_variance_that_is_not_positive(self, var):
+        # measured_row reads such a row, and measure refuses it before the
+        # run stores it, so every stored measurement has var > 0
+        register = DiagonalRegister((1,), 3)
+        cov = np.zeros((6, 6))
+        cov[0, 0] = var
+        register.load(cov)
+        register.measured_row(0, 2, 7)
+        with pytest.raises(ValueError, match=r"^degenerate marginal variance .* on mode 7$"):
+            register.measure(0, 7)
 
     @given(case=windows(), n=st.integers(-5, 5))
     @settings(max_examples=100, deadline=None)

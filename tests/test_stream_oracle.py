@@ -143,6 +143,17 @@ def poke(register: DiagonalRegister, i: int, j: int, value) -> None:
     register.load(cov)
 
 
+def scale_q_row(register: DiagonalRegister, slot: int, factor: float) -> None:
+    """Scale slot ``slot``'s q variance, its q row's p entries and their
+    mirrors by ``factor``, in the register's dense buffer (slot order)."""
+    cov = register.dense()
+    k = register.slots
+    cov[slot, slot] *= factor
+    cov[slot, k:] *= factor
+    cov[k:, slot] *= factor
+    register.load(cov)
+
+
 class TestRegisterChecks:
     def test_corrupted_register_rejected_at_next_measurement(self):
         # (q_0, p_1), label offset 1: an entry the register stores
@@ -314,7 +325,9 @@ def test_candidate_period_that_is_not_periodic_is_refused(config, monkeypatch):
     # The first candidate opens after tick t0.  Scaling, at the end of that
     # tick, the q variance of the node that tick t0 + 1 measures makes tick
     # t0 + 1's measurement one the stream never repeats: certifying it would
-    # copy the perturbed records into every later tick.
+    # copy the perturbed records into every later tick.  The node's live qp
+    # entries and their mirrors are scaled with it, so its q row stays on
+    # the pinned feedforward convention and the register stays symmetric.
     t0 = 2 * config.reach + 2
     node = t0 + 1 - config.delay
     unperturbed = run_pipeline(config)
@@ -328,8 +341,7 @@ def test_candidate_period_that_is_not_periodic_is_refused(config, monkeypatch):
         execute(self, events)
         runs.append(events)
         if events[0] == PipelineEvent("emit", (t0,)):
-            slot = node % self.register.slots
-            poke(self.register, slot, slot, lambda x: x * 1.5)
+            scale_q_row(self.register, node % self.register.slots, 1.5)
         if len(runs) == t0 + config.delay:
             healed.append(np.array_equal(self.register.diagonals, clean.register.diagonals))
 
@@ -585,19 +597,22 @@ def test_range_that_ends_early_runs_no_tick_past_its_last(monkeypatch):
 
 
 # The pinned feedforward convention.  With one unit-weight CZ and q-basis
-# deletion, a measured node's q row holds var on each live CZ partner's p
-# and +0.0 elsewhere, so every stored measurement has var > 0 and each
-# b_keep entry bitwise +0.0 or var: the record writer renders one cell value
-# per row on it and refuses a stretch off it.
+# deletion, a measured node's q row holds var on the p of each live CZ
+# partner and +0.0 elsewhere; the register refuses a row off it.  Checked
+# here against the topology, not against the register: node t's survivors
+# are labels t + 1 ... and its live partners t + d among them.
 
 
-def off_convention(stretches):
+def off_convention(stretches, config):
     """The first node of each stretch off the convention."""
-    return [
-        s.first for s in stretches
-        if not (s.var > 0 and not np.signbit(s.b_keep).any()
-                and (s.b_keep[s.b_keep != 0].view(np.int64) == np.float64(s.var).view(np.int64)).all())
-    ]
+    off = []
+    for s in stretches:
+        n = len(s.b_keep) // 2  # the survivors
+        want = np.zeros(2 * n)
+        want[[n + d - 1 for d in config.offsets if d <= n]] = s.var
+        if not (s.var > 0 and s.b_keep.tobytes() == want.tobytes()):
+            off.append(s.first)
+    return off
 
 
 STORED = [(config, range(0)) for config in CERTIFIED] + DEFERRED
@@ -608,7 +623,7 @@ STORED_IDS = [
 
 @pytest.mark.parametrize("config, nodes", STORED, ids=STORED_IDS)
 def test_every_stored_measurement_is_on_the_feedforward_convention(config, nodes):
-    assert off_convention(TemporalPipeline(config, nodes).run().records.stretches) == []
+    assert off_convention(TemporalPipeline(config, nodes).run().records.stretches, config) == []
 
 
 @pytest.mark.parametrize("config, nodes", STORED, ids=STORED_IDS)
@@ -641,5 +656,7 @@ def weighted_cz(weight):
 
 @pytest.mark.parametrize("config, nodes", [STORED[0], STORED[-1]], ids=["wire", "lattice-deferred"])
 def test_wrong_cz_weight_is_off_the_convention(config, nodes, monkeypatch):
+    # node 1's q row holds var * (1 + 2**-50) on its partner's p
     monkeypatch.setattr(DiagonalRegister, "cz", weighted_cz(1 + 2**-50))
-    assert off_convention(TemporalPipeline(config, nodes).run().records.stretches)
+    with pytest.raises(ValueError, match="^node 1: stored measurement is off the pinned feedforward convention"):
+        TemporalPipeline(config, nodes).run()
