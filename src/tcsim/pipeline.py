@@ -62,9 +62,12 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_pulses < 1:
             raise ValueError("need at least one pulse")
-        if not math.isfinite(self.squeezing_r):
-            raise ValueError(f"squeezing parameter must be finite, got {self.squeezing_r}")
-        if self.squeezing_r < 0:
+        r = self.squeezing_r
+        if isinstance(r, bool) or not isinstance(r, numbers.Real):
+            raise ValueError(f"squeezing_r must be a real number, got {r!r}")
+        if not math.isfinite(r):
+            raise ValueError(f"squeezing parameter must be finite, got {r}")
+        if r < 0:
             raise ValueError("squeezing parameter must be nonnegative")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
@@ -236,22 +239,20 @@ def build_schedule(config: PipelineConfig) -> List[PipelineEvent]:
 class TemporalPipeline:
     """Executes the run tick by tick on a ring-buffer live register.
 
-    The live labels always form one consecutive window, so the mode with
-    label l lives in slot l mod K, with no label map and no free list; slots
-    outside the window hold zeros.  K is reach + 2, a stream's high-water
-    mark.  The register, a :class:`~tcsim.register.DiagonalRegister`, stores
-    only the slot-offset diagonals of the covariance that the topology can
-    fill, so it holds O(K) values, not (2K)^2.  A run with a nonempty
-    ``deferred`` range (see :func:`tick_events`) ends holding the whole
-    range, so when an emission would overflow its ring, which first happens
-    the tick after its first deferred label was withheld from the
-    measurement slot, it re-lays its window out once on K = len(range)
-    slots; a stream's ring never grows.  Every event is one in-place kernel
-    of the register, each the dense kernel of :mod:`tcsim.gaussian` on the
-    stored entries, bit for bit: emit writes two diagonal entries, CZ adds
-    two rows and two columns, measure is one rank-1 downdate of the p rows
-    of the measured node's live graph neighbours, and both measure and trace
-    then clear the slot.  The kernels keep the register exactly symmetric;
+    The live labels always form one consecutive window, which the register,
+    a :class:`~tcsim.register.DiagonalRegister`, keeps on a ring of K slots
+    with no label map and no free list; its kernels take the labels.  Each
+    run builds one register and keeps it: K is reach + 2, a stream's
+    high-water mark, or len(range) if that is larger for a run with a
+    nonempty ``deferred`` range (see :func:`tick_events`), which ends
+    holding the whole range.  The register stores only the slot-offset
+    diagonals of the covariance that the topology can fill, so it holds
+    O(K) values, not (2K)^2.  Every event is one in-place kernel of the
+    register, each the dense kernel of :mod:`tcsim.gaussian` on the stored
+    entries, bit for bit: emit writes two diagonal entries, CZ adds two rows
+    and two columns, measure is one rank-1 downdate of the p rows of the
+    measured node's live graph neighbours, and both measure and trace then
+    clear the mode.  The kernels keep the register exactly symmetric;
     every stored entry is checked (mirrored and finite) once per tick that
     runs kernels, before the tick's measurement.  A tick that :meth:`run`
     certifies as steady runs no kernel: it repeats a checked register one
@@ -271,12 +272,12 @@ class TemporalPipeline:
         self.config = config
         self.deferred = deferred
         self.rng = np.random.default_rng(config.seed)
-        self.register = DiagonalRegister(config.offsets, config.reach + 2)
+        self.register = DiagonalRegister(config.offsets, max(config.reach + 2, len(deferred)))
         ancillas = config.ancilla_labels
         # the live window is lo..hi; it is empty when hi < lo
         self.lo, self.hi = ancillas[0], ancillas[-1]
         for label in ancillas:
-            self.register.emit(label % self.register.slots, 0.0)
+            self.register.emit(label, 0.0)
         self.measured: List[Stretch] = []
         self.high_water = len(ancillas)
         # an open candidate's diagonals, rolled one slot (see run), or None
@@ -298,14 +299,14 @@ class TemporalPipeline:
         for event in events:
             kind, labels = event.kind, event.labels
             if kind == "cz":
-                slots = self.register.slots
-                self.register.cz(labels[0] % slots, labels[1] % slots)
+                self.register.cz(*labels)
             elif kind == "emit":
                 self._emit(labels[0])
             elif kind == "measure":
                 self._finalize(labels[0])
             elif kind == "trace":
-                self.register.clear(self._retire(labels[0]))
+                self._retire(labels[0])
+                self.register.clear(labels[0])
             else:
                 raise ValueError(f"unknown event kind {kind!r}")
 
@@ -340,10 +341,9 @@ class TemporalPipeline:
         stream runs kernels on 3 reach + 3 ticks for any N >= 2 reach + 2,
         flush included (N = 2 reach + 2 has no emission left to repeat and
         runs them all), and a deferred run on 2 reach + 2 ticks plus the
-        last + delay - stop after its stretch, whatever N.  Its ring is a
-        stream's until tick stop + 2, when it grows (see :meth:`_emit`); no
-        candidate is open then, and the kernels run on the grown ring as on
-        the small one.
+        last + delay - stop after its stretch, whatever N.  Its ring is
+        sized once, when the run is built, so the certificate compares
+        registers of one size throughout.
         """
         config, deferred = self.config, self.deferred
         last = deferred[-1] if deferred else config.n_pulses
@@ -366,35 +366,30 @@ class TemporalPipeline:
         return RunReport(self.config, self.records, self.high_water, self.nullifier_checks)
 
     def _emit(self, label: int) -> None:
-        slots = self.register.slots
-        if label == self.hi + 1 and label - self.lo == slots < len(self.deferred):
-            # re-lay the window out once on a ring of len(deferred) slots
-            self.register = self.register.grown(len(self.deferred), self.lo, self.hi)
-            slots = self.register.slots
-        if label != self.hi + 1 or label - self.lo >= slots:
+        """Emit ``label`` as the window's newest mode.  The ring was sized
+        for the run, so an emission that would overflow it is refused."""
+        if label != self.hi + 1 or label - self.lo >= self.register.slots:
             raise RuntimeError(f"cannot emit {label} into window {self.lo}..{self.hi}")
         self.hi = label
-        self.register.emit(label % slots, self.config.squeezing_r)
+        self.register.emit(label, self.config.squeezing_r)
         if label - self.lo + 1 > self.high_water:
             self.high_water = label - self.lo + 1
 
-    def _retire(self, label: int) -> int:
-        """Take the oldest live label out of the window; returns its slot.
+    def _retire(self, label: int) -> None:
+        """Take the oldest live label out of the window.
 
-        The slot's rows and columns still hold the mode until a kernel
-        clears them.
+        The register still holds its mode until a kernel clears it.
         """
         if label != self.lo or label > self.hi:
             raise RuntimeError(f"cannot finalize {label} in window {self.lo}..{self.hi}")
         self.lo = label + 1
-        return label % self.register.slots
 
     def _finalize(self, node: int) -> None:
-        slot = self._retire(node)
+        self._retire(node)
         self.register.check()
         variance = self.live_nullifier_variance(node) if node > self.config.reach else None
-        var, b_keep = self.register.measured_row(slot, self.hi - node, node)
-        self.register.measure(slot, node)
+        var, b_keep = self.register.measured_row(node, self.hi - node)
+        self.register.measure(node)
         self.measured.append(Stretch(node, var, b_keep, variance, self._draw(1, var)))
 
     def _repeat(self, t: int, stop: int) -> int:
@@ -429,9 +424,8 @@ class TemporalPipeline:
         live ones, node + d up to ``hi``, go to the register's ``nullifier``
         in ascending label order.
         """
-        slots = self.register.slots
-        live = [(node + d) % slots for d in self.config.offsets if node + d <= self.hi]
-        return self.register.nullifier(node % slots, live)
+        live = [node + d for d in self.config.offsets if node + d <= self.hi]
+        return self.register.nullifier(node, live)
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
@@ -477,11 +471,10 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     releases its register before building the oracle,
     :func:`range_oracle`; no outcome is replayed.  Neither grows with N: the
     run certifies like a stream until the range's first node reaches the
-    measurement slot, on a stream's reach + 2 slots, so it runs kernels on a
-    fixed number of ticks around one certified stretch and holds len(range)
-    slots only once the range starts to pile up; the oracle's graph is the
-    range's.  Returns the max entrywise difference between the covariances
-    (both states are zero-mean).
+    measurement slot, so it runs kernels on a fixed number of ticks around
+    one certified stretch, on one register of max(reach + 2, len(range))
+    slots; the oracle's graph is the range's.  Returns the max entrywise
+    difference between the covariances (both states are zero-mean).
     """
     first, last = node_range
     if not (1 <= first <= last <= config.n_pulses):

@@ -1,6 +1,9 @@
 """The streaming pipeline's live register, stored as slot-offset diagonals.
 
-The live modes sit on a ring of K slots (label l in slot l mod K), and their
+The live modes sit on a ring of K slots, label l in slot l mod K.  Every
+kernel and read takes mode labels and maps each to its slot, so the ring's
+layout is known to this module alone; K is fixed when the register is
+built, and a run builds one, of the most modes it holds live.  The modes'
 2K x 2K covariance, in block ordering, only ever holds the pattern of the
 closed form S diag(a, b) S^T of the topology's graph.  With d, d1, d2
 ranging over the topology's link offsets and their negatives, entry (r, c),
@@ -123,12 +126,14 @@ class DiagonalRegister:
         if values.any():
             raise ValueError("update would make an entry off the register's diagonals nonzero")
 
-    # Kernels, on slots.
+    # Kernels, on mode labels: label l is slot l mod K.
 
-    def emit(self, k: int, r: float) -> None:
-        """Write a p-squeezed vacuum, diag(e^{2r}/2, e^{-2r}/2), into empty slot k."""
+    def emit(self, label: int, r: float) -> None:
+        """Write a p-squeezed vacuum, diag(e^{2r}/2, e^{-2r}/2), into the
+        empty slot of ``label``."""
         if r < 0:
             raise ValueError("squeezing parameter must be nonnegative")
+        k = label % self.slots
         self.diagonals[self._qq0, k] = VACUUM_VARIANCE * math.exp(2 * r)
         self.diagonals[self._pp0, k] = VACUUM_VARIANCE * math.exp(-2 * r)
 
@@ -165,12 +170,13 @@ class DiagonalRegister:
         off = table[0] // self.slots == self._zero
         return table, n, np.flatnonzero(off[:n]), np.flatnonzero(off[2 * n : 3 * n])
 
-    def cz(self, i: int, j: int) -> None:
-        """Unit-weight CZ on slots i and j: :func:`gaussian.cz_slots` on the
-        stored entries, the two row adds as one step, the two column adds
-        (which read the updated q columns) as the next, then (p_j, p_i)
-        mirrored from (p_i, p_j)."""
-        delta = (j - i) % self.slots
+    def cz(self, a: int, b: int) -> None:
+        """Unit-weight CZ on labels a and b, in slots i and j:
+        :func:`gaussian.cz_slots` on the stored entries, the two row adds as
+        one step, the two column adds (which read the updated q columns) as
+        the next, then (p_j, p_i) mirrored from (p_i, p_j)."""
+        i = a % self.slots
+        delta = (b - a) % self.slots
         if not delta:
             raise ValueError("CZ requires two distinct slots")
         found = self._cz.get(delta)
@@ -188,14 +194,16 @@ class DiagonalRegister:
         flat[targets] += flat[sources]
         flat[at[-1]] = flat[at[-2]]
 
-    def measure(self, k: int, mode) -> None:
-        """Homodyne-measure q on slot k: :func:`gaussian.measure_slot` on the
-        stored entries.  The q column's support is slot k's q and the p of
-        its links, so the downdate (b_a b_b) / var falls on the pp entries
-        of those links, and slot k is then cleared."""
+    def measure(self, label: int) -> None:
+        """Homodyne-measure q on ``label``, in slot k:
+        :func:`gaussian.measure_slot` on the stored entries.  The q column's
+        support is slot k's q and the p of its links, so the downdate
+        (b_a b_b) / var falls on the pp entries of those links, and the mode
+        is then cleared."""
+        k = label % self.slots
         var = self.diagonals[self._qq0, k]
         if var < MARGINAL_FLOOR:
-            raise ValueError(f"degenerate marginal variance {var:.3e} on mode {mode!r}")
+            raise ValueError(f"degenerate marginal variance {var:.3e} on mode {label!r}")
         b = self.diagonals[self._link_rows, k]
         downdate = b[:, None] * b
         downdate /= var
@@ -203,11 +211,12 @@ class DiagonalRegister:
         if self._downdate_off.size:
             self._refuse_off_pattern(downdate[self._downdate_off])
         self._flat[self._downdate[k]] -= downdate
-        self.clear(k)
+        self.clear(label)
 
-    def clear(self, k: int) -> None:
-        """Discard the mode in slot k: zero its q and p rows, then their
-        mirrors, which are its q and p columns."""
+    def clear(self, label: int) -> None:
+        """Discard ``label``'s mode, in slot k: zero its q and p rows, then
+        their mirrors, which are its q and p columns."""
+        k = label % self.slots
         self.diagonals[:, k] = 0.0
         self._flat[self._mirror[k :: self.slots]] = 0.0
 
@@ -226,11 +235,13 @@ class DiagonalRegister:
         v[-1] = 1.0
         return table, n, v
 
-    def nullifier(self, k: int, neighbours: Sequence[int]) -> float:
-        """:func:`gaussian.nullifier_slot`: v^T C v over the ``neighbours``'
-        q, in the order given, then p_k, gathered in the same (column-major)
-        layout as the dense kernel's two-step gather."""
-        key = tuple((s - k) % self.slots for s in neighbours)
+    def nullifier(self, label: int, neighbours: Sequence[int]) -> float:
+        """:func:`gaussian.nullifier_slot`: v^T C v over the q of the
+        ``neighbours`` (labels), in the order given, then ``label``'s p,
+        gathered in the same (column-major) layout as the dense kernel's
+        two-step gather."""
+        k = label % self.slots
+        key = tuple((s - label) % self.slots for s in neighbours)
         found = self._forms.get(key)
         if found is None:
             found = self._forms[key] = self._form_kernel(self._tables(self._form_entries(key))[0])
@@ -248,43 +259,38 @@ class DiagonalRegister:
         if not (defect.max() <= SYMMETRY_TOL):
             raise ValueError("covariance matrix is not symmetric and finite")
 
-    # Reads and re-layouts, on a window of consecutive labels.
+    # Reads and relabellings, on a window of consecutive labels.
 
-    def measured_row(self, k: int, n: int, mode) -> Tuple[float, np.ndarray]:
-        """Slot k's q variance var and its q row over the n labels that
-        follow slot k's (their q, then their p, in label order), as a dense
-        row reads them: label l + a lies in slot k + a, so a link o of slot
-        k is window position o - 1, and only the p entries of links can be
-        nonzero.  This is the one check of the pinned feedforward convention
-        (one unit-weight CZ, q-basis deletion): each entry is +0.0 or var,
-        and one that is neither, bitwise, is refused."""
-        column = self.diagonals[:, k].tolist()
+    def measured_row(self, label: int, n: int) -> Tuple[float, np.ndarray]:
+        """``label``'s q variance var and its q row over the n labels that
+        follow it (their q, then their p, in label order), as a dense row
+        reads them: a link o of the label is window position o - 1, and only
+        the p entries of links can be nonzero.  This is the one check of the
+        pinned feedforward convention (one unit-weight CZ, q-basis
+        deletion): each entry is +0.0 or var, and one that is neither,
+        bitwise, is refused."""
+        column = self.diagonals[:, label % self.slots].tolist()
         var, b_keep = column[self._qq0], np.zeros(2 * n)
         for at, w in self._link_at:
             if at < n and var and column[w] == var:  # equal to a nonzero var: its bits
                 b_keep[n + at] = var
             elif at < n and (column[w] or math.copysign(1.0, column[w]) < 0):
                 raise ValueError(
-                    f"node {mode}: stored measurement is off the pinned feedforward "
+                    f"node {label}: stored measurement is off the pinned feedforward "
                     "convention (var > 0, every b_keep entry +0.0 or var)"
                 )
         return var, b_keep
 
-    def _window_entries(self, lo: int, hi: int):
-        """The stored entries whose modes both lie in labels lo..hi: their
-        blocks, the window positions of their row and column modes, and
-        their flat positions."""
-        n = hi - lo + 1
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """The dense 2n x 2n covariance of labels lo..hi, in label order: the
+        stored entries whose modes both lie in the window, at their modes'
+        window positions."""
+        n = max(hi - lo + 1, 0)
         block, rslot, cslot = self._entries()
         at = (np.arange(self.slots) - lo) % self.slots
         r, c = at[rslot], at[cslot]
         live = np.flatnonzero((r < n) & (c < n))
-        return block[live], r[live], c[live], live
-
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        """The dense 2n x 2n covariance of labels lo..hi, in label order."""
-        n = max(hi - lo + 1, 0)
-        block, r, c, live = self._window_entries(lo, hi)
+        block, r, c = block[live], r[live], c[live]
         cov = np.zeros((2 * n, 2 * n))
         cov[(block >> 1) * n + r, (block & 1) * n + c] = self._flat[live]
         return cov
@@ -304,18 +310,6 @@ class DiagonalRegister:
         rest[rows, cols] = 0.0
         self._refuse_off_pattern(rest)
         self._flat[: self._size] = values
-
-    def grown(self, slots: int, lo: int, hi: int) -> "DiagonalRegister":
-        """The window lo..hi re-laid out on a ring of ``slots`` slots: label
-        l moves from slot l mod K to slot l mod ``slots``, with its exact
-        values."""
-        new = DiagonalRegister(self.offsets, slots)
-        block, r, c, live = self._window_entries(lo, hi)
-        values = self._flat[live]
-        rows = new._row[block, (c - r) % slots]
-        self._refuse_off_pattern(values[rows == new._zero])
-        new._flat[rows * slots + (lo + r) % slots] = values
-        return new
 
     def rolled(self, n: int) -> np.ndarray:
         """A copy of the diagonals with slot s holding slot s - n's values:

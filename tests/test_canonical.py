@@ -21,6 +21,8 @@ from tcsim.gaussian import (
 from tcsim.graphs import make_graph, nullifier_variances, sheared_cylinder_graph, wire_graph
 from tcsim.pipeline import PipelineConfig, equivalence_check
 
+from register_faults import weighted_cz
+
 
 def random_graph(n_nodes, edge_prob, rng):
     nodes = list(range(1, n_nodes + 1))
@@ -124,14 +126,9 @@ class TestIndependentOracle:
             s[n + i, j] = s[n + j, i] = 1.0 + 1e-3
             cov[:] = s @ cov @ s.T
 
-        def skewed_register_cz(register, i, j):
-            cov = register.dense()
-            skewed_cz(cov, i, j)
-            register.load(cov)
-
         for module in (tcsim, tcsim.gaussian, tcsim.canonical, tcsim.pipeline):
             monkeypatch.setattr(module, "cz_slots", skewed_cz, raising=False)
-        monkeypatch.setattr(tcsim.register.DiagonalRegister, "cz", skewed_register_cz)
+        monkeypatch.setattr(tcsim.register.DiagonalRegister, "cz", weighted_cz(1.0 + 1e-3))
         wire = PipelineConfig("wire", 20, squeezing_r=1.0, seed=5)
         lattice = PipelineConfig("lattice", 30, width=3, squeezing_r=1.0, seed=5)
         for config, node_range in ((wire, (5, 10)), (lattice, (7, 12))):

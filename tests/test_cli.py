@@ -18,6 +18,8 @@ from tcsim.cli import NULLIFIER_TOL, _check, _config_dict, _config_from_args, bu
 from tcsim.gaussian import VACUUM_VARIANCE, db_to_r
 from tcsim.pipeline import Rows, Stretch, run_pipeline
 
+from register_faults import weighted_cz
+
 SRC = str(Path(tcsim.cli.__file__).resolve().parent.parent)
 
 
@@ -291,21 +293,6 @@ class TestSqueezingFlags:
             ["wire", "--nodes", "3", "--squeezing-r", repr(db_to_r(10))], tmp_path
         )
         assert by_db["config"]["squeezing_r"] == by_r["config"]["squeezing_r"] == db_to_r(10)
-
-
-def weighted_cz(weight):
-    """``DiagonalRegister.cz`` with a CZ of ``weight`` in place of 1: the
-    dense kernel ``gaussian.cz_slots``, weighted, on the register's buffer."""
-    def cz(register, i, j):
-        cov = register.dense()
-        n = len(cov) // 2
-        cov[n + i, :] += weight * cov[j, :]
-        cov[n + j, :] += weight * cov[i, :]
-        cov[:, n + i] += weight * cov[:, j]
-        cov[:, n + j] += weight * cov[:, i]
-        cov[n + j, n + i] = cov[n + i, n + j]
-        register.load(cov)
-    return cz
 
 
 class TestErrors:

@@ -85,6 +85,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="width applies only to a lattice"):
             PipelineConfig("wire", 20, width=5)
 
+    @pytest.mark.parametrize("r", [True, False, "1.0", None, 1j, [1.0]], ids=repr)
+    def test_squeezing_rejects_other_types(self, r):
+        with pytest.raises(ValueError, match="^squeezing_r must be a real number, got "):
+            PipelineConfig("wire", 5, squeezing_r=r)
+
+    def test_squeezing_accepts_real_numbers(self):
+        for r in (1, np.float32(0.5), np.int64(2)):
+            assert PipelineConfig("wire", 5, squeezing_r=r).squeezing_r == r
+
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_non_finite_squeezing(self, r):
         with pytest.raises(ValueError):
@@ -348,8 +357,9 @@ class TestWindowGuards:
             "cannot emit 3 into window 0..2",
         )
 
-    def test_deferred_ring_grows_once_to_the_range(self):
-        pipe = TemporalPipeline(wire_config(10), range(1, 5))  # K = 3, then 4
+    def test_deferred_ring_holds_the_range_from_construction(self):
+        pipe = TemporalPipeline(wire_config(10), range(1, 5))  # K = max(3, 4)
+        assert pipe.register.slots == 4
         pipe.execute([PipelineEvent("emit", (label,)) for label in (1, 2, 3)])
         assert pipe.register.slots == 4
         with pytest.raises(RuntimeError, match=re.escape("cannot emit 4 into window 0..3")):

@@ -3,7 +3,8 @@
 Each register kernel runs on a random buffer with the register's pattern,
 and the matching dense kernel on the same buffer held densely; the register's
 densified result must equal the dense one bit for bit.  The rings are a
-wire's K = 3, a lattice's M + 2 and grown rings of len(range) slots.
+wire's K = 3, a lattice's M + 2 and a deferred run's len(range) slots.  The
+kernels and reads take mode labels; label l is slot l mod K.
 """
 
 import re
@@ -38,11 +39,11 @@ def pattern_mask(offsets, k):
 @st.composite
 def rings(draw):
     """Offsets and a ring size: a wire's 3 slots, a lattice's M + 2, or a
-    grown ring of len(range) slots, more than reach + 2."""
+    deferred run's ring of len(range) slots, more than reach + 2."""
     offsets = draw(st.sampled_from([(1,), (1, 2), (1, 3), (1, 4), (1, 8)]))
     reach = offsets[-1]
-    grown = draw(st.booleans())
-    k = draw(st.integers(reach + 3, 3 * reach + 6)) if grown else reach + 2
+    deferred = draw(st.booleans())
+    k = draw(st.integers(reach + 3, 3 * reach + 6)) if deferred else reach + 2
     return offsets, k
 
 
@@ -90,7 +91,7 @@ class TestKernelsMatchDense:
         register, cov = case
         k = data.draw(st.sampled_from(occupied(cov)))
         measure_slot(cov, k, "m")
-        assert register.measure(k, "m") is None
+        assert register.measure(k) is None
         assert register.dense().tobytes() == cov.tobytes()
 
     @given(case=buffers(), data=st.data())
@@ -192,7 +193,7 @@ class TestWindowReads:
     @settings(max_examples=150, deadline=None)
     def test_measured_row_is_the_dense_row(self, case, data):
         register, cov, lo, hi, k, row = on_convention(case, data)
-        var, b_keep = register.measured_row(k, hi - lo, lo)
+        var, b_keep = register.measured_row(lo, hi - lo)
         assert np.float64(var).tobytes() == cov[k, k].tobytes()
         assert b_keep.tobytes() == cov[k][row].tobytes()
 
@@ -208,7 +209,7 @@ class TestWindowReads:
         cov[k, c] = cov[c, k] = data.draw(st.sampled_from(wrong))
         register.load(cov)
         with pytest.raises(ValueError, match=f"^node {lo}: stored measurement is off the pinned feedforward convention"):
-            register.measured_row(k, hi - lo, lo)
+            register.measured_row(lo, hi - lo)
 
     @pytest.mark.parametrize("var", [-2.0, 0.0, 1e-13])
     def test_measure_refuses_a_variance_that_is_not_positive(self, var):
@@ -216,11 +217,11 @@ class TestWindowReads:
         # run stores it, so every stored measurement has var > 0
         register = DiagonalRegister((1,), 3)
         cov = np.zeros((6, 6))
-        cov[0, 0] = var
+        cov[1, 1] = var  # label 7, in slot 1
         register.load(cov)
-        register.measured_row(0, 2, 7)
+        register.measured_row(7, 2)
         with pytest.raises(ValueError, match=r"^degenerate marginal variance .* on mode 7$"):
-            register.measure(0, 7)
+            register.measure(7)
 
     @given(case=windows(), n=st.integers(-5, 5))
     @settings(max_examples=100, deadline=None)
@@ -233,17 +234,60 @@ class TestWindowReads:
         assert np.array_equal(register.diagonals, rolled)
         assert register.dense().tobytes() == want.tobytes()
 
+
+def twin(register):
+    """A second register of the same offsets and ring, holding the same values."""
+    other = DiagonalRegister(register.offsets, register.slots)
+    other.load(register.dense())
+    return other
+
+
+class TestLabels:
+    """A kernel or read maps each label to its slot, so labels l, l + K and
+    l - K address one mode: each call on labels in 0..K-1 is repeated on a
+    twin register with every label moved by K or -K."""
+
+    @given(case=buffers(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_take_any_label_of_a_slot(self, case, data):
+        register, cov = case
+        other, k = twin(register), register.slots
+
+        def alias(label):
+            return label + data.draw(st.sampled_from([-k, k]))
+
+        kernel = data.draw(st.sampled_from(["emit", "cz", "measure", "clear", "nullifier"]))
+        if kernel == "measure":
+            label = data.draw(st.sampled_from(occupied(cov)))
+        else:
+            label = data.draw(st.integers(0, k - 1))
+        if kernel == "emit":
+            r = data.draw(st.floats(0.0, 3.0))
+            register.emit(label, r)
+            other.emit(alias(label), r)
+        elif kernel == "cz":
+            d = data.draw(st.sampled_from([s * d for d in register.offsets for s in (1, -1)]))
+            register.cz(label, label + d)
+            other.cz(alias(label), alias(label + d))
+        elif kernel == "nullifier":
+            links = [label + d for d in register.offsets]
+            neighbours = data.draw(st.permutations(links))[: data.draw(st.integers(0, len(links)))]
+            want = register.nullifier(label, neighbours)
+            assert other.nullifier(alias(label), list(map(alias, neighbours))).hex() == want.hex()
+        else:
+            getattr(register, kernel)(label)
+            getattr(other, kernel)(alias(label))
+        assert other.diagonals.tobytes() == register.diagonals.tobytes()
+
     @given(case=windows(), data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_grown_ring_holds_the_window(self, case, data):
-        register, cov, lo, hi = case
-        slots = data.draw(st.integers(register.slots, 3 * register.slots))
-        grown = register.grown(slots, lo, hi)
-        assert grown.slots == slots
-        old, new = positions(register.slots, lo, hi), positions(slots, lo, hi)
-        want = np.zeros((2 * slots, 2 * slots))
-        want[np.ix_(new, new)] = cov[np.ix_(old, old)]
-        assert grown.dense().tobytes() == want.tobytes()
+    def test_measured_row_takes_any_label_of_a_slot(self, case, data):
+        register, _, lo, hi, _, _ = on_convention(case, data)
+        var, b_keep = register.measured_row(lo, hi - lo)
+        alias = lo + data.draw(st.sampled_from([-1, 1])) * register.slots
+        got_var, got = twin(register).measured_row(alias, hi - lo)
+        assert np.float64(got_var).tobytes() == np.float64(var).tobytes()
+        assert got.tobytes() == b_keep.tobytes()
 
 
 class TestPattern:

@@ -37,6 +37,8 @@ from tcsim.pipeline import (
 )
 from tcsim.register import DiagonalRegister
 
+from register_faults import weighted_cz
+
 #: Max |register - closed form| / max |closed form| along a stream, set from
 #: float64 rounding (about 100 eps) before measuring; a relative fault of
 #: 1e-3 in any update is ten orders of magnitude above it.
@@ -481,41 +483,33 @@ def test_deferred_run_certifies():
     assert [r.node for r in report.records] == list(range(1, 40))
 
 
-# The ring.  A deferred run keeps a stream's reach + 2 slots until an
-# emission would overflow them, which first happens one tick after the
-# range's first node was withheld from its slot (tick first + delay + 1);
-# then it re-lays its window out once on len(range) slots.
+# The ring.  A run builds one register and keeps it: a deferred run's ring
+# holds max(reach + 2, len(range)) slots from its first tick, enough for the
+# range it ends holding.
 
 
 @pytest.mark.parametrize("config, nodes", DEFERRED, ids=DEFERRED_IDS)
-def test_deferred_ring_grows_once_after_its_first_withheld_label(config, nodes, monkeypatch):
-    small = k = config.reach + 2
-    large = len(nodes)
+def test_deferred_run_keeps_one_register(config, nodes, monkeypatch):
+    slots = max(config.reach + 2, len(nodes))
     pipe = TemporalPipeline(config, nodes)
-    ticks = range(1, nodes[-1] + config.delay + 1)
-    shapes = []
-    for t in ticks:
+    register = pipe.register
+    assert register.slots == slots
+    for t in range(1, nodes[-1] + config.delay + 1):
         pipe.execute(tick_events(config, t, nodes))
-        shapes.append(pipe.register.slots)
-    if len(nodes) <= k:
-        assert shapes == [small] * len(ticks)
-    else:
-        grow = nodes[0] + config.delay + 1
-        assert shapes == [small] * (grow - 1) + [large] * (len(ticks) - grow + 1)
-    want = range_oracle(config, nodes).cov  # the grown ring holds the right state
+        assert pipe.register is register and register.slots == slots
+    want = range_oracle(config, nodes).cov
     assert np.max(np.abs(pipe.snapshot().cov - want)) / np.max(np.abs(want)) <= STREAM_REL_TOL
 
-    # the certified run, on the ticks it runs kernels on
-    execute, registers = TemporalPipeline.execute, []
+    # the certified run builds one register too
+    init, built = DiagonalRegister.__init__, []
 
-    def recorded(self, events):
-        execute(self, events)
-        if not registers or registers[-1] is not self.register:
-            registers.append(self.register)
+    def recorded(self, offsets, k):
+        init(self, offsets, k)
+        built.append(k)
 
-    monkeypatch.setattr(TemporalPipeline, "execute", recorded)
+    monkeypatch.setattr(DiagonalRegister, "__init__", recorded)
     TemporalPipeline(config, nodes).run()
-    assert [r.slots for r in registers] == ([small] if len(nodes) <= k else [small, large])
+    assert built == [slots]
 
 
 # Deterministic, so one sweep per topology; small streams take every range.
@@ -637,21 +631,6 @@ def test_outcomes_are_the_seeds_normal_stream_in_node_order(config, nodes):
     for s in stretches:
         want = z[s.first - 1 : s.first - 1 + len(s.outcomes)] * math.sqrt(s.var)
         assert np.array_equal(s.outcomes.view(np.int64), want.view(np.int64)), s.first
-
-
-def weighted_cz(weight):
-    """``DiagonalRegister.cz`` with a CZ of ``weight`` in place of 1: the
-    dense kernel ``gaussian.cz_slots``, weighted, on the register's buffer."""
-    def cz(register, i, j):
-        cov = register.dense()
-        n = len(cov) // 2
-        cov[n + i, :] += weight * cov[j, :]
-        cov[n + j, :] += weight * cov[i, :]
-        cov[:, n + i] += weight * cov[:, j]
-        cov[:, n + j] += weight * cov[:, i]
-        cov[n + j, n + i] = cov[n + i, n + j]
-        register.load(cov)
-    return cz
 
 
 @pytest.mark.parametrize("config, nodes", [STORED[0], STORED[-1]], ids=["wire", "lattice-deferred"])
