@@ -31,8 +31,11 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .canonical import build_canonical_cluster
-from .gaussian import GaussianState, MeasurementRecord, trace_out
+# build_canonical_cluster is bound here, though no run calls it, because the
+# benchmark's tracer wraps it by this name; it goes when the tracer is
+# updated (ROADMAP item 2).
+from .canonical import build_canonical_cluster, canonical_entries, squeezed_variances
+from .gaussian import GaussianState, MeasurementRecord
 from .graphs import Graph, make_graph
 from .register import DiagonalRegister
 
@@ -362,7 +365,7 @@ class TemporalPipeline:
                 self._kept = self.register.rolled(1)  # slot s takes slot s - 1
             t += 1
         if range(self.lo, self.hi + 1) != deferred:
-            raise RuntimeError(f"schedule left live modes {self.snapshot().labels}")
+            raise RuntimeError(f"schedule left live modes {tuple(range(self.lo, self.hi + 1))}")
         return RunReport(self.config, self.records, self.high_water, self.nullifier_checks)
 
     def _emit(self, label: int) -> None:
@@ -443,38 +446,51 @@ def pipeline_interaction_graph(config: PipelineConfig, up_to: int) -> Graph:
     return make_graph(nodes, edges)
 
 
-def range_oracle(config: PipelineConfig, nodes: range) -> GaussianState:
+def range_oracle(config: PipelineConfig, nodes: range) -> Tuple[np.ndarray, ...]:
     """The canonical cluster that a run leaves on ``nodes`` once every
-    earlier pulse is measured and the ancillas are traced out.
+    earlier pulse is measured and the ancillas are traced out, entry by
+    entry: :func:`~tcsim.canonical.canonical_entries`'s (block, row label,
+    column label, value) arrays, the same form as the register's
+    ``entries`` read.
 
     A q measurement deletes its node from the graph, so this is the closed
     form on the interaction graph induced on the unmeasured labels: the
-    nodes and the ancillas still linked to them, at r = 0 and then traced
-    out.  The graph is read from ``config.offsets``, so its size is the
-    range's, whatever N; a range past the first stripe links no ancilla.
+    nodes and the ancillas still linked to them, at r = 0 (a = b = 1/2),
+    which enter the pp sums but list no entry of their own: the trace-out.
+    The graph is read from ``config.offsets``, so its size is the range's,
+    whatever N, and so are the entries, O(len(nodes) reach) of them; a
+    range past the first stripe links no ancilla.
     """
     first = nodes[0]
+    t = np.arange(first, nodes[-1] + 1)
     # the links of each node t to t - d, unless t - d is measured
-    edges = [(t - d, t) for t in nodes for d in config.offsets if not 1 <= t - d < first]
-    ancillas = sorted({u for u, _ in edges if u < 1})
-    squeezing = {label: 0.0 for label in ancillas}
-    squeezing.update({node: config.squeezing_r for node in nodes})
-    oracle = build_canonical_cluster(make_graph([*ancillas, *nodes], edges), squeezing)
-    return trace_out(oracle, ancillas) if ancillas else oracle
+    edges = np.concatenate([
+        np.stack([t - d, t], axis=1)[(t - d < 1) | (t - d >= first)] for d in config.offsets
+    ])
+    ancillas = np.unique(edges[edges[:, 0] < 1, 0])
+    labels = np.concatenate([ancillas, t])
+    a, b = squeezed_variances(np.where(labels < 1, 0.0, config.squeezing_r))
+    return canonical_entries(labels, a, b, edges, traced=len(ancillas))
 
 
 def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> float:
     """Max discrepancy between the pipeline output and the canonical cluster.
 
     Runs :meth:`TemporalPipeline.run` with ``node_range`` deferred (see
-    :func:`tick_events`), so it ends holding exactly the range's nodes, and
-    releases its register before building the oracle,
-    :func:`range_oracle`; no outcome is replayed.  Neither grows with N: the
-    run certifies like a stream until the range's first node reaches the
-    measurement slot, so it runs kernels on a fixed number of ticks around
-    one certified stretch, on one register of max(reach + 2, len(range))
-    slots; the oracle's graph is the range's.  Returns the max entrywise
-    difference between the covariances (both states are zero-mean).
+    :func:`tick_events`), so it ends holding exactly the range's nodes,
+    reads its register's stored entries on the range (the register's
+    ``entries``) and releases it before building the oracle,
+    :func:`range_oracle`, entry by entry; no outcome is replayed.  Neither
+    grows with N: the run certifies like a stream until the range's first
+    node reaches the measurement slot, so it runs kernels on a fixed number
+    of ticks around one certified stretch, on one register of
+    max(reach + 2, len(range)) slots; the oracle's graph is the range's.
+    Each stored entry is compared with the oracle's value at its (block,
+    row, column), or with 0 where the oracle has none, and an oracle entry
+    that the register does not store counts at its full value: the max
+    entrywise difference of the two covariances (both states are
+    zero-mean), with no dense matrix built, so memory is
+    O(len(range) reach).
     """
     first, last = node_range
     if not (1 <= first <= last <= config.n_pulses):
@@ -485,9 +501,17 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     nodes = range(first, last + 1)
     pipe = TemporalPipeline(config, nodes)
     pipe.run()
-    got = pipe.snapshot()
+    pipe.register.check()  # mirrored and finite, as before each measurement
+    got = pipe.register.entries(first, last)
     del pipe
-    oracle = range_oracle(config, nodes)
-    if oracle.labels != got.labels:
-        raise RuntimeError(f"oracle modes {oracle.labels} differ from {got.labels}")
-    return float(np.max(np.abs(got.cov - oracle.cov)))
+    want = range_oracle(config, nodes)
+    # one int64 key per (block, row, column), labels counted from first
+    n = len(nodes)
+    got_key, want_key = ((e[0] * n + e[1] - first) * n + e[2] - first for e in (got, want))
+    order = np.argsort(got_key)
+    at = np.minimum(np.searchsorted(got_key, want_key, sorter=order), len(order) - 1)
+    stored = got_key[order[at]] == want_key
+    expected = np.zeros(len(got_key))
+    expected[order[at[stored]]] = want[3][stored]
+    gaps = np.concatenate([np.abs(got[3] - expected), np.abs(want[3][~stored])])
+    return float(np.max(gaps))

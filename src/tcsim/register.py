@@ -17,7 +17,10 @@ offsets o = (label offset) mod K: entry (r, c) with row slot s and column
 slot s + o (mod K) is ``diagonals[w, s]``, w the row of (block, o).  Both
 halves (r, c) and (c, r) of each entry are stored, as in a dense buffer, so
 a register of K slots holds a fixed number of diagonals times K values
-whatever K is.
+whatever K is.  One read, ``entries(lo, hi)``, lists the stored entries of
+a window of labels as (block, row label, column label, value) arrays: it is
+the one map from slots back to labels, ``window`` scatters it into a dense
+matrix, and ``compare`` matches it with the per-entry closed form.
 
 Each kernel is the dense kernel of :mod:`tcsim.gaussian` restricted to the
 pattern: the same arithmetic on the same operands in the same order, so on
@@ -281,18 +284,25 @@ class DiagonalRegister:
                 )
         return var, b_keep
 
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        """The dense 2n x 2n covariance of labels lo..hi, in label order: the
-        stored entries whose modes both lie in the window, at their modes'
-        window positions."""
+    def entries(self, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
+        """Every stored entry whose two modes both lie in labels lo..hi, a
+        window of at most K labels, as numpy arrays of its block, row label,
+        column label and value, in flat order.  The one map from slots back
+        to labels: a window's slot s holds label lo + ((s - lo) mod K)."""
         n = max(hi - lo + 1, 0)
         block, rslot, cslot = self._entries()
         at = (np.arange(self.slots) - lo) % self.slots
         r, c = at[rslot], at[cslot]
         live = np.flatnonzero((r < n) & (c < n))
-        block, r, c = block[live], r[live], c[live]
+        return block[live], lo + r[live], lo + c[live], self._flat[live]
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """The dense 2n x 2n covariance of labels lo..hi, in label order:
+        :meth:`entries` at their modes' window positions."""
+        n = max(hi - lo + 1, 0)
+        block, row, col, value = self.entries(lo, hi)
         cov = np.zeros((2 * n, 2 * n))
-        cov[(block >> 1) * n + r, (block & 1) * n + c] = self._flat[live]
+        cov[(block >> 1) * n + row - lo, (block & 1) * n + col - lo] = value
         return cov
 
     def dense(self) -> np.ndarray:

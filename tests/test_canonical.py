@@ -8,7 +8,12 @@ import tcsim.canonical
 import tcsim.gaussian
 import tcsim.pipeline
 import tcsim.register
-from tcsim.canonical import build_canonical_cluster, canonical_covariance
+from tcsim.canonical import (
+    build_canonical_cluster,
+    canonical_covariance,
+    canonical_entries,
+    squeezed_variances,
+)
 from tcsim.gaussian import (
     GaussianState,
     append_modes,
@@ -17,10 +22,12 @@ from tcsim.gaussian import (
     db_to_r,
     p_squeezed_state,
     states_equal,
+    trace_out,
 )
 from tcsim.graphs import make_graph, nullifier_variances, sheared_cylinder_graph, wire_graph
-from tcsim.pipeline import PipelineConfig, equivalence_check
+from tcsim.pipeline import PipelineConfig, equivalence_check, range_oracle
 
+from dense_entries import assert_lists_every_nonzero_entry
 from register_faults import weighted_cz
 
 
@@ -99,6 +106,44 @@ class TestClosedForm:
             canonical_covariance(wire_graph(3), {1: 0.5, 2: -0.1, 3: 0.5})
 
 
+class TestPerEntryClosedForm:
+    """``canonical_entries`` lists the nonzero entries of
+    ``canonical_covariance``, bitwise, on arbitrary graphs; the ranges of
+    both topologies are in ``tests/test_stream_oracle.py``."""
+
+    @pytest.mark.parametrize("db", [0, 10, 40, 70])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_graphs(self, seed, db):
+        rng = np.random.default_rng(200 + seed)
+        g = random_graph(rng.integers(1, 16), rng.uniform(0.1, 0.9), rng)
+        edges = np.array(g.sorted_edges()).reshape(-1, 2)
+        want = canonical_covariance(g, db_to_r(db))
+        a, b = squeezed_variances(np.full(len(g.nodes), db_to_r(db)))
+        assert_lists_every_nonzero_entry(canonical_entries(g.nodes, a, b, edges), g.nodes, want)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_per_node_squeezing_and_traced_labels(self, seed):
+        # the first labels at r = 0, some of them traced out, as the
+        # ancillas of a range are
+        rng = np.random.default_rng(300 + seed)
+        g = random_graph(rng.integers(2, 16), 0.4, rng)
+        traced = int(rng.integers(0, len(g.nodes)))
+        r = {v: 0.0 if i < traced else db_to_r(float(rng.choice([0, 10, 40, 70])))
+             for i, v in enumerate(g.nodes)}
+        want = trace_out(build_canonical_cluster(g, r), g.nodes[:traced])
+        edges = np.array(g.sorted_edges()).reshape(-1, 2)
+        a, b = squeezed_variances(np.array([r[v] for v in g.nodes]))
+        got = canonical_entries(g.nodes, a, b, edges, traced=traced)
+        assert_lists_every_nonzero_entry(got, want.labels, want.cov)
+
+    def test_refuses_an_edge_off_the_labels(self):
+        a = b = np.full(3, 0.5)
+        with pytest.raises(ValueError, match="not a label"):
+            canonical_entries([1, 2, 3], a, b, [(1, 4)])
+        with pytest.raises(ValueError, match="itself"):
+            canonical_entries([1, 2, 3], a, b, [(2, 2)])
+
+
 class TestOrderIndependence:
     def test_shuffled_edge_order(self):
         rng = np.random.default_rng(7)
@@ -136,6 +181,24 @@ class TestIndependentOracle:
                 equivalence_check(config, node_range)
         for config, node_range in ((wire, (1, 10)), (lattice, (1, 12))):
             assert equivalence_check(config, node_range) > 1e-6
+
+    def test_range_oracle_uses_neither_the_register_nor_the_dense_closed_form(self, monkeypatch):
+        configs = [
+            (PipelineConfig("wire", 20, squeezing_r=1.0), range(1, 10)),
+            (PipelineConfig("lattice", 30, width=3, squeezing_r=1.0), range(2, 12)),
+            (PipelineConfig("lattice", 80, width=8, squeezing_r=1.0), range(40, 80)),
+        ]
+        want = [range_oracle(config, nodes) for config, nodes in configs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not call this")
+
+        monkeypatch.setattr(tcsim.register, "DiagonalRegister", refuse)
+        monkeypatch.setattr(tcsim.register, "pattern", refuse)
+        monkeypatch.setattr(tcsim.canonical, "canonical_covariance", refuse)
+        for (config, nodes), entries in zip(configs, want):
+            got = range_oracle(config, nodes)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in entries]
 
 
 class TestPurityAndNullifiers:

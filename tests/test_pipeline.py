@@ -21,9 +21,11 @@ from tcsim.pipeline import (
     build_schedule,
     equivalence_check,
     pipeline_interaction_graph,
+    range_oracle,
     run_pipeline,
     tick_events,
 )
+from tcsim.register import DiagonalRegister
 
 
 def wire_config(n, r=1.0, seed=0, **kw):
@@ -368,6 +370,21 @@ class TestWindowGuards:
     def test_unknown_event_kind(self):
         self.refuses([("divert", (0,))], ValueError, "unknown event kind 'divert'")
 
+    def test_run_that_leaves_a_mode_live_names_it_without_a_dense_read(self, monkeypatch):
+        # A schedule that never measures node 5 leaves it live.  The error
+        # names the labels alone: a dense read of a long range's register
+        # would need a 2L x 2L matrix.
+        def skip_node_5(config, t, deferred=range(0)):
+            return [e for e in tick_events(config, t, deferred) if e != PipelineEvent("measure", (5,))]
+
+        def dense_read(*args):
+            raise AssertionError("the error path must not read the register densely")
+
+        monkeypatch.setattr("tcsim.pipeline.tick_events", skip_node_5)
+        monkeypatch.setattr(DiagonalRegister, "window", dense_read)
+        with pytest.raises(RuntimeError, match=r"^schedule left live modes \(5,\)$"):
+            TemporalPipeline(wire_config(5)).run()
+
 
 class TestSnapshot:
     def test_initial_snapshot_is_loop_vacua(self):
@@ -396,6 +413,53 @@ class TestEquivalence:
         # the ancilla contamination is part of the interaction graph, so even
         # a range touching the first stripe agrees with the replayed oracle
         assert equivalence_check(lattice_config(30, 3, r=0.8, seed=2), (2, 8)) < 1e-9
+
+    def test_check_of_a_4000_node_range_peaks_under_50_mb(self):
+        # Compared entry by entry, O(len(range) reach): a dense 2L x 2L pair
+        # would peak at 2 GB here.
+        config = lattice_config(10_000, 8, r=db_to_r(10), seed=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert equivalence_check(config, (6_001, 10_000)) < 1e-9
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50e6
+
+    def test_an_entry_on_one_side_only_counts_at_its_full_value(self, monkeypatch):
+        # as in a dense difference, where the other side holds 0 there
+        config = lattice_config(40, 4, r=1.0, seed=5)
+        assert equivalence_check(config, (17, 30)) < 1e-9
+
+        def extra(config, nodes):  # qq(17, 30), which no register stores
+            block, row, col, value = range_oracle(config, nodes)
+            return [np.append(x, v) for x, v in zip((block, row, col, value), (0, 17, 30, 0.25))]
+
+        def missing(config, nodes):  # without qq(17, 17), which every register stores
+            entries = range_oracle(config, nodes)
+            kept = ~((entries[0] == 0) & (entries[1] == 17) & (entries[2] == 17))
+            return [x[kept] for x in entries]
+
+        monkeypatch.setattr("tcsim.pipeline.range_oracle", extra)
+        assert equivalence_check(config, (17, 30)) == 0.25
+        monkeypatch.setattr("tcsim.pipeline.range_oracle", missing)
+        assert equivalence_check(config, (17, 30)) == math.exp(2.0) / 2
+
+    def test_register_that_ends_asymmetric_is_refused(self, monkeypatch):
+        # the run's last tick runs no check; the comparison checks first
+        run = TemporalPipeline.run
+
+        def corrupted(self):
+            report = run(self)
+            cov = self.register.dense()
+            cov[0, self.register.slots + 1] += 1e-6  # (q_28, p_29), not its mirror
+            self.register.load(cov)
+            return report
+
+        monkeypatch.setattr(TemporalPipeline, "run", corrupted)
+        with pytest.raises(ValueError, match="symmetric and finite"):
+            equivalence_check(lattice_config(40, 4, r=1.0, seed=5), (17, 30))
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):

@@ -189,6 +189,23 @@ class TestWindowReads:
         idx = positions(register.slots, lo, hi)
         assert register.window(lo, hi).tobytes() == cov[np.ix_(idx, idx)].tobytes()
 
+    @given(case=windows())
+    @settings(max_examples=150, deadline=None)
+    def test_entries_are_the_windows_stored_entries(self, case):
+        # each entry on the pattern whose two modes lie in lo..hi, once, at
+        # its labels, with its value; zero ones included
+        register, cov, lo, hi = case
+        n = hi - lo + 1
+        idx = positions(register.slots, lo, hi)
+        block, row, col, value = register.entries(lo, hi)
+        assert np.all((lo <= row) & (row <= hi) & (lo <= col) & (col <= hi))
+        x, y = (block >> 1) * n + row - lo, (block & 1) * n + col - lo
+        stored = np.zeros((2 * n, 2 * n), dtype=bool)
+        stored[x, y] = True
+        assert stored.sum() == len(value)
+        assert np.array_equal(stored, pattern_mask(register.offsets, register.slots)[np.ix_(idx, idx)])
+        assert value.tobytes() == cov[idx[x], idx[y]].tobytes()
+
     @given(case=windows(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_measured_row_is_the_dense_row(self, case, data):

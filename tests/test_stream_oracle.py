@@ -37,6 +37,7 @@ from tcsim.pipeline import (
 )
 from tcsim.register import DiagonalRegister
 
+from dense_entries import assert_lists_every_nonzero_entry, dense
 from register_faults import weighted_cz
 
 #: Max |register - closed form| / max |closed form| along a stream, set from
@@ -497,7 +498,7 @@ def test_deferred_run_keeps_one_register(config, nodes, monkeypatch):
     for t in range(1, nodes[-1] + config.delay + 1):
         pipe.execute(tick_events(config, t, nodes))
         assert pipe.register is register and register.slots == slots
-    want = range_oracle(config, nodes).cov
+    want = dense(range_oracle(config, nodes), nodes)
     assert np.max(np.abs(pipe.snapshot().cov - want)) / np.max(np.abs(want)) <= STREAM_REL_TOL
 
     # the certified run builds one register too
@@ -532,10 +533,30 @@ ORACLE_RANGES = [
     ids=[f"{c.topology}-{c.width}-N{c.n_pulses}-{r[0]}..{r[-1]}" for c, r in ORACLE_RANGES],
 )
 def test_induced_graph_oracle_equals_replayed_oracle_bitwise(config, nodes):
-    got = range_oracle(config, nodes)
+    got = dense(range_oracle(config, nodes), nodes)
     want = replayed_oracle(config, nodes, range(1, nodes[0]))
-    assert got.labels == want.labels == tuple(nodes)
-    assert got.cov.tobytes() == want.cov.tobytes()
+    assert want.labels == tuple(nodes)
+    assert got.tobytes() == want.cov.tobytes()
+
+
+# The per-entry oracle against the dense closed form, entry by entry, on
+# ranges of both topologies from the boundary on, up to 70 dB.
+ENTRY_RANGES = [
+    (PipelineConfig(topology, 120, width=width, squeezing_r=db_to_r(db)), range(first, last + 1))
+    for topology, width in (("wire", 0), ("lattice", 3), ("lattice", 8))
+    for db in (0, 10, 40, 70)
+    for first, last in deferred_ranges(max(width, 1), 120) + [(1, 120)]
+]
+
+
+@pytest.mark.parametrize(
+    "config, nodes",
+    ENTRY_RANGES,
+    ids=[f"{c.topology}-{c.width}-r{c.squeezing_r:.2f}-{r[0]}..{r[-1]}" for c, r in ENTRY_RANGES],
+)
+def test_range_oracle_lists_every_nonzero_entry_of_the_closed_form(config, nodes):
+    want = replayed_oracle(config, nodes, range(1, nodes[0]))
+    assert_lists_every_nonzero_entry(range_oracle(config, nodes), nodes, want.cov)
 
 
 def test_deferred_run_costs_the_same_kernel_ticks_at_any_n(kernel_ticks):
