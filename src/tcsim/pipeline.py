@@ -131,7 +131,7 @@ class Stretch:
     nullifier): a kernel tick's (n = 1) or a certified stretch's
     (:meth:`TemporalPipeline._repeat`), outcomes by ``_draw``.  ``b_keep`` is
     on the pinned feedforward convention, each entry +0.0 or var, as
-    :meth:`DiagonalRegister.measured_row` checked it.  Record j is
+    :meth:`DiagonalRegister.measure` checked it.  Record j is
     ``MeasurementRecord(first + j, 0.0, outcomes[j], -(b_keep * (outcomes[j] / var)))``
     and, past the boundary, its nullifier check is ``(first + j, nullifier)``.
     """
@@ -243,9 +243,9 @@ class TemporalPipeline:
     """Executes the run tick by tick on a ring-buffer live register.
 
     The live labels always form one consecutive window, which the register,
-    a :class:`~tcsim.register.DiagonalRegister`, keeps on a ring of K slots
-    with no label map and no free list; its kernels take the labels.  Each
-    run builds one register and keeps it: K is reach + 2, a stream's
+    a :class:`~tcsim.register.DiagonalRegister`, owns and keeps on a ring of
+    K slots with no label map and no free list; its kernels take the labels.
+    Each run builds one register and keeps it: K is reach + 2, a stream's
     high-water mark, or len(range) if that is larger for a run with a
     nonempty ``deferred`` range (see :func:`tick_events`), which ends
     holding the whole range.  The register stores only the slot-offset
@@ -264,11 +264,11 @@ class TemporalPipeline:
 
     Each node is q-measured as soon as its slot comes up, with the
     conditional mean shift cancelled by feedforward that lists the survivors
-    in ascending label order; the register's ``measured_row`` reads the q
-    row and refuses one off the pinned feedforward convention.  Just before,
-    a non-boundary node's nullifier variance is read by one more kernel, the
-    register's ``nullifier``, which writes no entry.  No kernel draws:
-    :meth:`_draw` draws each outcome.
+    in ascending label order: one call, the register's ``measure``, reads
+    the q row, refuses one off the pinned feedforward convention, downdates
+    and clears.  Just before, a non-boundary node's nullifier variance is
+    read by one more kernel, the register's ``nullifier``, which writes no
+    entry.  No kernel draws: :meth:`_draw` draws each outcome.
     """
 
     def __init__(self, config: PipelineConfig, deferred: range = range(0)):
@@ -276,15 +276,15 @@ class TemporalPipeline:
         self.deferred = deferred
         self.rng = np.random.default_rng(config.seed)
         self.register = DiagonalRegister(config.offsets, max(config.reach + 2, len(deferred)))
-        ancillas = config.ancilla_labels
-        # the live window is lo..hi; it is empty when hi < lo
-        self.lo, self.hi = ancillas[0], ancillas[-1]
-        for label in ancillas:
+        for label in config.ancilla_labels:
             self.register.emit(label, 0.0)
         self.measured: List[Stretch] = []
-        self.high_water = len(ancillas)
         # an open candidate's diagonals, rolled one slot (see run), or None
         self._kept = None
+
+    @property
+    def high_water(self) -> int:
+        return self.register.high_water
 
     @property
     def records(self) -> Rows:
@@ -296,7 +296,8 @@ class TemporalPipeline:
 
     def snapshot(self) -> GaussianState:
         """A copy of the live register, modes in ascending label order."""
-        return GaussianState(range(self.lo, self.hi + 1), self.register.window(self.lo, self.hi))
+        lo, hi = self.register.lo, self.register.hi
+        return GaussianState(range(lo, hi + 1), self.register.window(lo, hi))
 
     def execute(self, events: List[PipelineEvent]) -> None:
         for event in events:
@@ -304,11 +305,10 @@ class TemporalPipeline:
             if kind == "cz":
                 self.register.cz(*labels)
             elif kind == "emit":
-                self._emit(labels[0])
+                self.register.emit(labels[0], self.config.squeezing_r)
             elif kind == "measure":
                 self._finalize(labels[0])
             elif kind == "trace":
-                self._retire(labels[0])
                 self.register.clear(labels[0])
             else:
                 raise ValueError(f"unknown event kind {kind!r}")
@@ -364,35 +364,15 @@ class TemporalPipeline:
             if t in steady:
                 self._kept = self.register.rolled(1)  # slot s takes slot s - 1
             t += 1
-        if range(self.lo, self.hi + 1) != deferred:
-            raise RuntimeError(f"schedule left live modes {tuple(range(self.lo, self.hi + 1))}")
+        live = range(self.register.lo, self.register.hi + 1)
+        if live != deferred:
+            raise RuntimeError(f"schedule left live modes {tuple(live)}")
         return RunReport(self.config, self.records, self.high_water, self.nullifier_checks)
 
-    def _emit(self, label: int) -> None:
-        """Emit ``label`` as the window's newest mode.  The ring was sized
-        for the run, so an emission that would overflow it is refused."""
-        if label != self.hi + 1 or label - self.lo >= self.register.slots:
-            raise RuntimeError(f"cannot emit {label} into window {self.lo}..{self.hi}")
-        self.hi = label
-        self.register.emit(label, self.config.squeezing_r)
-        if label - self.lo + 1 > self.high_water:
-            self.high_water = label - self.lo + 1
-
-    def _retire(self, label: int) -> None:
-        """Take the oldest live label out of the window.
-
-        The register still holds its mode until a kernel clears it.
-        """
-        if label != self.lo or label > self.hi:
-            raise RuntimeError(f"cannot finalize {label} in window {self.lo}..{self.hi}")
-        self.lo = label + 1
-
     def _finalize(self, node: int) -> None:
-        self._retire(node)
         self.register.check()
         variance = self.live_nullifier_variance(node) if node > self.config.reach else None
-        var, b_keep = self.register.measured_row(node, self.hi - node)
-        self.register.measure(node)
+        var, b_keep = self.register.measure(node)
         self.measured.append(Stretch(node, var, b_keep, variance, self._draw(1, var)))
 
     def _repeat(self, t: int, stop: int) -> int:
@@ -408,7 +388,6 @@ class TemporalPipeline:
         self._kept = None  # released before the outcomes are drawn
         n = stop - t
         self.register.roll(n)  # slot s takes slot s - n
-        self.lo, self.hi = self.lo + n, self.hi + n
         outcomes = self._draw(n, last.var)
         self.measured.append(replace(last, first=last.first + 1, outcomes=outcomes))
         return t + n
@@ -422,13 +401,10 @@ class TemporalPipeline:
     def live_nullifier_variance(self, node: int) -> float:
         """Variance of p_node - sum(q over live graph neighbors).
 
-        Read once the node is retired: its neighbours node - d are measured,
-        in the q basis, so they drop out and the variance is unchanged.  The
-        live ones, node + d up to ``hi``, go to the register's ``nullifier``
-        in ascending label order.
+        Its neighbours node - d are measured, in the q basis, so they drop
+        out and the variance is unchanged: the register reads the live ones.
         """
-        live = [node + d for d in self.config.offsets if node + d <= self.hi]
-        return self.register.nullifier(node, live)
+        return self.register.nullifier(node)
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
@@ -501,9 +477,10 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     nodes = range(first, last + 1)
     pipe = TemporalPipeline(config, nodes)
     pipe.run()
-    pipe.register.check()  # mirrored and finite, as before each measurement
-    got = pipe.register.entries(first, last)
-    del pipe
+    register = pipe.register
+    register.check()  # mirrored and finite, as before each measurement
+    got = register.entries(register.lo, register.hi)
+    del pipe, register
     want = range_oracle(config, nodes)
     # one int64 key per (block, row, column), labels counted from first
     n = len(nodes)

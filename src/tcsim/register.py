@@ -1,14 +1,14 @@
 """The streaming pipeline's live register, stored as slot-offset diagonals.
 
-The live modes sit on a ring of K slots, label l in slot l mod K.  Every
-kernel and read takes mode labels and maps each to its slot, so the ring's
-layout is known to this module alone; K is fixed when the register is
-built, and a run builds one, of the most modes it holds live.  The modes'
-2K x 2K covariance, in block ordering, only ever holds the pattern of the
-closed form S diag(a, b) S^T of the topology's graph.  With d, d1, d2
-ranging over the topology's link offsets and their negatives, entry (r, c),
-for mode labels l_r and l_c, can be nonzero only at label offset
-l_c - l_r equal to
+The live modes sit on a ring of K slots, label l in slot l mod K, and the
+register alone knows which labels are live: it keeps the window lo..hi, a
+first-in, first-out train of consecutive labels.  K is fixed when the
+register is built, and a run builds one, of the most modes it holds live.
+The modes' 2K x 2K covariance, in block ordering, only ever holds the
+pattern of the closed form S diag(a, b) S^T of the topology's graph.  With
+d, d1, d2 ranging over the topology's link offsets and their negatives,
+entry (r, c), for mode labels l_r and l_c, can be nonzero only at label
+offset l_c - l_r equal to
 
   qq: 0;  qp and pq: d;  pp: d1 - d2.
 
@@ -26,7 +26,8 @@ Each kernel is the dense kernel of :mod:`tcsim.gaussian` restricted to the
 pattern: the same arithmetic on the same operands in the same order, so on
 a buffer whose zeros are all +0.0 (the register never stores a -0.0) every
 stored entry comes out bitwise equal to the dense result.  An update that
-would make an entry off the pattern nonzero raises ``ValueError``.  Each
+would make an entry off the pattern nonzero raises ``ValueError``; a label
+outside the window raises ``RuntimeError`` and writes nothing.  Each
 kernel is a few numpy operations on index tables built once per ring size:
 a kernel's table holds the flat positions of its entries at every slot, one
 row per slot, so a call reads one row and runs no loop over entries.
@@ -35,6 +36,7 @@ row per slot, so a call reads one row and runs no loop over entries.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import accumulate, chain
 from typing import List, Sequence, Tuple
 
@@ -60,11 +62,17 @@ class DiagonalRegister:
     the last, which is zero and stays so: a table entry off the pattern
     points into it, so a gather reads 0 there, as from a dense buffer.
     Slots that hold no mode are all zeros, as in a dense buffer.
+
+    The live window ``lo..hi`` opens at the first emission's label; then
+    ``emit`` appends hi + 1, ``measure`` and ``clear`` take lo, and ``roll``
+    moves it with the data.  ``high_water`` is the most labels it has held.
     """
 
     def __init__(self, offsets: Sequence[int], slots: int) -> None:
         self.offsets = tuple(offsets)
         self.slots = k = slots
+        # the live window lo..hi, empty while hi < lo, and its largest size
+        self.lo, self.hi, self.high_water = 0, -1, 0
         self._stored = [
             (block, o)
             for block, label_offsets in enumerate(pattern(self.offsets))
@@ -81,14 +89,12 @@ class DiagonalRegister:
         self._qq0, self._pp0 = int(self._row[QQ, 0]), int(self._row[PP, 0])
         links = [o for b, o in self._stored if b == QP]  # a q row's p columns
         self._link_rows = self._row[QP, links]
-        # measured_row: each link's window position o - 1 and its row
-        self._link_at = [(o - 1, int(w)) for o, w in zip(links, self._link_rows)]
         self._links = links
 
         # The tables every run of these offsets uses, built in one pass: the
         # mirrors, the downdate, a CZ per offset d (the pipeline's cz(t - d, t))
         # and a nullifier form per live prefix of the offsets.  Any other CZ
-        # or form is built on first use.
+        # is built on first use.
         deltas = sorted({d % k for d in self.offsets})
         keys = [tuple(d % k for d in self.offsets[:n]) for n in range(len(self.offsets) + 1)]
         mirrors, self._downdate, *tables = self._tables(
@@ -103,7 +109,7 @@ class DiagonalRegister:
         self._mirror = mirrors.T.ravel()  # in flat order
         self._downdate_off = np.flatnonzero(self._downdate[0] // k == self._zero)
         self._cz = {d: self._cz_kernel(t) for d, t in zip(deltas, tables)}
-        self._forms = {key: self._form_kernel(t) for key, t in zip(keys, tables[len(deltas) :])}
+        self._forms = [self._form_kernel(t) for t in tables[len(deltas) :]]  # by prefix length
 
     def _entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every stored entry, in flat order: its block, row slot and column slot."""
@@ -129,13 +135,32 @@ class DiagonalRegister:
         if values.any():
             raise ValueError("update would make an entry off the register's diagonals nonzero")
 
-    # Kernels, on mode labels: label l is slot l mod K.
+    # Kernels, on live labels: label l is slot l mod K.
+
+    def _live(self, label: int) -> int:
+        """The slot of ``label``, which must lie in the window."""
+        if not self.lo <= label <= self.hi:
+            raise RuntimeError(f"label {label} is not live in window {self.lo}..{self.hi}")
+        return label % self.slots
+
+    def _oldest(self, label: int) -> int:
+        """The slot of ``label``, which must be the window's oldest, lo."""
+        if label != self.lo or label > self.hi:
+            raise RuntimeError(f"cannot finalize {label} in window {self.lo}..{self.hi}")
+        return label % self.slots
 
     def emit(self, label: int, r: float) -> None:
         """Write a p-squeezed vacuum, diag(e^{2r}/2, e^{-2r}/2), into the
-        empty slot of ``label``."""
+        empty slot of ``label``, which must be hi + 1 and leave at most K
+        labels live."""
         if r < 0:
             raise ValueError("squeezing parameter must be nonnegative")
+        if not self.high_water:
+            self.lo, self.hi = label, label - 1
+        if label != self.hi + 1 or label - self.lo >= self.slots:
+            raise RuntimeError(f"cannot emit {label} into window {self.lo}..{self.hi}")
+        self.hi = label
+        self.high_water = max(self.high_water, label - self.lo + 1)
         k = label % self.slots
         self.diagonals[self._qq0, k] = VACUUM_VARIANCE * math.exp(2 * r)
         self.diagonals[self._pp0, k] = VACUUM_VARIANCE * math.exp(-2 * r)
@@ -178,8 +203,8 @@ class DiagonalRegister:
         :func:`gaussian.cz_slots` on the stored entries, the two row adds as
         one step, the two column adds (which read the updated q columns) as
         the next, then (p_j, p_i) mirrored from (p_i, p_j)."""
-        i = a % self.slots
-        delta = (b - a) % self.slots
+        i = self._live(a)
+        delta = (self._live(b) - i) % self.slots
         if not delta:
             raise ValueError("CZ requires two distinct slots")
         found = self._cz.get(delta)
@@ -197,17 +222,32 @@ class DiagonalRegister:
         flat[targets] += flat[sources]
         flat[at[-1]] = flat[at[-2]]
 
-    def measure(self, label: int) -> None:
-        """Homodyne-measure q on ``label``, in slot k:
-        :func:`gaussian.measure_slot` on the stored entries.  The q column's
-        support is slot k's q and the p of its links, so the downdate
-        (b_a b_b) / var falls on the pp entries of those links, and the mode
-        is then cleared."""
-        k = label % self.slots
-        var = self.diagonals[self._qq0, k]
+    def measure(self, label: int) -> Tuple[float, np.ndarray]:
+        """Homodyne-measure q on the oldest label, in slot k:
+        :func:`gaussian.measure_slot` on the stored entries, then
+        :meth:`clear`.  The q column's support is slot k's q and the p of
+        its links, so the downdate (b_a b_b) / var falls on the pp entries
+        of those links.  Returns var and b_keep, the q row over the
+        n = hi - label labels after it (their q, then their p), as a dense
+        row reads it: link o is position o - 1.  This is the one check of
+        the pinned feedforward convention (one unit-weight CZ, q-basis
+        deletion): an entry that is not bitwise +0.0 or var is refused, as
+        is a var under the floor, and a refused measurement writes nothing."""
+        k = self._oldest(label)
+        n = self.hi - label
+        var = float(self.diagonals[self._qq0, k])
+        b = self.diagonals[self._link_rows, k]
+        b_keep = np.zeros(2 * n)
+        for o, x in zip(self._links, b.tolist()):
+            if o <= n and var and x == var:  # equal to a nonzero var: its bits
+                b_keep[n + o - 1] = var
+            elif o <= n and (x or math.copysign(1.0, x) < 0):
+                raise ValueError(
+                    f"node {label}: stored measurement is off the pinned feedforward "
+                    "convention (var > 0, every b_keep entry +0.0 or var)"
+                )
         if var < MARGINAL_FLOOR:
             raise ValueError(f"degenerate marginal variance {var:.3e} on mode {label!r}")
-        b = self.diagonals[self._link_rows, k]
         downdate = b[:, None] * b
         downdate /= var
         downdate = downdate.reshape(-1)
@@ -215,13 +255,16 @@ class DiagonalRegister:
             self._refuse_off_pattern(downdate[self._downdate_off])
         self._flat[self._downdate[k]] -= downdate
         self.clear(label)
+        return var, b_keep
 
     def clear(self, label: int) -> None:
-        """Discard ``label``'s mode, in slot k: zero its q and p rows, then
-        their mirrors, which are its q and p columns."""
-        k = label % self.slots
+        """Discard the oldest label's mode, in slot k: zero its q and p rows,
+        then their mirrors, which are its q and p columns; the window then
+        starts at label + 1."""
+        k = self._oldest(label)
         self.diagonals[:, k] = 0.0
         self._flat[self._mirror[k :: self.slots]] = 0.0
+        self.lo = label + 1
 
     @staticmethod
     def _form_entries(key: Tuple[int, ...]) -> List[Tuple[int, int, int]]:
@@ -238,17 +281,13 @@ class DiagonalRegister:
         v[-1] = 1.0
         return table, n, v
 
-    def nullifier(self, label: int, neighbours: Sequence[int]) -> float:
-        """:func:`gaussian.nullifier_slot`: v^T C v over the q of the
-        ``neighbours`` (labels), in the order given, then ``label``'s p,
-        gathered in the same (column-major) layout as the dense kernel's
-        two-step gather."""
-        k = label % self.slots
-        key = tuple((s - label) % self.slots for s in neighbours)
-        found = self._forms.get(key)
-        if found is None:
-            found = self._forms[key] = self._form_kernel(self._tables(self._form_entries(key))[0])
-        table, n, v = found
+    def nullifier(self, label: int) -> float:
+        """:func:`gaussian.nullifier_slot`: v^T C v over the q of ``label``'s
+        live neighbours label + d (d in the ascending ``offsets``, up to hi),
+        then its p, gathered in the same (column-major) layout as the dense
+        kernel's two-step gather."""
+        k = self._live(label)
+        table, n, v = self._forms[bisect_right(self.offsets, self.hi - label)]
         form = self._flat[table[k]].reshape(n, n).T
         return float(v @ form @ v)
 
@@ -263,26 +302,6 @@ class DiagonalRegister:
             raise ValueError("covariance matrix is not symmetric and finite")
 
     # Reads and relabellings, on a window of consecutive labels.
-
-    def measured_row(self, label: int, n: int) -> Tuple[float, np.ndarray]:
-        """``label``'s q variance var and its q row over the n labels that
-        follow it (their q, then their p, in label order), as a dense row
-        reads them: a link o of the label is window position o - 1, and only
-        the p entries of links can be nonzero.  This is the one check of the
-        pinned feedforward convention (one unit-weight CZ, q-basis
-        deletion): each entry is +0.0 or var, and one that is neither,
-        bitwise, is refused."""
-        column = self.diagonals[:, label % self.slots].tolist()
-        var, b_keep = column[self._qq0], np.zeros(2 * n)
-        for at, w in self._link_at:
-            if at < n and var and column[w] == var:  # equal to a nonzero var: its bits
-                b_keep[n + at] = var
-            elif at < n and (column[w] or math.copysign(1.0, column[w]) < 0):
-                raise ValueError(
-                    f"node {label}: stored measurement is off the pinned feedforward "
-                    "convention (var > 0, every b_keep entry +0.0 or var)"
-                )
-        return var, b_keep
 
     def entries(self, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
         """Every stored entry whose two modes both lie in labels lo..hi, a
@@ -327,5 +346,8 @@ class DiagonalRegister:
         return np.roll(self.diagonals, n, axis=1)
 
     def roll(self, n: int) -> None:
-        """Relabel in place: slot s takes slot s - n's values."""
+        """Relabel in place: slot s takes slot s - n's values, and the
+        window moves n labels on with them."""
         self.diagonals[...] = self.rolled(n)
+        self.lo += n
+        self.hi += n

@@ -4,10 +4,12 @@ Each register kernel runs on a random buffer with the register's pattern,
 and the matching dense kernel on the same buffer held densely; the register's
 densified result must equal the dense one bit for bit.  The rings are a
 wire's K = 3, a lattice's M + 2 and a deferred run's len(range) slots.  The
-kernels and reads take mode labels; label l is slot l mod K.
+kernels take labels in the register's live window lo..hi, drawn at every
+position on the ring; label l is slot l mod K.
 """
 
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -68,54 +70,113 @@ def buffers(draw):
     return register, cov
 
 
-def occupied(cov):
-    k = len(cov) // 2
-    return [s for s in range(k) if cov[s, s] != 0]
+@st.composite
+def windows(draw):
+    """A buffer and a window lo..hi of at most K labels, the register's
+    live window unless it is empty: the slots outside it are empty, and an
+    entry of two live modes is zero unless their label offset is on the
+    pattern (on a small ring a slot offset can stand for a label offset off
+    it)."""
+    register, cov = draw(buffers())
+    k = register.slots
+    lo = draw(st.integers(-k, 3 * k))
+    n = draw(st.integers(0, k))
+    for label in range(lo + n, lo + k):
+        clear_slot(cov, label % k)
+    blocks = pattern(register.offsets)
+    idx = positions(k, lo, lo + n - 1)
+    for x, r in enumerate(idx):
+        for y, c in enumerate(idx):
+            if (y % n - x % n) not in blocks[2 * (x // n) + y // n]:
+                cov[r, c] = 0.0
+    open_window(register, cov, lo, lo + n - 1)
+    return register, cov, lo, lo + n - 1
+
+
+def on_convention(case, data):
+    """A window whose oldest label's q row over the rest of the window, its
+    measured row, is on the pinned feedforward convention: each entry the
+    window may hold is +0.0 or that label's q variance var, bitwise.
+    Returns the window, the label's slot and the row's dense positions."""
+    register, cov, lo, hi = case
+    assume(lo <= hi)
+    k = lo % register.slots  # the oldest label, the one measure takes
+    assume(cov[k, k] > 0)  # it holds a mode
+    row = positions(register.slots, lo + 1, hi)
+    for c in row[np.flatnonzero(cov[k, row])]:
+        cov[k, c] = cov[c, k] = data.draw(st.sampled_from([0.0, cov[k, k]]))
+    register.load(cov)
+    return register, cov, lo, hi, k, row
+
+
+def positions(k, lo, hi):
+    """Dense positions of labels lo..hi: their q slots, then their p slots."""
+    q = np.arange(lo, hi + 1) % k
+    return np.concatenate((q, q + k))
+
+
+def open_window(register, cov, lo, hi):
+    """Make lo..hi the register's live window, emitting each label in turn,
+    then give it the values of the dense buffer ``cov``."""
+    for label in range(lo, hi + 1):
+        register.emit(label, 0.0)
+    register.load(cov)
 
 
 class TestKernelsMatchDense:
     @given(case=buffers(), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_cz(self, case, data):
+        # a window of K labels, at any position, so every pair of slots at a
+        # link's offset is live
         register, cov = case
         k = register.slots
-        i = data.draw(st.integers(0, k - 1))
+        lo = data.draw(st.integers(-k, 3 * k))
+        open_window(register, cov, lo, lo + k - 1)
+        a = data.draw(st.integers(lo, lo + k - 1))
         d = data.draw(st.sampled_from([s * d for d in register.offsets for s in (1, -1)]))
-        cz_slots(cov, i, (i + d) % k)
-        register.cz(i, (i + d) % k)
+        assume(lo <= a + d < lo + k)
+        cz_slots(cov, a % k, (a + d) % k)
+        register.cz(a, a + d)
         assert register.dense().tobytes() == cov.tobytes()
 
-    @given(case=buffers(), data=st.data())
+    @given(case=windows(), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_measure(self, case, data):
-        register, cov = case
-        k = data.draw(st.sampled_from(occupied(cov)))
+        register, cov, lo, hi, k, _ = on_convention(case, data)
         measure_slot(cov, k, "m")
-        assert register.measure(k) is None
+        register.measure(lo)
         assert register.dense().tobytes() == cov.tobytes()
+        assert (register.lo, register.hi) == (lo + 1, hi)
 
-    @given(case=buffers(), data=st.data())
+    @given(case=windows(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_emit_and_clear(self, case, data):
-        register, cov = case
-        k = data.draw(st.integers(0, register.slots - 1))
-        clear_slot(cov, k)
-        register.clear(k)
+        # the oldest label out, then hi + 1 in, into the slot the window
+        # reaches next: the one just cleared when the window fills the ring
+        register, cov, lo, hi = case
+        assume(lo <= hi)
+        k = register.slots
+        clear_slot(cov, lo % k)
+        register.clear(lo)
         assert register.dense().tobytes() == cov.tobytes()
         r = data.draw(st.floats(0.0, 3.0))
-        squeeze_slot(cov, k, r)
-        register.emit(k, r)
+        squeeze_slot(cov, (hi + 1) % k, r)
+        register.emit(hi + 1, r)
         assert register.dense().tobytes() == cov.tobytes()
+        assert (register.lo, register.hi) == (lo + 1, hi + 1)
 
-    @given(case=buffers(), data=st.data())
+    @given(case=windows(), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_nullifier(self, case, data):
-        register, cov = case
-        k = data.draw(st.integers(0, register.slots - 1))
-        links = [(k + d) % register.slots for d in register.offsets]
-        neighbours = data.draw(st.permutations(links))[: data.draw(st.integers(0, len(links)))]
-        want = nullifier_slot(cov, k, neighbours)
-        assert register.nullifier(k, neighbours).hex() == want.hex()
+        # any live label, with its live neighbours label + d in ascending order
+        register, cov, lo, hi = case
+        assume(lo <= hi)
+        k = register.slots
+        label = data.draw(st.integers(lo, hi))
+        neighbours = [(label + d) % k for d in register.offsets if label + d <= hi]
+        want = nullifier_slot(cov, label % k, neighbours)
+        assert register.nullifier(label).hex() == want.hex()
         assert register.dense().tobytes() == cov.tobytes()  # a read writes nothing
 
     @given(case=buffers(), data=st.data())
@@ -135,50 +196,6 @@ class TestKernelsMatchDense:
             _check_symmetric(cov)
         with pytest.raises(ValueError, match="symmetric and finite"):
             register.check()
-
-
-@st.composite
-def windows(draw):
-    """A buffer and a live window lo..hi of at most K labels: the slots
-    outside it are empty, and an entry of two live modes is zero unless
-    their label offset is on the pattern (on a small ring a slot offset
-    can stand for a label offset off it)."""
-    register, cov = draw(buffers())
-    k = register.slots
-    lo = draw(st.integers(-k, 3 * k))
-    n = draw(st.integers(0, k))
-    for label in range(lo + n, lo + k):
-        clear_slot(cov, label % k)
-    blocks = pattern(register.offsets)
-    idx = positions(k, lo, lo + n - 1)
-    for x, r in enumerate(idx):
-        for y, c in enumerate(idx):
-            if (y % n - x % n) not in blocks[2 * (x // n) + y // n]:
-                cov[r, c] = 0.0
-    register.load(cov)
-    return register, cov, lo, lo + n - 1
-
-
-def on_convention(case, data):
-    """A window whose oldest label's q row over the rest of the window, its
-    measured row, is on the pinned feedforward convention: each entry the
-    window may hold is +0.0 or that label's q variance var, bitwise.
-    Returns the window, the label's slot and the row's dense positions."""
-    register, cov, lo, hi = case
-    assume(lo <= hi)
-    k = lo % register.slots  # the oldest label, retired
-    assume(cov[k, k] > 0)  # it holds a mode
-    row = positions(register.slots, lo + 1, hi)
-    for c in row[np.flatnonzero(cov[k, row])]:
-        cov[k, c] = cov[c, k] = data.draw(st.sampled_from([0.0, cov[k, k]]))
-    register.load(cov)
-    return register, cov, lo, hi, k, row
-
-
-def positions(k, lo, hi):
-    """Dense positions of labels lo..hi: their q slots, then their p slots."""
-    q = np.arange(lo, hi + 1) % k
-    return np.concatenate((q, q + k))
 
 
 class TestWindowReads:
@@ -208,15 +225,15 @@ class TestWindowReads:
 
     @given(case=windows(), data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_measured_row_is_the_dense_row(self, case, data):
+    def test_measure_returns_the_dense_row(self, case, data):
         register, cov, lo, hi, k, row = on_convention(case, data)
-        var, b_keep = register.measured_row(lo, hi - lo)
+        var, b_keep = register.measure(lo)
         assert np.float64(var).tobytes() == cov[k, k].tobytes()
         assert b_keep.tobytes() == cov[k][row].tobytes()
 
     @given(case=windows(), data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_measured_row_off_the_convention_is_refused(self, case, data):
+    def test_measure_off_the_convention_is_refused(self, case, data):
         register, cov, lo, hi, k, row = on_convention(case, data)
         stored = row[np.flatnonzero(pattern_mask(register.offsets, register.slots)[k, row])]
         assume(stored.size)
@@ -225,86 +242,131 @@ class TestWindowReads:
         wrong = [-0.0, -var, np.nextafter(var, 0.0), np.nextafter(var, np.inf), var / 3]
         cov[k, c] = cov[c, k] = data.draw(st.sampled_from(wrong))
         register.load(cov)
-        with pytest.raises(ValueError, match=f"^node {lo}: stored measurement is off the pinned feedforward convention"):
-            register.measured_row(lo, hi - lo)
+        with unchanged(register), pytest.raises(
+            ValueError, match=f"^node {lo}: stored measurement is off the pinned feedforward convention"
+        ):
+            register.measure(lo)
 
     @pytest.mark.parametrize("var", [-2.0, 0.0, 1e-13])
     def test_measure_refuses_a_variance_that_is_not_positive(self, var):
-        # measured_row reads such a row, and measure refuses it before the
-        # run stores it, so every stored measurement has var > 0
+        # a row on the convention, read first, then the variance, refused
+        # before the run stores it, so every stored measurement has var > 0
         register = DiagonalRegister((1,), 3)
         cov = np.zeros((6, 6))
         cov[1, 1] = var  # label 7, in slot 1
-        register.load(cov)
-        register.measured_row(7, 2)
-        with pytest.raises(ValueError, match=r"^degenerate marginal variance .* on mode 7$"):
+        open_window(register, cov, 7, 9)
+        with unchanged(register), pytest.raises(
+            ValueError, match=r"^degenerate marginal variance .* on mode 7$"
+        ):
+            register.measure(7)
+
+    @pytest.mark.parametrize("var", [-2.0, 0.0, 1e-13])
+    def test_measure_refuses_a_row_off_the_convention_before_its_variance(self, var):
+        register = DiagonalRegister((1,), 3)
+        cov = np.zeros((6, 6))
+        cov[1, 1] = var  # label 7, in slot 1
+        cov[1, 5] = cov[5, 1] = 0.25  # (q_7, p_8), neither +0.0 nor var
+        open_window(register, cov, 7, 9)
+        with unchanged(register), pytest.raises(ValueError, match="^node 7: stored measurement is off"):
             register.measure(7)
 
     @given(case=windows(), n=st.integers(-5, 5))
     @settings(max_examples=100, deadline=None)
     def test_roll_relabels_the_slots(self, case, n):
         register, cov, _, _ = case
+        lo, hi = register.lo, register.hi
         shift = positions(register.slots, -n, register.slots - 1 - n)  # slot s takes s - n
         want = cov[np.ix_(shift, shift)]
         rolled = register.rolled(n)
         register.roll(n)
         assert np.array_equal(register.diagonals, rolled)
         assert register.dense().tobytes() == want.tobytes()
+        assert (register.lo, register.hi) == (lo + n, hi + n)
 
 
-def twin(register):
-    """A second register of the same offsets and ring, holding the same values."""
-    other = DiagonalRegister(register.offsets, register.slots)
-    other.load(register.dense())
-    return other
+@contextmanager
+def unchanged(register):
+    """Check that the block leaves the register's diagonals and window
+    bitwise as they were."""
+    diagonals, window = register.diagonals.tobytes(), (register.lo, register.hi)
+    yield
+    assert register.diagonals.tobytes() == diagonals
+    assert (register.lo, register.hi) == window
 
 
-class TestLabels:
-    """A kernel or read maps each label to its slot, so labels l, l + K and
-    l - K address one mode: each call on labels in 0..K-1 is repeated on a
-    twin register with every label moved by K or -K."""
-
-    @given(case=buffers(), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_kernels_take_any_label_of_a_slot(self, case, data):
-        register, cov = case
-        other, k = twin(register), register.slots
-
-        def alias(label):
-            return label + data.draw(st.sampled_from([-k, k]))
-
-        kernel = data.draw(st.sampled_from(["emit", "cz", "measure", "clear", "nullifier"]))
-        if kernel == "measure":
-            label = data.draw(st.sampled_from(occupied(cov)))
-        else:
-            label = data.draw(st.integers(0, k - 1))
-        if kernel == "emit":
-            r = data.draw(st.floats(0.0, 3.0))
-            register.emit(label, r)
-            other.emit(alias(label), r)
-        elif kernel == "cz":
-            d = data.draw(st.sampled_from([s * d for d in register.offsets for s in (1, -1)]))
-            register.cz(label, label + d)
-            other.cz(alias(label), alias(label + d))
-        elif kernel == "nullifier":
-            links = [label + d for d in register.offsets]
-            neighbours = data.draw(st.permutations(links))[: data.draw(st.integers(0, len(links)))]
-            want = register.nullifier(label, neighbours)
-            assert other.nullifier(alias(label), list(map(alias, neighbours))).hex() == want.hex()
-        else:
-            getattr(register, kernel)(label)
-            getattr(other, kernel)(alias(label))
-        assert other.diagonals.tobytes() == register.diagonals.tobytes()
+class TestWindow:
+    """The register keeps its live window lo..hi: a kernel refuses a label
+    outside it, a measurement or trace of any label but lo, and an emission
+    of any label but hi + 1 or past K labels.  A refused call writes
+    nothing and leaves the window as it was."""
 
     @given(case=windows(), data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_measured_row_takes_any_label_of_a_slot(self, case, data):
-        register, _, lo, hi, _, _ = on_convention(case, data)
-        var, b_keep = register.measured_row(lo, hi - lo)
-        alias = lo + data.draw(st.sampled_from([-1, 1])) * register.slots
-        got_var, got = twin(register).measured_row(alias, hi - lo)
-        assert np.float64(got_var).tobytes() == np.float64(var).tobytes()
-        assert got.tobytes() == b_keep.tobytes()
+    @settings(max_examples=300, deadline=None)
+    def test_a_label_out_of_place_is_refused(self, case, data):
+        register, _, lo, hi = case
+        assume(lo <= hi)
+        k = register.slots
+        near = st.integers(lo - 2 * k, hi + 2 * k)
+        # lo + K aliases lo's slot, and hi + 1 is the slot after the window
+        outside = st.sampled_from([lo + k, hi + 1, lo - 1]) | near.filter(lambda x: not lo <= x <= hi)
+        kernel = data.draw(st.sampled_from(["cz", "nullifier", "measure", "clear", "emit"]))
+        if kernel == "cz":
+            label, live = data.draw(outside), data.draw(st.integers(lo, hi))
+            pair = data.draw(st.permutations([label, live]))
+            call, message = lambda: register.cz(*pair), f"label {label} is not live"
+        elif kernel == "nullifier":
+            label = data.draw(outside)
+            call, message = lambda: register.nullifier(label), f"label {label} is not live"
+        elif kernel in ("measure", "clear"):
+            label = data.draw(near.filter(lambda x: x != lo))
+            call, message = lambda: getattr(register, kernel)(label), f"cannot finalize {label}"
+        else:
+            full = hi - lo + 1 == k
+            label = data.draw(near.filter(lambda x: full or x != hi + 1))
+            call, message = lambda: register.emit(label, 0.5), f"cannot emit {label} into"
+        message = f"^{re.escape(message)}.* window {lo}\\.\\.{hi}$"
+        with unchanged(register), pytest.raises(RuntimeError, match=message):
+            call()
+
+    def test_an_alias_of_a_live_slot_is_refused(self):
+        # an M = 4 lattice's ring of K = 6 slots, window 7..11: label 13 is
+        # slot 1, label 7's, and label 12 is the empty slot 0
+        register = DiagonalRegister((1, 4), 6)
+        for label in range(7, 12):
+            register.emit(label, 0.5)
+        for label in range(8, 12):
+            register.cz(label - 1, label)
+        register.cz(7, 11)
+        with unchanged(register):
+            for call in (
+                lambda: register.nullifier(13),
+                lambda: register.cz(12, 13),
+                lambda: register.cz(7, 12),
+                lambda: register.measure(13),
+                lambda: register.clear(8),
+                lambda: register.emit(13, 0.5),
+            ):
+                with pytest.raises(RuntimeError, match=r"window 7\.\.11$"):
+                    call()
+        register.emit(12, 0.5)  # the window fills the ring
+        with unchanged(register), pytest.raises(RuntimeError, match=r"^cannot emit 13 into window 7\.\.12$"):
+            register.emit(13, 0.5)
+
+    def test_the_first_emission_opens_the_window(self):
+        register = DiagonalRegister((1,), 3)
+        assert (register.lo, register.hi, register.high_water) == (0, -1, 0)
+        register.emit(-5, 0.5)
+        assert (register.lo, register.hi, register.high_water) == (-5, -5, 1)
+        register.emit(-4, 0.5)
+        register.cz(-5, -4)
+        register.measure(-5)
+        register.clear(-4)
+        # empty, but opened: only hi + 1 may follow
+        assert (register.lo, register.hi, register.high_water) == (-3, -4, 2)
+        with pytest.raises(RuntimeError, match=r"^cannot emit 0 into window -3\.\.-4$"):
+            register.emit(0, 0.5)
+        register.emit(-3, 0.5)
+        assert (register.lo, register.hi, register.high_water) == (-3, -3, 2)
 
 
 class TestPattern:
@@ -322,6 +384,7 @@ class TestPattern:
 
     def test_cz_off_the_pattern_on_empty_slots_writes_zeros(self):
         register = DiagonalRegister((1, 4), 6)
+        open_window(register, np.zeros((12, 12)), 0, 5)  # six live labels, every entry zero
         register.cz(0, 3)
         assert not register.diagonals.any()
 
