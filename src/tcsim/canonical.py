@@ -38,13 +38,21 @@ def canonical_covariance(graph: Graph, r: Squeezing) -> np.ndarray:
     With a_i = e^{2 r_i}/2, b_i = e^{-2 r_i}/2 and adjacency A, the blocks
     are qq = diag(a), qp = diag(a) A, pq = A diag(a) and
     pp = A diag(a) A + diag(b): S diag(a, b) S^T for the CZ network
-    S = [[I, 0], [A, I]].
+    S = [[I, 0], [A, I]].  Each pp sum is added one term a_k at a time, in
+    ascending k, then b_i on the diagonal: the order
+    :func:`canonical_entries` documents, so the two agree bit for bit
+    whatever BLAS a matrix product would use.
     """
     per_node = r if isinstance(r, Mapping) else {v: r for v in graph.nodes}
     a, b = squeezed_variances(np.array([per_node[v] for v in graph.nodes], dtype=float))
     adj = graph.adjacency_matrix()
     qp = a[:, None] * adj
-    return np.block([[np.diag(a), qp], [qp.T, adj @ qp + np.diag(b)]])
+    pp = np.zeros_like(adj)
+    for k, row in enumerate(adj):
+        neighbours = np.flatnonzero(row)
+        pp[np.ix_(neighbours, neighbours)] += a[k]  # each path i - k - j
+    pp += np.diag(b)
+    return np.block([[np.diag(a), qp], [qp.T, pp]])
 
 
 def build_canonical_cluster(graph: Graph, r: Squeezing) -> GaussianState:
@@ -69,12 +77,10 @@ def canonical_entries(
       pp(i, j) = sum_k A_ik a_k A_kj, summed in ascending label order,
       plus b_i on the diagonal.
 
-    Each pp sum is added one term at a time, in the order in which the
-    dense product ``adj @ qp`` accumulates it, so the values are the dense
-    blocks' bit for bit wherever the tests compare them (graphs of up to a
-    few hundred nodes; a BLAS that splits a longer sum into blocks can round
-    it differently).  Memory and time are O(sum of squared degrees), so a
-    graph of bounded degree costs O(nodes).
+    Each pp sum is added one term at a time, in that order, as
+    :func:`canonical_covariance` adds it, so the values are the dense
+    blocks' bit for bit.  Memory and time are O(sum of squared degrees), so
+    a graph of bounded degree costs O(nodes).
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)

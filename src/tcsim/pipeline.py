@@ -27,13 +27,15 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 # build_canonical_cluster is bound here, though no run calls it, because the
-# benchmark's tracer wraps it by this name; it goes when the tracer is
-# updated (ROADMAP item 2).
+# benchmark's tracer wraps it by this name, as it wraps build_schedule and
+# TemporalPipeline.execute, which no run calls either: run drives tick.  They
+# go when the tracer is updated (ROADMAP items 2 and 9).
 from .canonical import build_canonical_cluster, canonical_entries, squeezed_variances
 from .gaussian import GaussianState, MeasurementRecord
 from .graphs import Graph, make_graph
@@ -211,26 +213,21 @@ class RunReport:
 def tick_events(
     config: PipelineConfig, t: int, deferred: range = range(0)
 ) -> List[PipelineEvent]:
-    """The events of tick t, in order.
-
-    While pulses remain, tick t emits pulse t and applies cz(t-d, t) for each
-    topology offset d; then the measurement slot finalizes the pulse emitted
-    ``delay`` ticks earlier (a trace for ancillas).  Ticks beyond the last
-    emission only flush the remaining pulses.  A nonempty ``deferred`` range
-    makes its last label the last pulse and withholds the measurements of its
-    labels, which then stay live.
-    """
-    last = deferred[-1] if deferred else config.n_pulses
+    """The events of tick t, in order: the calls :meth:`TemporalPipeline.tick`
+    makes, recorded by a stand-in pipeline and register that run no kernel."""
     events: List[PipelineEvent] = []
-    if t <= last:
-        events.append(PipelineEvent("emit", (t,)))
-        for d in config.offsets:
-            events.append(PipelineEvent("cz", (t - d, t)))
-    slot = t - config.delay
-    if 1 <= slot <= last and slot not in deferred:
-        events.append(PipelineEvent("measure", (slot,)))
-    elif slot in config.ancilla_labels:
-        events.append(PipelineEvent("trace", (slot,)))
+
+    def record(kind: str) -> Callable:
+        return lambda *labels: events.append(PipelineEvent(kind, labels))
+
+    register = SimpleNamespace(
+        emit=lambda label, r: record("emit")(label), cz=record("cz"), clear=record("trace")
+    )
+    last = deferred[-1] if deferred else config.n_pulses
+    stand_in = SimpleNamespace(
+        config=config, deferred=deferred, last=last, register=register, _finalize=record("measure")
+    )
+    TemporalPipeline.tick(stand_in, t)
     return events
 
 
@@ -247,20 +244,21 @@ class TemporalPipeline:
     K slots with no label map and no free list; its kernels take the labels.
     Each run builds one register and keeps it: K is reach + 2, a stream's
     high-water mark, or len(range) if that is larger for a run with a
-    nonempty ``deferred`` range (see :func:`tick_events`), which ends
-    holding the whole range.  The register stores only the slot-offset
-    diagonals of the covariance that the topology can fill, so it holds
-    O(K) values, not (2K)^2.  Every event is one in-place kernel of the
-    register, each the dense kernel of :mod:`tcsim.gaussian` on the stored
-    entries, bit for bit: emit writes two diagonal entries, CZ adds two rows
-    and two columns, measure is one rank-1 downdate of the p rows of the
-    measured node's live graph neighbours, and both measure and trace then
-    clear the mode.  The kernels keep the register exactly symmetric;
-    every stored entry is checked (mirrored and finite) once per tick that
-    runs kernels, before the tick's measurement.  A tick that :meth:`run`
-    certifies as steady runs no kernel: it repeats a checked register one
-    label on.  ``measured`` holds every measurement, in node order, as
-    :class:`Stretch`es; ``records`` and ``nullifier_checks`` view it.
+    nonempty ``deferred`` range (see :meth:`tick`), which ends holding the
+    whole range.  The register stores only the slot-offset diagonals of the
+    covariance that the topology can fill, so it holds O(K) values, not
+    (2K)^2.  :meth:`tick` states what each tick does; each of its steps is
+    one in-place kernel of the register, the dense kernel of
+    :mod:`tcsim.gaussian` on the stored entries, bit for bit: emit writes
+    two diagonal entries, CZ adds two rows and two columns, measure is one
+    rank-1 downdate of the p rows of the measured node's live graph
+    neighbours, and both measure and trace then clear the mode.  The
+    kernels keep the register exactly symmetric; every stored entry is
+    checked (mirrored and finite) once per tick that runs kernels, before
+    the tick's measurement.  A tick that :meth:`run` certifies runs no
+    kernel: it repeats a register one label on.  ``measured`` holds every
+    measurement, in node order, as :class:`Stretch`es; ``records`` and
+    ``nullifier_checks`` view it.
 
     Each node is q-measured as soon as its slot comes up, with the
     conditional mean shift cancelled by feedforward that lists the survivors
@@ -274,12 +272,14 @@ class TemporalPipeline:
     def __init__(self, config: PipelineConfig, deferred: range = range(0)):
         self.config = config
         self.deferred = deferred
+        # the last pulse: the deferred range's last label, else N
+        self.last = deferred[-1] if deferred else config.n_pulses
         self.rng = np.random.default_rng(config.seed)
         self.register = DiagonalRegister(config.offsets, max(config.reach + 2, len(deferred)))
         for label in config.ancilla_labels:
             self.register.emit(label, 0.0)
         self.measured: List[Stretch] = []
-        # an open candidate's diagonals, rolled one slot (see run), or None
+        # an open candidate's diagonals, moved one label on (see run), or None
         self._kept = None
 
     @property
@@ -299,7 +299,31 @@ class TemporalPipeline:
         lo, hi = self.register.lo, self.register.hi
         return GaussianState(range(lo, hi + 1), self.register.window(lo, hi))
 
+    def tick(self, t: int) -> None:
+        """Tick t: the one statement of the per-tick rule.
+
+        While pulses remain, tick t emits pulse t and applies cz(t - d, t)
+        for each topology offset d; then the measurement slot finalizes the
+        pulse emitted ``delay`` ticks earlier (a trace for an ancilla).
+        Ticks past the last pulse only flush the remaining ones.  A nonempty
+        ``deferred`` range makes its last label the last pulse and withholds
+        the measurements of its labels, which then stay live.
+        """
+        config, register = self.config, self.register
+        if t <= self.last:
+            register.emit(t, config.squeezing_r)
+            for d in config.offsets:
+                register.cz(t - d, t)
+        slot = t - config.delay
+        if 1 <= slot <= self.last and slot not in self.deferred:
+            self._finalize(slot)
+        elif slot in config.ancilla_labels:
+            register.clear(slot)
+
     def execute(self, events: List[PipelineEvent]) -> None:
+        """Run a list of events, such as :func:`tick_events` gives, on the
+        register.  No run calls it: like :func:`build_schedule`, it is kept
+        because the benchmark's tracer wraps it by name (ROADMAP item 9)."""
         for event in events:
             kind, labels = event.kind, event.labels
             if kind == "cz":
@@ -316,53 +340,69 @@ class TemporalPipeline:
     def run(self) -> RunReport:
         """The one run loop, for a stream and for a deferred run alike.
 
-        It runs every tick up to the run's last, ``last + delay`` with
-        ``last`` the last pulse (the deferred range's last label, else N):
-        past it :func:`tick_events` schedules nothing.  Either way the run
-        must end with exactly ``deferred`` live (nothing, for a stream).
+        It runs :meth:`tick` on every tick up to the run's last,
+        ``last + delay``, and must end with exactly ``deferred`` live
+        (nothing, for a stream).
 
-        Both runs certify their steady state.  No kernel takes an outcome (a
-        covariance update does not depend on one), so the register is the
-        state of a deterministic machine; past the boundary, tick t + 1's
-        events are tick t's shifted by one label; and every kernel maps a
-        cyclic relabelling of the slots to the same relabelling of its
-        output, bit for bit, on a ring of any size (a diagonal's slot offset
-        does not change under it, the q measurement computes each entry on
-        its own, the keep order and the nullifier follow label order, and
-        the symmetry check's max does not depend on order).  So after a
-        steady emission tick t the register's diagonals are kept, rolled one
-        slot; if they equal it bit for bit after tick t + 1, every later
-        emission tick up to ``stop`` repeats tick t + 1 one label on and is
-        stored with its measurement (:meth:`_repeat`), else a new candidate
-        opens.  A stream's ticks are all such ticks, so ``stop`` is N; a
-        deferred run's are a stream's until the first deferred label reaches
-        the measurement slot, so ``stop`` is the tick before, or its last
-        emission if that comes first.  The first candidate opens after
-        tick 2 reach + 1, since tick 2 reach + 2 already measures a
-        non-boundary node with all its neighbours live, and the last after
-        tick stop - 2, so that one tick is left to repeat.  When it passes, a
-        stream runs kernels on 3 reach + 3 ticks for any N >= 2 reach + 2,
-        flush included (N = 2 reach + 2 has no emission left to repeat and
-        runs them all), and a deferred run on 2 reach + 2 ticks plus the
-        last + delay - stop after its stretch, whatever N.  Its ring is
-        sized once, when the run is built, so the certificate compares
-        registers of one size throughout.
+        Both runs certify the ticks that repeat.  No kernel takes an outcome
+        (a covariance update does not depend on one), so the register is the
+        state of a deterministic machine, and every kernel maps a cyclic
+        relabelling of the slots to the same relabelling of its output, bit
+        for bit, on a ring of any size (a diagonal's slot offset does not
+        change under it, the q measurement computes each entry on its own,
+        the keep order and the nullifier follow label order).  Two stretches
+        of ticks repeat one label on: a stream's steady ticks, each of which
+        emits, links and measures, and a deferred run's growth, whose ticks
+        only emit and link once the range's first node has reached the
+        measurement slot.  A tick of either reads and writes only entries of
+        two modes among its last 2 reach + 1 labels, the register's front
+        block (2 reach is the largest pp offset; empty slots hold zeros).
+        So there is one certificate rule: after a candidate tick t the
+        register's diagonals are kept as :meth:`DiagonalRegister.moved`
+        gives them, the front block one label on; if they equal that copy
+        bit for bit after tick t + 1, every later tick up to the stretch's
+        end repeats tick t + 1 one label on, and :meth:`_repeat` moves the
+        register there in one step, else a new candidate opens.  While the
+        window lies in the block, as it always does on a stream's ring, which
+        the block spans, the move is a roll of the ring; in the growth the
+        block leaves the range's older labels in place, and each label it
+        passes keeps the block's oldest column.
+
+        A stream's steady stretch ends at N.  A deferred run's ticks are a
+        stream's until the first deferred label reaches the measurement
+        slot, so its steady stretch ends at ``stop``, the tick before, or
+        at its last emission if that comes first; its growth ends at its
+        last emission.  A steady candidate opens after each tick from
+        2 reach + 1, since tick 2 reach + 2 already measures a non-boundary
+        node with all its neighbours live, and a growth candidate after
+        each growth tick whose window holds the front block; the last of
+        either opens two ticks before its stretch ends, so that one tick is
+        left to repeat.  When they pass, a stream runs kernels on
+        3 reach + 3 ticks for any N >= 2 reach + 2, flush included
+        (N = 2 reach + 2 has no emission left to repeat and runs them all),
+        and a deferred run on a number of ticks that grows with neither N
+        nor len(range): 5 reach + 4 (44 at M = 8) for a range of at least
+        3 reach + 3 nodes from node reach + 3 on, whose growth certificate
+        passes at tick first + 3 reach + 1.  Its ring is sized
+        once, when the run is built, so the certificate compares registers
+        of one size throughout.
         """
-        config, deferred = self.config, self.deferred
-        last = deferred[-1] if deferred else config.n_pulses
+        config, deferred, last = self.config, self.deferred, self.last
         stop = min(deferred[0] + config.delay - 1, last) if deferred else last
-        # tick t + 1 after one of these emits and measures a non-boundary node,
-        # and at least one emission tick of the stretch follows it
+        # the candidate ticks of the steady stretch and of the growth, whose
+        # window must hold the whole front block: a move of a shorter one
+        # would take lo on, which no growth tick does
         steady = range(2 * config.reach + 1, stop - 1)
+        growth = range(deferred[0] + self.register.front - 1, last - 1) if deferred else range(0)
         t = 1
         while t <= last + config.delay:
-            self.execute(tick_events(config, t, deferred))
+            self.tick(t)
             # bitwise, since the kernels never store a -0.0; a NaN fails it
             if self._kept is not None and np.array_equal(self.register.diagonals, self._kept):
-                t = self._repeat(t, stop)
+                t = self._repeat(t, stop if t < stop else last)
             self._kept = None
-            if t in steady:
-                self._kept = self.register.rolled(1)  # slot s takes slot s - 1
+            if t in steady or t in growth:
+                self._kept = self.register.moved()
             t += 1
         live = range(self.register.lo, self.register.hi + 1)
         if live != deferred:
@@ -376,21 +416,23 @@ class TemporalPipeline:
         self.measured.append(Stretch(node, var, b_keep, variance, self._draw(1, var)))
 
     def _repeat(self, t: int, stop: int) -> int:
-        """Store ticks t + 1 .. stop after a certified tick t as one
-        :class:`Stretch`, tick t's with n = stop - t new outcomes and no
-        kernel run; returns tick stop.
+        """Repeat ticks t + 1 .. stop after a certified tick t with no kernel
+        run; returns tick stop.
 
-        Tick t + j repeats tick t's measurement j labels on: the register is
-        rolled n slots to tick stop's phase, the window moves with it, and
-        the n outcomes are drawn in node order (:meth:`_draw`).
+        Tick t + j repeats tick t j labels on: the register moves
+        n = stop - t labels on (its ``move``), and if tick t measured a
+        node, each repeat measures the next one, stored as one
+        :class:`Stretch`, tick t's with n new outcomes drawn in node order
+        (:meth:`_draw`).
         """
-        last = self.measured[-1]
-        self._kept = None  # released before the outcomes are drawn
+        self._kept = None  # released before the register moves
         n = stop - t
-        self.register.roll(n)  # slot s takes slot s - n
-        outcomes = self._draw(n, last.var)
-        self.measured.append(replace(last, first=last.first + 1, outcomes=outcomes))
-        return t + n
+        self.register.move(n)
+        last = self.measured[-1] if self.measured else None
+        if last is not None and last.first == t - self.config.delay:
+            outcomes = self._draw(n, last.var)
+            self.measured.append(replace(last, first=last.first + 1, outcomes=outcomes))
+        return stop
 
     def _draw(self, n: int, var: float) -> np.ndarray:
         """n outcomes of variance var: the run's next n normal draws, times sqrt(var)."""
@@ -453,14 +495,16 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     """Max discrepancy between the pipeline output and the canonical cluster.
 
     Runs :meth:`TemporalPipeline.run` with ``node_range`` deferred (see
-    :func:`tick_events`), so it ends holding exactly the range's nodes,
-    reads its register's stored entries on the range (the register's
+    :meth:`TemporalPipeline.tick`), so it ends holding exactly the range's
+    nodes, reads its register's stored entries on the range (the register's
     ``entries``) and releases it before building the oracle,
     :func:`range_oracle`, entry by entry; no outcome is replayed.  Neither
     grows with N: the run certifies like a stream until the range's first
-    node reaches the measurement slot, so it runs kernels on a fixed number
-    of ticks around one certified stretch, on one register of
-    max(reach + 2, len(range)) slots; the oracle's graph is the range's.
+    node reaches the measurement slot, then certifies the range's growth,
+    so it runs kernels on a number of ticks that grows with neither N nor
+    len(range) (5 reach + 4 for a long range from node reach + 3 on),
+    on one register of max(reach + 2, len(range)) slots; the oracle's graph
+    is the range's.
     Each stored entry is compared with the oracle's value at its (block,
     row, column), or with 0 where the oracle has none, and an oracle entry
     that the register does not store counts at its full value: the max

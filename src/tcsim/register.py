@@ -64,8 +64,11 @@ class DiagonalRegister:
     Slots that hold no mode are all zeros, as in a dense buffer.
 
     The live window ``lo..hi`` opens at the first emission's label; then
-    ``emit`` appends hi + 1, ``measure`` and ``clear`` take lo, and ``roll``
+    ``emit`` appends hi + 1, ``measure`` and ``clear`` take lo, and ``move``
     moves it with the data.  ``high_water`` is the most labels it has held.
+    ``front`` is the width of the block of labels up to hi that a move
+    takes one slot on: 2 reach + 1, the labels a tick reaches, or K if that
+    is smaller.
     """
 
     def __init__(self, offsets: Sequence[int], slots: int) -> None:
@@ -73,9 +76,10 @@ class DiagonalRegister:
         self.slots = k = slots
         # the live window lo..hi, empty while hi < lo, and its largest size
         self.lo, self.hi, self.high_water = 0, -1, 0
+        blocks = pattern(self.offsets)
         self._stored = [
             (block, o)
-            for block, label_offsets in enumerate(pattern(self.offsets))
+            for block, label_offsets in enumerate(blocks)
             for o in sorted({x % k for x in label_offsets})
         ]
         self._zero = len(self._stored)
@@ -110,6 +114,18 @@ class DiagonalRegister:
         self._downdate_off = np.flatnonzero(self._downdate[0] // k == self._zero)
         self._cz = {d: self._cz_kernel(t) for d, t in zip(deltas, tables)}
         self._forms = [self._form_kernel(t) for t in tables[len(deltas) :]]  # by prefix length
+
+        # The front block that :meth:`moved` moves: the labels hi - 2 reach ..
+        # hi, 2 reach being the largest pp offset, or the whole ring if that
+        # is smaller, when a move is a roll and needs no table.  Its entries
+        # are the stored (row, j) with both modes in it, j the row mode's
+        # position in the block; the oldest column's have j = 0 or the column
+        # mode at position 0.
+        self.front = w = min(max(blocks[PP]) + 1, k)
+        if w < k:
+            shifts = np.array([o for _, o in self._stored])
+            rows, js = np.nonzero((np.arange(w) + shifts[:, None]) % k < w)
+            self._block = rows, js, np.flatnonzero((js == 0) | ((js + shifts[rows]) % k == 0))
 
     def _entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every stored entry, in flat order: its block, row slot and column slot."""
@@ -192,35 +208,43 @@ class DiagonalRegister:
         ]
 
     def _cz_kernel(self, table: np.ndarray) -> tuple:
-        """A CZ table, its add length and the entries of each add that fall
+        """A CZ table as views, one per run of its columns: the row adds'
+        targets and sources, the column adds' targets and sources, and the
+        mirror's target and source; then the entries of each add that fall
         off the pattern."""
         n = (table.shape[1] - 2) // 4
         off = table[0] // self.slots == self._zero
-        return table, n, np.flatnonzero(off[:n]), np.flatnonzero(off[2 * n : 3 * n])
+        runs = [table[:, j * n : (j + 1) * n] for j in range(4)]
+        off_rows, off_columns = np.flatnonzero(off[:n]), np.flatnonzero(off[2 * n : 3 * n])
+        return (*runs, table[:, -1], table[:, -2], off_rows, off_columns)
 
     def cz(self, a: int, b: int) -> None:
         """Unit-weight CZ on labels a and b, in slots i and j:
         :func:`gaussian.cz_slots` on the stored entries, the two row adds as
         one step, the two column adds (which read the updated q columns) as
         the next, then (p_j, p_i) mirrored from (p_i, p_j)."""
-        i = self._live(a)
-        delta = (self._live(b) - i) % self.slots
+        lo, hi = self.lo, self.hi
+        if not (lo <= a <= hi and lo <= b <= hi):
+            label = b if lo <= a <= hi else a
+            raise RuntimeError(f"label {label} is not live in window {lo}..{hi}")
+        i = a % self.slots
+        delta = (b - a) % self.slots
         if not delta:
             raise ValueError("CZ requires two distinct slots")
         found = self._cz.get(delta)
         if found is None:
             found = self._cz[delta] = self._cz_kernel(self._tables(self._cz_entries(delta))[0])
-        table, n, off_rows, off_columns = found
-        flat, at = self._flat, table[i]
-        targets, sources = at[:n], at[n : 2 * n]
+        row_to, row_from, column_to, column_from, mirror, mirrored, off_rows, off_columns = found
+        flat = self._flat
+        sources = row_from[i]
         if off_rows.size:
             self._refuse_off_pattern(flat[sources[off_rows]])
-        flat[targets] += flat[sources]
-        targets, sources = at[2 * n : 3 * n], at[3 * n : 4 * n]
+        flat[row_to[i]] += flat[sources]
+        sources = column_from[i]
         if off_columns.size:
             self._refuse_off_pattern(flat[sources[off_columns]])
-        flat[targets] += flat[sources]
-        flat[at[-1]] = flat[at[-2]]
+        flat[column_to[i]] += flat[sources]
+        flat[mirror[i]] = flat[mirrored[i]]
 
     def measure(self, label: int) -> Tuple[float, np.ndarray]:
         """Homodyne-measure q on the oldest label, in slot k:
@@ -340,14 +364,44 @@ class DiagonalRegister:
         self._refuse_off_pattern(rest)
         self._flat[: self._size] = values
 
-    def rolled(self, n: int) -> np.ndarray:
-        """A copy of the diagonals with slot s holding slot s - n's values:
-        the register relabelled n labels on."""
-        return np.roll(self.diagonals, n, axis=1)
+    def moved(self, n: int = 1) -> np.ndarray:
+        """A copy of the diagonals after the move of n >= 0 labels on: the
+        window's front block of ``front`` labels, hi - front + 1 .. hi, moves
+        n slots on, every entry of two of its modes with them, and each label
+        it passes keeps the block's oldest column (its entries with the
+        labels up to front - 1 after it, and their mirrors); nothing else
+        changes.  When the block's oldest label is not live, the window lies
+        in the block and every other slot is empty, so this is the roll of
+        the whole ring that takes slot s - n's values to slot s; that is the
+        case on a stream's ring, whose block spans it.  Otherwise the window
+        keeps lo and grows n labels on, and must still fit the ring."""
+        return self._move(n)[0]
 
-    def roll(self, n: int) -> None:
-        """Relabel in place: slot s takes slot s - n's values, and the
-        window moves n labels on with them."""
-        self.diagonals[...] = self.rolled(n)
-        self.lo += n
+    def move(self, n: int) -> None:
+        """:meth:`moved` in place; the window's hi moves n labels on, and
+        so does lo if the block's oldest label is not live."""
+        self.diagonals[...], self.lo = self._move(n)
         self.hi += n
+        self.high_water = max(self.high_water, self.hi - self.lo + 1)
+
+    def _move(self, n: int) -> Tuple[np.ndarray, int]:
+        """The diagonals after the move of n labels on, and the window's lo."""
+        oldest = self.hi - self.front + 1
+        if oldest < self.lo:
+            return np.roll(self.diagonals, n, axis=1), self.lo + n
+        k = self.slots
+        if self.hi + n - self.lo >= k:
+            raise RuntimeError(f"cannot move window {self.lo}..{self.hi} {n} labels on")
+        rows, js, column = self._block
+        at = (oldest + js) % k
+        moved = self.diagonals.copy()
+        values = moved[rows, at]
+        if n > 1:
+            # the passed labels oldest + 1 .. oldest + n - 1: slots s + 1 .. s + n - 1
+            # of each oldest-column entry's slot s, which do not wrap past the window
+            for r, s, x in zip(rows[column], at[column], values[column].tolist()):
+                end = s + n
+                moved[r, s + 1 : end] = x
+                moved[r, : max(end - k, 0)] = x
+        moved[rows, (at + n) % k] = values
+        return moved, self.lo

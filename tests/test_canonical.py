@@ -136,6 +136,19 @@ class TestPerEntryClosedForm:
         got = canonical_entries(g.nodes, a, b, edges, traced=traced)
         assert_lists_every_nonzero_entry(got, want.labels, want.cov)
 
+    @pytest.mark.parametrize("n, p", [(200, 0.3), (300, 0.1), (300, 0.2), (400, 0.1)])
+    def test_long_sums_agree_bitwise_with_the_dense_closed_form(self, n, p):
+        # pp sums of tens of terms, each node at its own squeezing: a BLAS
+        # product adj @ qp splits such sums into blocks and rounds them
+        # otherwise, so both forms must add each term in ascending k
+        rng = np.random.default_rng(n + int(10 * p))
+        g = random_graph(n, p, rng)
+        rs = rng.uniform(0.0, db_to_r(20), n)
+        want = canonical_covariance(g, dict(zip(g.nodes, rs)))
+        a, b = squeezed_variances(rs)
+        edges = np.array(g.sorted_edges()).reshape(-1, 2)
+        assert_lists_every_nonzero_entry(canonical_entries(g.nodes, a, b, edges), g.nodes, want)
+
     def test_refuses_an_edge_off_the_labels(self):
         a = b = np.full(3, 0.5)
         with pytest.raises(ValueError, match="not a label"):

@@ -371,16 +371,19 @@ class TestWindowGuards:
         self.refuses([("divert", (0,))], ValueError, "unknown event kind 'divert'")
 
     def test_run_that_leaves_a_mode_live_names_it_without_a_dense_read(self, monkeypatch):
-        # A schedule that never measures node 5 leaves it live.  The error
+        # A tick that never measures node 5 leaves it live.  The error
         # names the labels alone: a dense read of a long range's register
         # would need a 2L x 2L matrix.
-        def skip_node_5(config, t, deferred=range(0)):
-            return [e for e in tick_events(config, t, deferred) if e != PipelineEvent("measure", (5,))]
+        finalize = TemporalPipeline._finalize
+
+        def skip_node_5(self, node):
+            if node != 5:
+                finalize(self, node)
 
         def dense_read(*args):
             raise AssertionError("the error path must not read the register densely")
 
-        monkeypatch.setattr("tcsim.pipeline.tick_events", skip_node_5)
+        monkeypatch.setattr(TemporalPipeline, "_finalize", skip_node_5)
         monkeypatch.setattr(DiagonalRegister, "window", dense_read)
         with pytest.raises(RuntimeError, match=r"^schedule left live modes \(5,\)$"):
             TemporalPipeline(wire_config(5)).run()

@@ -50,11 +50,20 @@ def rings(draw):
 
 
 @st.composite
-def buffers(draw):
+def growing_rings(draw):
+    """Offsets and a deferred run's ring longer than its front block of
+    2 reach + 1 labels, so that a window can outgrow the block."""
+    offsets = draw(st.sampled_from([(1,), (1, 2), (1, 3), (1, 4)]))
+    reach = offsets[-1]
+    return offsets, draw(st.integers(2 * reach + 2, 4 * reach + 6))
+
+
+@st.composite
+def buffers(draw, ring=rings()):
     """A ring and an exactly symmetric buffer with its pattern: random
     entries on the pattern, some of them zero, some slots empty, every zero
     +0.0, every q variance at least 0.1 on an occupied slot."""
-    offsets, k = draw(rings())
+    offsets, k = draw(ring)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = rng.standard_normal((2 * k, 2 * k))
     m[rng.random((2 * k, 2 * k)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
@@ -71,13 +80,13 @@ def buffers(draw):
 
 
 @st.composite
-def windows(draw):
+def windows(draw, ring=rings()):
     """A buffer and a window lo..hi of at most K labels, the register's
     live window unless it is empty: the slots outside it are empty, and an
     entry of two live modes is zero unless their label offset is on the
     pattern (on a small ring a slot offset can stand for a label offset off
     it)."""
-    register, cov = draw(buffers())
+    register, cov = draw(buffers(ring))
     k = register.slots
     lo = draw(st.integers(-k, 3 * k))
     n = draw(st.integers(0, k))
@@ -272,16 +281,52 @@ class TestWindowReads:
 
     @given(case=windows(), n=st.integers(-5, 5))
     @settings(max_examples=100, deadline=None)
-    def test_roll_relabels_the_slots(self, case, n):
+    def test_move_of_a_window_inside_its_front_block_rolls_the_ring(self, case, n):
+        # the window lies in the block, so every other slot is empty
         register, cov, _, _ = case
         lo, hi = register.lo, register.hi
+        assume(hi - register.front + 1 < lo)
         shift = positions(register.slots, -n, register.slots - 1 - n)  # slot s takes s - n
         want = cov[np.ix_(shift, shift)]
-        rolled = register.rolled(n)
-        register.roll(n)
-        assert np.array_equal(register.diagonals, rolled)
+        moved = register.moved(n)
+        register.move(n)
+        assert np.array_equal(register.diagonals, moved)
         assert register.dense().tobytes() == want.tobytes()
         assert (register.lo, register.hi) == (lo + n, hi + n)
+
+    @given(case=windows(growing_rings()), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_move_past_a_live_oldest_label_is_n_moves_of_one(self, case, data):
+        # A window longer than its front block keeps lo and grows.  One move:
+        # the dense buffer's entries of two block modes go one slot on, the
+        # rest stay.  n moves in one step: the same as n single moves, each
+        # passed label keeping the block's oldest column.
+        register, cov, lo, hi = case
+        k, w = register.slots, register.front
+        oldest = hi - w + 1
+        assume(lo <= oldest)  # the block's oldest label is live
+        n = data.draw(st.integers(0, k - 1 - (hi - lo)))
+        step = register.diagonals.copy()
+        for _ in range(n):
+            block = positions(k, oldest, oldest + w - 1)
+            on = positions(k, oldest + 1, oldest + w)
+            want = register.dense()
+            want[np.ix_(on, on)] = want[np.ix_(block, block)]
+            register.move(1)
+            assert register.dense().tobytes() == want.tobytes()
+            oldest += 1
+        assert (register.lo, register.hi, register.high_water) == (lo, hi + n, hi + n - lo + 1)
+        stepped, register.diagonals[...] = register.diagonals.copy(), step
+        register.lo, register.hi = lo, hi
+        assert register.moved(n).tobytes() == stepped.tobytes()
+
+    def test_move_past_the_ring_is_refused(self):
+        register = DiagonalRegister((1,), 6)  # front block of 3 labels
+        for label in range(4, 9):
+            register.emit(label, 0.5)
+        register.move(1)  # the window 4..9 fills the ring
+        with unchanged(register), pytest.raises(RuntimeError, match=r"^cannot move window 4\.\.9 1 labels on$"):
+            register.move(1)
 
 
 @contextmanager

@@ -3,8 +3,9 @@
 Two references that do not use the register: the closed-form canonical
 cluster after every tick, and a tick-by-tick replay of the same events on
 ``GaussianState`` values, which must match ``run_pipeline`` bit for bit.
-A third, which runs every tick's kernels, checks the certified steady state
-that lets ``run`` skip them, in a stream and in ``compare``'s deferred run.
+A third, which runs every tick's kernels, checks the certificate that lets
+``run`` skip them, in a stream's steady state and in ``compare``'s deferred
+run, through its steady state and its growth.
 Every stored outcome is checked against numpy's normal stream for the seed.
 """
 
@@ -67,7 +68,7 @@ def stream_gap(config: PipelineConfig) -> float:
     squeezing.update({node: config.squeezing_r for node in range(1, n + 1)})
     worst = 0.0
     for t in config.ticks:
-        pipe.execute(tick_events(config, t))
+        pipe.tick(t)
         got = pipe.snapshot()
         if not got.labels:
             continue
@@ -217,10 +218,10 @@ def kernel_ticks_of(config: PipelineConfig) -> int:
 
 
 def kernel_run(config: PipelineConfig) -> TemporalPipeline:
-    """Every tick through the kernels: ``execute`` driven tick by tick."""
+    """Every tick through the kernels: ``tick`` driven tick by tick."""
     pipe = TemporalPipeline(config)
     for t in config.ticks:
-        pipe.execute(tick_events(config, t))
+        pipe.tick(t)
     return pipe
 
 
@@ -238,15 +239,17 @@ def assert_same_run(report, pipe: TemporalPipeline) -> None:
 
 @pytest.fixture
 def kernel_ticks(monkeypatch):
-    """Counts the ticks that run kernels (``TemporalPipeline.execute`` calls)."""
+    """Counts the ticks that run kernels (``TemporalPipeline.tick`` calls on
+    a pipeline), each as its events."""
     calls = []
-    execute = TemporalPipeline.execute
+    tick = TemporalPipeline.tick
 
-    def counted(self, events):
-        calls.append(events)
-        execute(self, events)
+    def counted(self, t):
+        if isinstance(self, TemporalPipeline):  # not ``tick_events``' stand-in
+            calls.append(tick_events(self.config, t, self.deferred))
+        tick(self, t)
 
-    monkeypatch.setattr(TemporalPipeline, "execute", counted)
+    monkeypatch.setattr(TemporalPipeline, "tick", counted)
     return calls
 
 
@@ -336,19 +339,19 @@ def test_candidate_period_that_is_not_periodic_is_refused(config, monkeypatch):
     unperturbed = run_pipeline(config)
     clean = TemporalPipeline(config)
     for t in range(1, t0 + config.delay + 1):
-        clean.execute(tick_events(config, t))
-    execute = TemporalPipeline.execute
+        clean.tick(t)
+    tick = TemporalPipeline.tick
     runs, healed = [], []
 
-    def perturbed(self, events):
-        execute(self, events)
-        runs.append(events)
-        if events[0] == PipelineEvent("emit", (t0,)):
+    def perturbed(self, t):
+        tick(self, t)
+        runs.append(t)
+        if t == t0:
             scale_q_row(self.register, node % self.register.slots, 1.5)
         if len(runs) == t0 + config.delay:
             healed.append(np.array_equal(self.register.diagonals, clean.register.diagonals))
 
-    monkeypatch.setattr(TemporalPipeline, "execute", perturbed)
+    monkeypatch.setattr(TemporalPipeline, "tick", perturbed)
     report = run_pipeline(config)
     ran = len(runs)
     assert_same_run(report, kernel_run(config))
@@ -388,25 +391,34 @@ def test_steady_ticks_repeat_one_label_on(config):
 # Certified deferred runs.  ``compare``'s run defers a range of nodes, which
 # stay live.  Until the range's first node reaches the measurement slot its
 # ticks are a stream's, so it certifies like one and stores the ticks up to
-# stop = min(first + delay - 1, last) as one stretch; its loop ends at its
-# last tick, last + delay, even when the range ends before N.
+# stop = min(first + delay - 1, last) as one stretch.  Its growth, the ticks
+# after stop up to its last emission, only emits and links, and certifies
+# too: the candidate after tick first + 3 reach is the first whose front
+# block, the 2 reach + 1 labels up to it, holds no entry that the range's
+# start (a measured node, or an ancilla) reaches through a common neighbour.
+# Its loop ends at its last tick, last + delay, even when the range ends
+# before N.
 
 
 def deferred_kernel_ticks_of(config: PipelineConfig, nodes: range) -> int:
-    """Ticks a deferred run of ``nodes`` runs kernels on: every tick up to
-    last + delay when no emission tick is left to repeat after the
-    certificate (stop <= 2 reach + 2), else the 2 reach + 2 up to it and the
-    ticks after stop, whatever N."""
-    stop = min(nodes[0] + config.delay - 1, nodes[-1])
-    end = nodes[-1] + config.delay
-    return end if stop <= 2 * config.reach + 2 else 2 * config.reach + 2 + end - stop
+    """Ticks a deferred run of ``nodes`` runs kernels on: up to stop, every
+    tick if no emission tick is left to repeat after the steady certificate
+    (stop <= 2 reach + 2), else the 2 reach + 2 up to it; then its growth,
+    up to the growth certificate at tick first + 3 reach + 1 if an emission
+    tick is left to repeat after it, else every tick; then the ``delay``
+    flush ticks.  Neither N nor len(range) moves it once both certify."""
+    first, last = nodes[0], nodes[-1]
+    stop = min(first + config.delay - 1, last)
+    certified = first + 3 * config.reach + 1  # the growth certificate's tick
+    growth = certified - stop if certified < last else last - stop
+    return min(stop, 2 * config.reach + 2) + growth + config.delay
 
 
 def kernel_deferred_run(config: PipelineConfig, nodes: range) -> TemporalPipeline:
     """Every tick of the stream through the kernels, ``nodes`` deferred."""
     pipe = TemporalPipeline(config, nodes)
     for t in config.ticks:
-        pipe.execute(tick_events(config, t, nodes))
+        pipe.tick(t)
     return pipe
 
 
@@ -496,7 +508,7 @@ def test_deferred_run_keeps_one_register(config, nodes, monkeypatch):
     register = pipe.register
     assert register.slots == slots
     for t in range(1, nodes[-1] + config.delay + 1):
-        pipe.execute(tick_events(config, t, nodes))
+        pipe.tick(t)
         assert pipe.register is register and register.slots == slots
     want = dense(range_oracle(config, nodes), nodes)
     assert np.max(np.abs(pipe.snapshot().cov - want)) / np.max(np.abs(want)) <= STREAM_REL_TOL
@@ -570,6 +582,98 @@ def test_deferred_run_costs_the_same_kernel_ticks_at_any_n(kernel_ticks):
     assert ran[0] == ran[1] == deferred_kernel_ticks_of(config, range(n - 99, n + 1))
 
 
+def test_deferred_run_costs_the_same_kernel_ticks_at_any_range_length(kernel_ticks):
+    # ranges of 100, 1000 and 10^4 nodes at the end of an M = 8 lattice:
+    # 2 reach + 2 ticks up to the steady certificate, 2 reach + 1 growth
+    # ticks up to the growth certificate, then the reach + 1 flush ticks
+    config = PipelineConfig("lattice", 1_000_000, width=8, squeezing_r=db_to_r(10), seed=1)
+    ran = []
+    for length in (100, 1_000, 10_000):
+        TemporalPipeline(config, range(1_000_001 - length, 1_000_001)).run()
+        ran.append(len(kernel_ticks))
+        kernel_ticks.clear()
+    assert ran == [5 * config.reach + 4] * 3 == [44] * 3
+
+
+def assert_same_deferred_run(pipe: TemporalPipeline, want: TemporalPipeline) -> None:
+    """Bitwise the same final register (diagonals, window, high water),
+    records and nullifier checks."""
+    got_register, want_register = pipe.register, want.register
+    assert got_register.diagonals.tobytes() == want_register.diagonals.tobytes()
+    assert (got_register.lo, got_register.hi) == (want_register.lo, want_register.hi)
+    assert pipe.high_water == want.high_water
+    assert [(r.node, r.outcome.hex(), r.feedforward.tobytes()) for r in pipe.records] == [
+        (r.node, r.outcome.hex(), r.feedforward.tobytes()) for r in want.records
+    ]
+    assert [(n, v.hex()) for n, v in pipe.nullifier_checks] == [
+        (n, v.hex()) for n, v in want.nullifier_checks
+    ]
+
+
+# The growth certificate, on the wire and on lattices of M = 2 .. 16: ranges
+# that start at the first node (their growth waits out the ancillas), at M
+# and M + 1 (the last stripe node and the first past it), at 2M, at N / 3
+# and at N - 3M (too short to certify its growth), squeezed from 0 to 40 dB.
+GROWTH = [
+    (PipelineConfig(topology, n, width=m, squeezing_r=db_to_r(db), seed=1), range(first, n + 1))
+    for topology, m, n in [("wire", 0, 40)] + [("lattice", m, 10 * m + 10) for m in (2, 3, 4, 8, 16)]
+    for db in (0, 10, 20, 40)
+    for first in sorted({1, max(m, 1), max(m, 1) + 1, 2 * max(m, 1), n // 3, n - 3 * max(m, 1)})
+]
+
+
+@pytest.mark.parametrize(
+    "config, nodes",
+    GROWTH,
+    ids=[f"{c.topology}-{c.width}-r{c.squeezing_r:.2f}-{r[0]}..{r[-1]}" for c, r in GROWTH],
+)
+def test_certified_growth_matches_kernel_run_bitwise(config, nodes):
+    pipe = TemporalPipeline(config, nodes)
+    pipe.run()
+    assert_same_deferred_run(pipe, kernel_deferred_run(config, nodes))
+
+
+FAULTY_GROWTH = [
+    (wire(60, 10, seed=3), range(20, 61)),
+    (lattice(3, 20, seed=4), range(10, 31)),
+    (lattice(8, 10, seed=5), range(40, 81)),
+]
+
+
+@pytest.mark.parametrize("after", [0, 1], ids=["candidate", "next"])
+@pytest.mark.parametrize(
+    "config, nodes", FAULTY_GROWTH, ids=[f"{c.topology}-{c.width}" for c, _ in FAULTY_GROWTH]
+)
+def test_fault_in_a_growth_tick_comes_out_as_in_a_kernel_run(config, nodes, after, monkeypatch):
+    # The growth candidate that certifies opens after tick g = first +
+    # 3 reach.  A fault planted at the end of tick g or g + 1 scales the q
+    # row of a label inside the front block, reach labels back, which no
+    # later tick reads or writes.  The certificate must refuse every
+    # candidate whose block holds it, so the certified run of the faulty
+    # machine ends bitwise as its all-kernel run does, the fault left where
+    # it was planted.
+    faulty_tick = nodes[0] + 3 * config.reach + after
+    label = faulty_tick - config.reach
+    tick = TemporalPipeline.tick
+    ran = []
+
+    def faulty(self, t):
+        tick(self, t)
+        ran.append(t)
+        if t == faulty_tick:
+            scale_q_row(self.register, label % self.register.slots, 1.5)
+
+    monkeypatch.setattr(TemporalPipeline, "tick", faulty)
+    pipe = TemporalPipeline(config, nodes)
+    pipe.run()
+    count = len(ran)
+    want = kernel_deferred_run(config, nodes)
+    assert_same_deferred_run(pipe, want)
+    # the candidates after ticks g + after .. label + 2 reach are refused:
+    # reach + 1 + after more kernel ticks than a clean run's
+    assert count == deferred_kernel_ticks_of(config, nodes) + config.reach + 1 + after
+
+
 STORED = {
     "wire": lambda n: TemporalPipeline(PipelineConfig("wire", n, squeezing_r=db_to_r(10), seed=1)),
     "lattice-8": lambda n: TemporalPipeline(
@@ -600,12 +704,13 @@ def test_certified_run_stores_the_same_blocks_at_any_n(make, kernel_ticks):
 
 def test_range_that_ends_early_runs_no_tick_past_its_last(monkeypatch):
     ticks = []
+    tick = TemporalPipeline.tick
 
-    def counted(config, t, deferred=range(0)):
+    def counted(self, t):
         ticks.append(t)
-        return tick_events(config, t, deferred)
+        tick(self, t)
 
-    monkeypatch.setattr("tcsim.pipeline.tick_events", counted)
+    monkeypatch.setattr(TemporalPipeline, "tick", counted)
     config = PipelineConfig("lattice", 1_000_000, width=8, squeezing_r=db_to_r(10), seed=1)
     TemporalPipeline(config, range(40, 121)).run()
     assert max(ticks) == 120 + config.delay
