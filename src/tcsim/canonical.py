@@ -99,22 +99,45 @@ def canonical_entries(
     # qp(k, i) = a_k for each link to a listed pair, and pq its mirror
     listed = kept[k] & kept[i]
     kq, iq = k[listed], i[listed]
+    diagonal = np.flatnonzero(kept)
+    row, col, pp = _path_sums(k[kept[i]], i[kept[i]], a, b, diagonal, n)
 
-    # pp: each path i - k - j adds a_k to (i, j), and b_i ends the diagonal's
-    # sums.  The paths come in ascending k, the links being sorted, so a
-    # stable sort on (i, j) leaves each sum's terms in the order they are added.
+    blocks = np.repeat(np.arange(4), [len(diagonal), len(kq), len(kq), len(row)])
+    rows = labels[np.concatenate([diagonal, kq, iq, row])]
+    cols = labels[np.concatenate([diagonal, iq, kq, col])]
+    values = np.concatenate([a[diagonal], a[kq], a[kq], pp])
+    return blocks, rows, cols, values
+
+
+def _path_sums(
+    k: np.ndarray, i: np.ndarray, a: np.ndarray, b: np.ndarray, diagonal: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pp sums of :func:`canonical_entries` over the links (k, i), sorted
+    by k, then i, to its listed labels i, with b_i on the ``diagonal``: the
+    row, column and sum of each, in ascending (row, column).
+
+    Each path i - k - j adds a_k to (i, j).  The paths come in ascending k,
+    the links being sorted, so a stable sort on (i, j) leaves each sum's
+    terms in the order they are added, b_i last.  Of the arrays with one
+    element per path, each is freed once the next is built from it, so at
+    most four are held at once.
+    """
     degree = np.bincount(k, minlength=n)
     width = degree[k]  # the paths through the link (k, i): one per link (k, j)
-    via = np.repeat(np.arange(len(k)), width)
     # each path's link (k, j): k's first link, one on per path through (k, i)
-    jump = np.cumsum(degree)[k] - degree[k] - (np.cumsum(width) - width)
-    row, col = i[via], i[np.arange(len(via)) + np.repeat(jump, width)]
-    on = kept[row] & kept[col]
-    diagonal = np.flatnonzero(kept)
-    key = np.concatenate([row[on] * n + col[on], diagonal * (n + 1)])
-    terms = np.concatenate([a[k[via[on]]], b[diagonal]])
+    col = np.repeat(np.cumsum(degree)[k] - degree[k] - (np.cumsum(width) - width), width)
+    col += np.arange(len(col))
+    col = i[col]
+    key = np.repeat(i, width)
+    key *= n
+    key += col
+    del col
+    key = np.concatenate([key, diagonal * (n + 1)])
+    terms = np.concatenate([np.repeat(a[k], width), b[diagonal]])
     order = np.argsort(key, kind="stable")
-    key, terms = key[order], terms[order]
+    key = key[order]
+    terms = terms[order]
+    del order
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     sizes = np.diff(np.r_[starts, len(key)])
     pp = terms[starts]
@@ -122,9 +145,4 @@ def canonical_entries(
         longer = np.flatnonzero(sizes > step)
         pp[longer] += terms[starts[longer] + step]
     row, col = np.divmod(key[starts], n)
-
-    blocks = np.repeat(np.arange(4), [len(diagonal), len(kq), len(kq), len(row)])
-    rows = np.concatenate([diagonal, kq, iq, row])
-    cols = np.concatenate([diagonal, iq, kq, col])
-    values = np.concatenate([a[diagonal], a[kq], a[kq], pp])
-    return blocks, labels[rows], labels[cols], values
+    return row, col, pp

@@ -294,9 +294,14 @@ def _render_json(report: dict) -> str:
     head = {key: value for key, value in report.items() if key not in ("nullifiers", "records")}
     parts = [json.dumps(head, indent=2, sort_keys=True, allow_nan=False)[:-2]]  # drop "\n}"
     if "nullifiers" in report:
-        stretches, rows = report["nullifiers"], []
-        for s, variance in zip(stretches, _variances(stretches)):
-            rows += map((_NULLIFIER_ROW % variance).__mod__, s.nodes)
+        stretches = report["nullifiers"]
+        # one string of rows per stretch, formatted with one %; a stretch of
+        # no nodes has no rows
+        rows = [
+            ((_NULLIFIER_ROW % variance) * len(s.nodes)) % tuple(s.nodes)
+            for s, variance in zip(stretches, _variances(stretches))
+            if s.nodes
+        ]
         _splice(parts, "nullifiers", rows)
     if "records" in report:
         _splice(parts, "records", [row for s in report["records"] for row in _stretch_rows(s)])
@@ -307,7 +312,7 @@ def _render_json(report: dict) -> str:
 def _render_csv(nullifiers: List[Stretch]) -> str:
     lines = ["node,variance\n"]
     for s, variance in zip(nullifiers, _variances(nullifiers)):
-        lines += map(f"%d,{variance!r}\n".__mod__, s.nodes)
+        lines.append((f"%d,{variance!r}\n" * len(s.nodes)) % tuple(s.nodes))
     return "".join(lines)
 
 

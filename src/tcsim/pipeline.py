@@ -509,8 +509,10 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     row, column), or with 0 where the oracle has none, and an oracle entry
     that the register does not store counts at its full value: the max
     entrywise difference of the two covariances (both states are
-    zero-mean), with no dense matrix built, so memory is
-    O(len(range) reach).
+    zero-mean), with no dense matrix built: the register's keys are sorted
+    once and each oracle key is looked up among them.  Memory is
+    O(len(range) reach), and each phase frees its scratch as it builds its
+    output.
     """
     first, last = node_range
     if not (1 <= first <= last <= config.n_pulses):
@@ -519,20 +521,39 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
         )
 
     nodes = range(first, last + 1)
+    n = len(nodes)
     pipe = TemporalPipeline(config, nodes)
     pipe.run()
     register = pipe.register
     register.check()  # mirrored and finite, as before each measurement
-    got = register.entries(register.lo, register.hi)
+    key, got = _keyed(register.entries(register.lo, register.hi), first, n)
     del pipe, register
-    want = range_oracle(config, nodes)
-    # one int64 key per (block, row, column), labels counted from first
-    n = len(nodes)
-    got_key, want_key = ((e[0] * n + e[1] - first) * n + e[2] - first for e in (got, want))
-    order = np.argsort(got_key)
-    at = np.minimum(np.searchsorted(got_key, want_key, sorter=order), len(order) - 1)
-    stored = got_key[order[at]] == want_key
-    expected = np.zeros(len(got_key))
-    expected[order[at[stored]]] = want[3][stored]
-    gaps = np.concatenate([np.abs(got[3] - expected), np.abs(want[3][~stored])])
-    return float(np.max(gaps))
+    order = np.argsort(key)
+    key = key[order]
+    got = got[order]
+    del order
+    want_key, want = _keyed(range_oracle(config, nodes), first, n)
+    at = np.searchsorted(key, want_key)
+    np.minimum(at, len(key) - 1, out=at)
+    stored = key[at] == want_key
+    # the oracle's value at each stored entry, 0 where it has none, then the
+    # gap there; an oracle entry that is not stored counts at its full value
+    expected = np.zeros(len(key))
+    expected[at[stored]] = want[stored]
+    np.subtract(got, expected, out=expected)
+    np.abs(expected, out=expected)
+    return float(np.max(np.abs(want[~stored]), initial=np.max(expected)))
+
+
+def _keyed(entries: Tuple[np.ndarray, ...], first: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One int64 key per entry of (block, row label, column label, value)
+    arrays, (block n + row - first) n + column - first, built in place in
+    the block array; and the values."""
+    key, row, col, value = entries
+    key *= n
+    key += row
+    key -= first
+    key *= n
+    key += col
+    key -= first
+    return key, value

@@ -127,15 +127,6 @@ class DiagonalRegister:
             rows, js = np.nonzero((np.arange(w) + shifts[:, None]) % k < w)
             self._block = rows, js, np.flatnonzero((js == 0) | ((js + shifts[rows]) % k == 0))
 
-    def _entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every stored entry, in flat order: its block, row slot and column slot."""
-        k = self.slots
-        blocks, shifts = np.array(self._stored).T
-        block = np.repeat(blocks, k)
-        rslot = np.tile(np.arange(k), self._zero)
-        cslot = (rslot + np.repeat(shifts, k)) % k
-        return block, rslot, cslot
-
     def _tables(self, *entry_lists: Sequence[Tuple[int, int, int]]) -> List[np.ndarray]:
         """Per kernel, the flat positions of its entries (block, slot offset,
         row slot relative to the kernel's slot) at every slot: row s is the
@@ -143,7 +134,13 @@ class DiagonalRegister:
         k = self.slots
         entries = chain.from_iterable(chain.from_iterable(entry_lists))
         blocks, offsets, shifts = np.fromiter(entries, dtype=np.intp).reshape(-1, 3).T
-        table = self._row[blocks, offsets % k] * k + (np.arange(k)[:, None] + shifts) % k
+        # built in place: one table-sized array, row s holding (s + shift) mod K
+        # plus each entry's diagonal row times K
+        table = np.empty((k, len(shifts)), dtype=np.intp)
+        table[:] = shifts
+        table += np.arange(k)[:, None]
+        table %= k
+        table += self._row[blocks, offsets % k] * k
         ends = list(accumulate(map(len, entry_lists)))
         return [table[:, a:b] for a, b in zip([0, *ends], ends)]
 
@@ -320,8 +317,8 @@ class DiagonalRegister:
         ``SYMMETRY_TOL`` or are not finite: the dense guard
         :func:`gaussian._check_symmetric` on the stored entries (off the
         pattern, the dense buffer holds zeros)."""
-        stored = self._flat[: self._size]
-        defect = stored - self._flat[self._mirror]
+        defect = self._flat.take(self._mirror)
+        np.subtract(self._flat[: self._size], defect, out=defect)
         if not (defect.max() <= SYMMETRY_TOL):
             raise ValueError("covariance matrix is not symmetric and finite")
 
@@ -332,12 +329,23 @@ class DiagonalRegister:
         window of at most K labels, as numpy arrays of its block, row label,
         column label and value, in flat order.  The one map from slots back
         to labels: a window's slot s holds label lo + ((s - lo) mod K)."""
-        n = max(hi - lo + 1, 0)
-        block, rslot, cslot = self._entries()
-        at = (np.arange(self.slots) - lo) % self.slots
-        r, c = at[rslot], at[cslot]
-        live = np.flatnonzero((r < n) & (c < n))
-        return block[live], lo + r[live], lo + c[live], self._flat[live]
+        k, n = self.slots, max(hi - lo + 1, 0)
+        blocks, shifts = np.array(self._stored).T
+        # the window position of each slot, and of each stored entry's
+        # column slot s + o, in the diagonals' layout: the one scratch array
+        at = np.arange(k) - lo
+        at %= k
+        col = np.empty((self._zero, k), dtype=at.dtype)
+        col[:] = at
+        col += shifts[:, None]
+        col %= k
+        live = col < n
+        live &= at < n
+        row, col = np.broadcast_to(at, col.shape)[live], col[live]
+        row += lo
+        col += lo
+        block = np.repeat(blocks, np.count_nonzero(live, axis=1))
+        return block, row, col, self.diagonals[: self._zero][live]
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """The dense 2n x 2n covariance of labels lo..hi, in label order:
@@ -356,7 +364,11 @@ class DiagonalRegister:
         """Take the dense 2K x 2K buffer ``cov`` (slot order); a nonzero entry
         off the pattern is refused."""
         k = self.slots
-        block, rslot, cslot = self._entries()
+        # every stored entry, in flat order: its block, row slot and column slot
+        blocks, shifts = np.array(self._stored).T
+        block = np.repeat(blocks, k)
+        rslot = np.tile(np.arange(k), self._zero)
+        cslot = (rslot + np.repeat(shifts, k)) % k
         rows, cols = (block >> 1) * k + rslot, (block & 1) * k + cslot
         rest = np.array(cov, dtype=float)
         values = rest[rows, cols]

@@ -417,9 +417,11 @@ class TestEquivalence:
         # a range touching the first stripe agrees with the replayed oracle
         assert equivalence_check(lattice_config(30, 3, r=0.8, seed=2), (2, 8)) < 1e-9
 
-    def test_check_of_a_4000_node_range_peaks_under_50_mb(self):
+    def test_check_of_a_4000_node_range_peaks_under_9_6_mb(self):
         # Compared entry by entry, O(len(range) reach): a dense 2L x 2L pair
-        # would peak at 2 GB here.
+        # would peak at 2 GB here.  Each phase holding its output and at most
+        # one array of that size, it peaks at 8.0 MB (11.4 MB when each held
+        # its scratch); the bound is that plus 20%.
         config = lattice_config(10_000, 8, r=db_to_r(10), seed=1)
         gc.collect()
         tracemalloc.start()
@@ -428,7 +430,7 @@ class TestEquivalence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 50e6
+        assert peak <= 9.6e6
 
     def test_an_entry_on_one_side_only_counts_at_its_full_value(self, monkeypatch):
         # as in a dense difference, where the other side holds 0 there

@@ -8,7 +8,9 @@ kernels take labels in the register's live window lo..hi, drawn at every
 position on the ring; label l is slot l mod K.
 """
 
+import gc
 import re
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -444,3 +446,58 @@ class TestPattern:
         qq, qp, pq, pp = pattern((1, 4))
         assert qq == {0} and qp == pq == {1, -1, 4, -4}
         assert pp == {0, 2, -2, 3, -3, 5, -5, 8, -8}
+
+
+def traced_peak(build):
+    """``build()``'s result, with the bytes it still holds and its peak
+    traced allocation."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+class TestSetUpAndReadMemory:
+    """The register's set-up and its ``entries`` read each allocate what
+    they return and little more."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tables_are_the_broadcast_expression(self, data):
+        # the in-place build against the one expression it replaced, bitwise:
+        # row s holds, per entry (block, offset, shift), the flat position
+        # row(block, offset mod K) K + (s + shift) mod K, on the wire's ring
+        # of 3 slots and on lattice rings from reach + 2 slots on
+        offsets = data.draw(st.sampled_from([(1,), (1, 2), (1, 3), (1, 8)]))
+        k = data.draw(st.integers(offsets[-1] + 2, 3 * offsets[-1] + 6))
+        register = DiagonalRegister(offsets, k)
+        entry = st.tuples(st.integers(0, 3), st.integers(-3 * k, 3 * k), st.integers(-3 * k, 3 * k))
+        lists = data.draw(st.lists(st.lists(entry, max_size=12), min_size=1, max_size=4))
+        tables = register._tables(*lists)
+        assert len(tables) == len(lists)
+        for entries, table in zip(lists, tables):
+            blocks, offs, shifts = np.array(entries, dtype=np.intp).reshape(-1, 3).T
+            want = register._row[blocks, offs % k] * k + (np.arange(k)[:, None] + shifts) % k
+            assert table.dtype == want.dtype and table.shape == want.shape
+            assert table.tobytes() == want.tobytes()
+
+    def test_set_up_peaks_at_its_held_bytes(self):
+        # Built as one expression, the tables held two more table-sized
+        # arrays at once: 9.2 MB over the 13.9 MB held here.
+        register, held, peak = traced_peak(lambda: DiagonalRegister((1, 8), 10_000))
+        assert peak <= held + 0.5e6
+
+    def test_entries_of_a_full_window_peak_at_their_outputs_plus_one_register(self):
+        # Every stored entry of a full window is listed, so the outputs are
+        # four register-sized arrays; the read once held six more
+        # (8.7 MB of scratch over 5.8 MB of outputs here).
+        k = 10_000
+        register = DiagonalRegister((1, 8), k)
+        entries, held, peak = traced_peak(lambda: register.entries(0, k - 1))
+        outputs = sum(x.nbytes for x in entries)
+        assert len(entries[3]) * 8 == register.diagonals[:-1].nbytes
+        assert peak <= outputs + register.diagonals[:-1].nbytes
