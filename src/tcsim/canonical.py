@@ -138,7 +138,7 @@ def _path_sums(
     key = key[order]
     terms = terms[order]
     del order
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    starts = np.flatnonzero(np.r_[len(key) > 0, key[1:] != key[:-1]])
     sizes = np.diff(np.r_[starts, len(key)])
     pp = terms[starts]
     for step in range(1, sizes.max(initial=0)):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -33,9 +32,11 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 # build_canonical_cluster is bound here, though no run calls it, because the
-# benchmark's tracer wraps it by this name, as it wraps build_schedule and
-# TemporalPipeline.execute, which no run calls either: run drives tick.  They
-# go when the tracer is updated (ROADMAP items 2 and 9).
+# benchmark's tracer wraps it by this name, as it wraps build_schedule,
+# TemporalPipeline.execute and TemporalPipeline.live_nullifier_variance,
+# which no run calls either: run drives tick, and the register's finalize
+# reads the nullifier.  They go when the tracer is updated (ROADMAP items 2
+# and 9).
 from .canonical import build_canonical_cluster, canonical_entries, squeezed_variances
 from .gaussian import GaussianState, MeasurementRecord
 from .graphs import Graph, make_graph
@@ -172,18 +173,23 @@ class Rows(Sequence):
     def __init__(self, stretches: List[Stretch], row: Callable[[Stretch, int], object]) -> None:
         self.stretches = stretches
         self._row = row
-        # the index of each stretch's first row, then the row count
-        self._starts = [0, *accumulate(len(s.outcomes) for s in stretches)]
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """The index of each stretch's first row, then the row count; built
+        on the first read by row, which a run's report does not make."""
+        lengths = (len(s.outcomes) for s in self.stretches)
+        return np.fromiter(accumulate(lengths, initial=0), np.int64, len(self.stretches) + 1)
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        return int(self._starts[-1])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # counts a negative i from the end; IndexError past it
-        b = bisect_right(self._starts, i) - 1
-        return self._row(self.stretches[b], i - self._starts[b])
+        b = int(np.searchsorted(self._starts, i, side="right")) - 1
+        return self._row(self.stretches[b], i - int(self._starts[b]))
 
     def __iter__(self):
         for s in self.stretches:
@@ -220,9 +226,12 @@ def tick_events(
     def record(kind: str) -> Callable:
         return lambda *labels: events.append(PipelineEvent(kind, labels))
 
-    register = SimpleNamespace(
-        emit=lambda label, r: record("emit")(label), cz=record("cz"), clear=record("trace")
-    )
+    def emit_linked(label: int, r: float) -> None:
+        record("emit")(label)
+        for d in config.offsets:
+            record("cz")(label - d, label)
+
+    register = SimpleNamespace(emit_linked=emit_linked, clear=record("trace"))
     last = deferred[-1] if deferred else config.n_pulses
     stand_in = SimpleNamespace(
         config=config, deferred=deferred, last=last, register=register, _finalize=record("measure")
@@ -247,26 +256,28 @@ class TemporalPipeline:
     nonempty ``deferred`` range (see :meth:`tick`), which ends holding the
     whole range.  The register stores only the slot-offset diagonals of the
     covariance that the topology can fill, so it holds O(K) values, not
-    (2K)^2.  :meth:`tick` states what each tick does; each of its steps is
-    one in-place kernel of the register, the dense kernel of
-    :mod:`tcsim.gaussian` on the stored entries, bit for bit: emit writes
-    two diagonal entries, CZ adds two rows and two columns, measure is one
-    rank-1 downdate of the p rows of the measured node's live graph
-    neighbours, and both measure and trace then clear the mode.  The
-    kernels keep the register exactly symmetric; every stored entry is
-    checked (mirrored and finite) once per tick that runs kernels, before
-    the tick's measurement.  A tick that :meth:`run` certifies runs no
-    kernel: it repeats a register one label on.  ``measured`` holds every
-    measurement, in node order, as :class:`Stretch`es; ``records`` and
-    ``nullifier_checks`` view it.
+    (2K)^2.  :meth:`tick` states what each tick does, in at most two
+    register calls, each with one window check: ``emit_linked`` emits the
+    pulse and links it, and ``finalize`` (or ``clear``, for an ancilla)
+    takes the oldest label.  Each of their steps is one in-place kernel of
+    the register, the dense kernel of :mod:`tcsim.gaussian` on the stored
+    entries, bit for bit: emit writes two diagonal entries, CZ adds two rows
+    and two columns, measure is one rank-1 downdate of the p rows of the
+    measured node's live graph neighbours, and both measure and trace then
+    clear the mode.  The kernels keep the register exactly symmetric; every
+    stored entry is checked (mirrored and finite) once per tick that runs
+    kernels, before the tick's measurement.  A tick that :meth:`run`
+    certifies runs no kernel: it repeats a register one label on.
+    ``measured`` holds every measurement, in node order, as
+    :class:`Stretch`es; ``records`` and ``nullifier_checks`` view it.
 
     Each node is q-measured as soon as its slot comes up, with the
     conditional mean shift cancelled by feedforward that lists the survivors
-    in ascending label order: one call, the register's ``measure``, reads
-    the q row, refuses one off the pinned feedforward convention, downdates
-    and clears.  Just before, a non-boundary node's nullifier variance is
-    read by one more kernel, the register's ``nullifier``, which writes no
-    entry.  No kernel draws: :meth:`_draw` draws each outcome.
+    in ascending label order: one call, the register's ``finalize``, checks
+    the register, reads a non-boundary node's nullifier variance (a read
+    that writes no entry), then reads the q row, refuses one off the pinned
+    feedforward convention, downdates and clears.  No kernel draws:
+    :meth:`_draw` draws each outcome.
     """
 
     def __init__(self, config: PipelineConfig, deferred: range = range(0)):
@@ -276,8 +287,7 @@ class TemporalPipeline:
         self.last = deferred[-1] if deferred else config.n_pulses
         self.rng = np.random.default_rng(config.seed)
         self.register = DiagonalRegister(config.offsets, max(config.reach + 2, len(deferred)))
-        for label in config.ancilla_labels:
-            self.register.emit(label, 0.0)
+        self.register.emit_range(range(1 - config.reach, 1), 0.0)  # config.ancilla_labels
         self.measured: List[Stretch] = []
         # an open candidate's diagonals, moved one label on (see run), or None
         self._kept = None
@@ -309,16 +319,14 @@ class TemporalPipeline:
         ``deferred`` range makes its last label the last pulse and withholds
         the measurements of its labels, which then stay live.
         """
-        config, register = self.config, self.register
+        config = self.config
         if t <= self.last:
-            register.emit(t, config.squeezing_r)
-            for d in config.offsets:
-                register.cz(t - d, t)
+            self.register.emit_linked(t, config.squeezing_r)
         slot = t - config.delay
         if 1 <= slot <= self.last and slot not in self.deferred:
             self._finalize(slot)
-        elif slot in config.ancilla_labels:
-            register.clear(slot)
+        elif 1 - config.reach <= slot <= 0:  # an ancilla
+            self.register.clear(slot)
 
     def execute(self, events: List[PipelineEvent]) -> None:
         """Run a list of events, such as :func:`tick_events` gives, on the
@@ -410,9 +418,7 @@ class TemporalPipeline:
         return RunReport(self.config, self.records, self.high_water, self.nullifier_checks)
 
     def _finalize(self, node: int) -> None:
-        self.register.check()
-        variance = self.live_nullifier_variance(node) if node > self.config.reach else None
-        var, b_keep = self.register.measure(node)
+        variance, var, b_keep = self.register.finalize(node, node > self.config.reach)
         self.measured.append(Stretch(node, var, b_keep, variance, self._draw(1, var)))
 
     def _repeat(self, t: int, stop: int) -> int:
@@ -445,6 +451,8 @@ class TemporalPipeline:
 
         Its neighbours node - d are measured, in the q basis, so they drop
         out and the variance is unchanged: the register reads the live ones.
+        No run calls it (a measurement's ``finalize`` reads it): it is kept
+        because the benchmark's tracer wraps it by name (ROADMAP item 9).
         """
         return self.register.nullifier(node)
 

@@ -13,10 +13,16 @@ offset l_c - l_r equal to
   qq: 0;  qp and pq: d;  pp: d1 - d2.
 
 So the register stores, for each block, only the cyclic diagonals at slot
-offsets o = (label offset) mod K: entry (r, c) with row slot s and column
-slot s + o (mod K) is ``diagonals[w, s]``, w the row of (block, o).  Both
-halves (r, c) and (c, r) of each entry are stored, as in a dense buffer, so
-a register of K slots holds a fixed number of diagonals times K values
+offsets o = (label offset) mod K, one row of ``diagonals`` per (block, o).
+Both halves (r, c) and (c, r) of each entry are stored, as in a dense
+buffer, and aligned: the mirror of diagonal (block, o) is (block^T, -o),
+and the pairs come first, the rows of one half, then their mirrors in the
+same order.  A row of the first half, and a diagonal that is its own mirror
+(qq and pp at 0, and pp at K/2 on an even ring), holds entry (r, c) with
+row slot s at column s; a mirror row holds it at column s + o, its column
+slot.  So an entry and its mirror sit in the same column of their two rows,
+and the guard ``check`` compares the two halves as contiguous blocks, with
+no gather.  A register of K slots holds a fixed number of diagonals times K values
 whatever K is.  One read, ``entries(lo, hi)``, lists the stored entries of
 a window of labels as (block, row label, column label, value) arrays: it is
 the one map from slots back to labels, ``window`` scatters it into a dense
@@ -30,7 +36,12 @@ would make an entry off the pattern nonzero raises ``ValueError``; a label
 outside the window raises ``RuntimeError`` and writes nothing.  Each
 kernel is a few numpy operations on index tables built once per ring size:
 a kernel's table holds the flat positions of its entries at every slot, one
-row per slot, so a call reads one row and runs no loop over entries.
+row per slot, so a call reads one row and runs no loop over entries.  A
+stream's tick is two calls, each with one window check: ``emit_linked``
+emits a label and links it to each partner, and ``finalize`` guards,
+reads the nullifier, measures and clears the oldest label.  They run the
+same steps as ``emit``, ``cz``, ``check``, ``nullifier``, ``measure`` and
+``clear``, which each check the window on their own.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate, chain
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,13 +66,28 @@ def pattern(offsets: Sequence[int]) -> Tuple[frozenset, ...]:
     return frozenset({0}), links, links, frozenset(a - b for a in links for b in links)
 
 
+def _aligned(blocks: Tuple[frozenset, ...], k: int) -> Tuple[List[Tuple[int, int]], int]:
+    """The stored diagonals (block, slot offset) of a K-slot ring in row
+    order, and the number of mirror pairs: the pairs (qp, o) with (pq, -o)
+    and (pp, o) with (pp, -o) for 0 < o < K - o, one half in ascending o,
+    then the mirrors in the same order; then the diagonals that are their
+    own mirrors, qq and pp at 0 and pp at K/2."""
+    qp, pp = ({x % k for x in blocks[b]} for b in (QP, PP))
+    half = [(QP, o) for o in sorted(qp)] + [(PP, o) for o in sorted(pp) if 0 < o < k - o]
+    mirrors = [(2 * (b & 1) + (b >> 1), -o % k) for b, o in half]
+    own = [(QQ, 0), (PP, 0)] + [(PP, o) for o in pp if 2 * o == k]
+    return half + mirrors + own, len(half)
+
+
 class DiagonalRegister:
     """The covariance of a K-slot ring, stored as its pattern's diagonals.
 
     ``diagonals`` has one row per stored (block, slot offset) and one more,
     the last, which is zero and stays so: a table entry off the pattern
     points into it, so a gather reads 0 there, as from a dense buffer.
-    Slots that hold no mode are all zeros, as in a dense buffer.
+    Slots that hold no mode are all zeros, as in a dense buffer.  Row w
+    holds the entry of row slot s at column s + ``_shift[w]``: s, or on a
+    mirror row s + its slot offset, the entry's column slot.
 
     The live window ``lo..hi`` opens at the first emission's label; then
     ``emit`` appends hi + 1, ``measure`` and ``clear`` take lo, and ``move``
@@ -77,55 +103,57 @@ class DiagonalRegister:
         # the live window lo..hi, empty while hi < lo, and its largest size
         self.lo, self.hi, self.high_water = 0, -1, 0
         blocks = pattern(self.offsets)
-        self._stored = [
-            (block, o)
-            for block, label_offsets in enumerate(blocks)
-            for o in sorted({x % k for x in label_offsets})
-        ]
+        self._stored, p = _aligned(blocks, k)
+        self._pairs = p
         self._zero = len(self._stored)
+        self._half_ring = self._zero - 2 * p == 3
         # the row of diagonal (block, o), or the zero row off the pattern
         self._row = np.full((4, k), self._zero)
         for w, (block, o) in enumerate(self._stored):
             self._row[block, o] = w
+        self._shift = np.zeros(self._zero + 1, dtype=np.intp)
+        self._shift[p : 2 * p] = [o for _, o in self._stored[p : 2 * p]]
         self.diagonals = np.zeros((self._zero + 1, k))
         self._flat = self.diagonals.reshape(-1)  # a view: every kernel writes through it
-        self._size = self._zero * k
         self._qq0, self._pp0 = int(self._row[QQ, 0]), int(self._row[PP, 0])
-        links = [o for b, o in self._stored if b == QP]  # a q row's p columns
-        self._link_rows = self._row[QP, links]
+        links = [o for b, o in self._stored if b == QP]  # a q row's p columns, the first rows
         self._links = links
+        # each pair (a, b) of links, by position, in the downdate table's order
+        self._pair = np.divmod(np.arange(len(links) ** 2), len(links))
 
-        # The tables every run of these offsets uses, built in one pass: the
-        # mirrors, the downdate, a CZ per offset d (the pipeline's cz(t - d, t))
-        # and a nullifier form per live prefix of the offsets.  Any other CZ
-        # is built on first use.
+        # The tables every run of these offsets uses, built in one pass: per
+        # row, the entry of slot k's mode that column k does not hold (its
+        # column's, row slot k - o, on a row whose shift is 0; its row's on a
+        # mirror row), the downdate, a CZ per offset d (the pipeline's
+        # cz(t - d, t)) and a nullifier form per live prefix of the offsets.
+        # Any other CZ is built on first use.
         deltas = sorted({d % k for d in self.offsets})
         keys = [tuple(d % k for d in self.offsets[:n]) for n in range(len(self.offsets) + 1)]
-        mirrors, self._downdate, *tables = self._tables(
-            # the mirror (c, r) of stored entry (r, c): the entry of offset -o
-            # at row slot s + o, stored too, the pattern being symmetric
-            [(2 * (b & 1) + (b >> 1), -o, o) for b, o in self._stored],
+        self._other, self._downdate, *tables = self._tables(
+            [(b, o, s - o) for (b, o), s in zip(self._stored, self._shift.tolist())],
             # measure: pair (a, b) of links is the pp entry (p_{k+a}, p_{k+b})
             [(PP, b - a, a) for a in links for b in links],
             *map(self._cz_entries, deltas),
             *map(self._form_entries, keys),
         )
-        self._mirror = mirrors.T.ravel()  # in flat order
         self._downdate_off = np.flatnonzero(self._downdate[0] // k == self._zero)
-        self._cz = {d: self._cz_kernel(t) for d, t in zip(deltas, tables)}
+        self._cz_kernels = {d: self._cz_kernel(t) for d, t in zip(deltas, tables)}
         self._forms = [self._form_kernel(t) for t in tables[len(deltas) :]]  # by prefix length
 
         # The front block that :meth:`moved` moves: the labels hi - 2 reach ..
         # hi, 2 reach being the largest pp offset, or the whole ring if that
         # is smaller, when a move is a roll and needs no table.  Its entries
         # are the stored (row, j) with both modes in it, j the row mode's
-        # position in the block; the oldest column's have j = 0 or the column
-        # mode at position 0.
+        # position in the block, kept as the row and the column of the entry
+        # at j when the block starts at slot 0; the oldest column's have
+        # j = 0 or the column mode at position 0.
         self.front = w = min(max(blocks[PP]) + 1, k)
         if w < k:
             shifts = np.array([o for _, o in self._stored])
             rows, js = np.nonzero((np.arange(w) + shifts[:, None]) % k < w)
-            self._block = rows, js, np.flatnonzero((js == 0) | ((js + shifts[rows]) % k == 0))
+            oldest = np.flatnonzero((js == 0) | ((js + shifts[rows]) % k == 0))
+            js += self._shift[rows]
+            self._block = rows, js, oldest
 
     def _tables(self, *entry_lists: Sequence[Tuple[int, int, int]]) -> List[np.ndarray]:
         """Per kernel, the flat positions of its entries (block, slot offset,
@@ -134,13 +162,16 @@ class DiagonalRegister:
         k = self.slots
         entries = chain.from_iterable(chain.from_iterable(entry_lists))
         blocks, offsets, shifts = np.fromiter(entries, dtype=np.intp).reshape(-1, 3).T
-        # built in place: one table-sized array, row s holding (s + shift) mod K
-        # plus each entry's diagonal row times K
+        rows = self._row[blocks, offsets % k]
+        shifts += self._shift[rows]  # the entry's column at slot 0
+        # built in place: one table-sized array, row s holding each entry's
+        # column, (s + shift) mod K, plus its row times K
         table = np.empty((k, len(shifts)), dtype=np.intp)
         table[:] = shifts
         table += np.arange(k)[:, None]
         table %= k
-        table += self._row[blocks, offsets % k] * k
+        rows *= k
+        table += rows
         ends = list(accumulate(map(len, entry_lists)))
         return [table[:, a:b] for a, b in zip([0, *ends], ends)]
 
@@ -148,7 +179,9 @@ class DiagonalRegister:
         if values.any():
             raise ValueError("update would make an entry off the register's diagonals nonzero")
 
-    # Kernels, on live labels: label l is slot l mod K.
+    # Kernels, on live labels: label l is slot l mod K.  Each public kernel
+    # checks the window once, then runs its steps, the private methods that
+    # take the slot and are the only implementation of each.
 
     def _live(self, label: int) -> int:
         """The slot of ``label``, which must lie in the window."""
@@ -162,21 +195,46 @@ class DiagonalRegister:
             raise RuntimeError(f"cannot finalize {label} in window {self.lo}..{self.hi}")
         return label % self.slots
 
+    def _append(self, first: int, last: int, r: float, reach: int = 0) -> None:
+        """Let the window take labels first..last, which must start at hi + 1,
+        leave at most K labels live and keep first - ``reach`` live."""
+        if r < 0:
+            raise ValueError("squeezing parameter must be nonnegative")
+        # the first emission opens the window at its first label
+        lo, hi = (self.lo, self.hi) if self.high_water else (first, first - 1)
+        if first != hi + 1 or last - lo >= self.slots or first - reach < lo:
+            shown = first if first == last else f"{first}..{last}"
+            raise RuntimeError(f"cannot emit {shown} into window {self.lo}..{self.hi}")
+        self.lo, self.hi = lo, last
+        self.high_water = max(self.high_water, last - lo + 1)
+
+    def _emit(self, k, r: float) -> None:
+        """The write of :meth:`emit`, into slot k or each of an array of slots."""
+        self.diagonals[self._qq0, k] = VACUUM_VARIANCE * math.exp(2 * r)
+        self.diagonals[self._pp0, k] = VACUUM_VARIANCE * math.exp(-2 * r)
+
     def emit(self, label: int, r: float) -> None:
         """Write a p-squeezed vacuum, diag(e^{2r}/2, e^{-2r}/2), into the
         empty slot of ``label``, which must be hi + 1 and leave at most K
         labels live."""
-        if r < 0:
-            raise ValueError("squeezing parameter must be nonnegative")
-        if not self.high_water:
-            self.lo, self.hi = label, label - 1
-        if label != self.hi + 1 or label - self.lo >= self.slots:
-            raise RuntimeError(f"cannot emit {label} into window {self.lo}..{self.hi}")
-        self.hi = label
-        self.high_water = max(self.high_water, label - self.lo + 1)
-        k = label % self.slots
-        self.diagonals[self._qq0, k] = VACUUM_VARIANCE * math.exp(2 * r)
-        self.diagonals[self._pp0, k] = VACUUM_VARIANCE * math.exp(-2 * r)
+        self._append(label, label, r)
+        self._emit(label % self.slots, r)
+
+    def emit_range(self, labels: range, r: float) -> None:
+        """:meth:`emit` of each of ``labels``, a nonempty range of
+        consecutive labels, in one call."""
+        first, last = labels[0], labels[-1]
+        self._append(first, last, r)
+        self._emit(np.arange(first, last + 1) % self.slots, r)
+
+    def emit_linked(self, label: int, r: float) -> None:
+        """:meth:`emit` of ``label``, then :meth:`cz` of label - d and label
+        for each offset d in turn, with one window check, which also needs
+        label - reach live."""
+        self._append(label, label, r, self.offsets[-1])
+        self._emit(label % self.slots, r)
+        for d in self.offsets:
+            self._cz(label - d, label)
 
     def _cz_entries(self, delta: int) -> List[Tuple[int, int, int]]:
         """Slots i (at 0) and j (at ``delta``): the row adds p_i += q_j and
@@ -216,21 +274,25 @@ class DiagonalRegister:
         return (*runs, table[:, -1], table[:, -2], off_rows, off_columns)
 
     def cz(self, a: int, b: int) -> None:
-        """Unit-weight CZ on labels a and b, in slots i and j:
-        :func:`gaussian.cz_slots` on the stored entries, the two row adds as
-        one step, the two column adds (which read the updated q columns) as
-        the next, then (p_j, p_i) mirrored from (p_i, p_j)."""
+        """Unit-weight CZ on live labels a and b: :meth:`_cz`."""
         lo, hi = self.lo, self.hi
         if not (lo <= a <= hi and lo <= b <= hi):
             label = b if lo <= a <= hi else a
             raise RuntimeError(f"label {label} is not live in window {lo}..{hi}")
+        self._cz(a, b)
+
+    def _cz(self, a: int, b: int) -> None:
+        """Unit-weight CZ on labels a and b, in slots i and j:
+        :func:`gaussian.cz_slots` on the stored entries, the two row adds as
+        one step, the two column adds (which read the updated q columns) as
+        the next, then (p_j, p_i) mirrored from (p_i, p_j)."""
         i = a % self.slots
         delta = (b - a) % self.slots
         if not delta:
             raise ValueError("CZ requires two distinct slots")
-        found = self._cz.get(delta)
+        found = self._cz_kernels.get(delta)
         if found is None:
-            found = self._cz[delta] = self._cz_kernel(self._tables(self._cz_entries(delta))[0])
+            found = self._cz_kernels[delta] = self._cz_kernel(self._tables(self._cz_entries(delta))[0])
         row_to, row_from, column_to, column_from, mirror, mirrored, off_rows, off_columns = found
         flat = self._flat
         sources = row_from[i]
@@ -243,6 +305,15 @@ class DiagonalRegister:
         flat[column_to[i]] += flat[sources]
         flat[mirror[i]] = flat[mirrored[i]]
 
+    def finalize(self, label: int, nullifier: bool) -> Tuple[Optional[float], float, np.ndarray]:
+        """:meth:`check`, then :meth:`nullifier` of the oldest label if
+        ``nullifier`` (else None), then :meth:`measure` of it, with one
+        window check; returns the nullifier, var and b_keep."""
+        k = self._oldest(label)
+        self.check()
+        variance = self._nullifier(label, k) if nullifier else None
+        return (variance, *self._measure(label, k))
+
     def measure(self, label: int) -> Tuple[float, np.ndarray]:
         """Homodyne-measure q on the oldest label, in slot k:
         :func:`gaussian.measure_slot` on the stored entries, then
@@ -254,10 +325,12 @@ class DiagonalRegister:
         the pinned feedforward convention (one unit-weight CZ, q-basis
         deletion): an entry that is not bitwise +0.0 or var is refused, as
         is a var under the floor, and a refused measurement writes nothing."""
-        k = self._oldest(label)
+        return self._measure(label, self._oldest(label))
+
+    def _measure(self, label: int, k: int) -> Tuple[float, np.ndarray]:
         n = self.hi - label
         var = float(self.diagonals[self._qq0, k])
-        b = self.diagonals[self._link_rows, k]
+        b = self.diagonals[: len(self._links), k]
         b_keep = np.zeros(2 * n)
         for o, x in zip(self._links, b.tolist()):
             if o <= n and var and x == var:  # equal to a nonzero var: its bits
@@ -269,22 +342,25 @@ class DiagonalRegister:
                 )
         if var < MARGINAL_FLOOR:
             raise ValueError(f"degenerate marginal variance {var:.3e} on mode {label!r}")
-        downdate = b[:, None] * b
+        first, second = self._pair
+        downdate = b[first] * b[second]
         downdate /= var
-        downdate = downdate.reshape(-1)
         if self._downdate_off.size:
             self._refuse_off_pattern(downdate[self._downdate_off])
         self._flat[self._downdate[k]] -= downdate
-        self.clear(label)
+        self._clear(label, k)
         return var, b_keep
 
     def clear(self, label: int) -> None:
-        """Discard the oldest label's mode, in slot k: zero its q and p rows,
-        then their mirrors, which are its q and p columns; the window then
+        """Discard the oldest label's mode, in slot k: zero its q and p rows
+        and their mirrors, which are its q and p columns: column k of every
+        row and the entry of each row that ``_other`` gives; the window then
         starts at label + 1."""
-        k = self._oldest(label)
+        self._clear(label, self._oldest(label))
+
+    def _clear(self, label: int, k: int) -> None:
         self.diagonals[:, k] = 0.0
-        self._flat[self._mirror[k :: self.slots]] = 0.0
+        self._flat[self._other[k]] = 0.0
         self.lo = label + 1
 
     @staticmethod
@@ -307,7 +383,9 @@ class DiagonalRegister:
         live neighbours label + d (d in the ascending ``offsets``, up to hi),
         then its p, gathered in the same (column-major) layout as the dense
         kernel's two-step gather."""
-        k = self._live(label)
+        return self._nullifier(label, self._live(label))
+
+    def _nullifier(self, label: int, k: int) -> float:
         table, n, v = self._forms[bisect_right(self.offsets, self.hi - label)]
         form = self._flat[table[k]].reshape(n, n).T
         return float(v @ form @ v)
@@ -316,10 +394,26 @@ class DiagonalRegister:
         """Reject a register whose stored entries are not mirrored within
         ``SYMMETRY_TOL`` or are not finite: the dense guard
         :func:`gaussian._check_symmetric` on the stored entries (off the
-        pattern, the dense buffer holds zeros)."""
-        defect = self._flat.take(self._mirror)
-        np.subtract(self._flat[: self._size], defect, out=defect)
-        if not (defect.max() <= SYMMETRY_TOL):
+        pattern, the dense buffer holds zeros).  An entry and its mirror
+        share a column: the mirror rows follow the first half in the same
+        order, a diagonal entry is its own mirror, and pp at K/2 pairs each
+        entry with the one half a ring on.  The kernels keep the register
+        exactly mirrored, so it passes at once when every pair is equal and
+        every entry finite; else the defects are computed."""
+        p, z, d = self._pairs, self._zero, self.diagonals
+        h = self.slots // 2
+        ok = np.empty((z, self.slots), dtype=bool)  # a flag per stored entry
+        np.equal(d[:p], d[p : 2 * p], out=ok[:p])
+        np.isfinite(d[p:z], out=ok[p:])
+        if self._half_ring:  # pp at K/2, the last row: a pair equal to a finite second is finite
+            np.equal(d[z - 1, :h], d[z - 1, h:], out=ok[z - 1, :h])
+        if np.count_nonzero(ok) == ok.size:
+            return
+        own = d[2 * p : 2 * p + 2]
+        defects = [d[:p] - d[p : 2 * p], own - own]
+        if self._half_ring:
+            defects.append(d[z - 1, :h] - d[z - 1, h:])
+        if not all(x.max() <= SYMMETRY_TOL and x.min() >= -SYMMETRY_TOL for x in defects):
             raise ValueError("covariance matrix is not symmetric and finite")
 
     # Reads and relabellings, on a window of consecutive labels.
@@ -330,19 +424,21 @@ class DiagonalRegister:
         column label and value, in flat order.  The one map from slots back
         to labels: a window's slot s holds label lo + ((s - lo) mod K)."""
         k, n = self.slots, max(hi - lo + 1, 0)
-        blocks, shifts = np.array(self._stored).T
-        # the window position of each slot, and of each stored entry's
-        # column slot s + o, in the diagonals' layout: the one scratch array
-        at = np.arange(k) - lo
-        at %= k
-        col = np.empty((self._zero, k), dtype=at.dtype)
-        col[:] = at
-        col += shifts[:, None]
+        blocks, offsets = np.array(self._stored).T
+        # the window position of each stored entry's row mode, its column
+        # less its row's shift, and of its column mode, in the diagonals'
+        # layout: the two scratch arrays
+        row = np.empty((self._zero, k), dtype=np.intp)
+        row[:] = np.arange(k) - lo
+        row -= self._shift[:-1, None]
+        row %= k
+        col = row + offsets[:, None]
         col %= k
         live = col < n
-        live &= at < n
-        row, col = np.broadcast_to(at, col.shape)[live], col[live]
+        live &= row < n
+        row = row[live]
         row += lo
+        col = col[live]
         col += lo
         block = np.repeat(blocks, np.count_nonzero(live, axis=1))
         return block, row, col, self.diagonals[: self._zero][live]
@@ -365,16 +461,17 @@ class DiagonalRegister:
         off the pattern is refused."""
         k = self.slots
         # every stored entry, in flat order: its block, row slot and column slot
-        blocks, shifts = np.array(self._stored).T
+        blocks, offsets = np.array(self._stored).T
         block = np.repeat(blocks, k)
-        rslot = np.tile(np.arange(k), self._zero)
-        cslot = (rslot + np.repeat(shifts, k)) % k
+        rslot = np.tile(np.arange(k), self._zero) - np.repeat(self._shift[:-1], k)
+        rslot %= k
+        cslot = (rslot + np.repeat(offsets, k)) % k
         rows, cols = (block >> 1) * k + rslot, (block & 1) * k + cslot
         rest = np.array(cov, dtype=float)
         values = rest[rows, cols]
         rest[rows, cols] = 0.0
         self._refuse_off_pattern(rest)
-        self._flat[: self._size] = values
+        self._flat[: self._zero * k] = values
 
     def moved(self, n: int = 1) -> np.ndarray:
         """A copy of the diagonals after the move of n >= 0 labels on: the
@@ -397,21 +494,24 @@ class DiagonalRegister:
         self.high_water = max(self.high_water, self.hi - self.lo + 1)
 
     def _move(self, n: int) -> Tuple[np.ndarray, int]:
-        """The diagonals after the move of n labels on, and the window's lo."""
+        """The diagonals after the move of n labels on, and the window's lo.
+        A row's shift is the same at every column, so a move of its entries'
+        slots moves their columns alike."""
         oldest = self.hi - self.front + 1
         if oldest < self.lo:
             return np.roll(self.diagonals, n, axis=1), self.lo + n
         k = self.slots
         if self.hi + n - self.lo >= k:
             raise RuntimeError(f"cannot move window {self.lo}..{self.hi} {n} labels on")
-        rows, js, column = self._block
-        at = (oldest + js) % k
+        rows, columns, oldest_column = self._block
+        at = (oldest + columns) % k
         moved = self.diagonals.copy()
         values = moved[rows, at]
         if n > 1:
-            # the passed labels oldest + 1 .. oldest + n - 1: slots s + 1 .. s + n - 1
-            # of each oldest-column entry's slot s, which do not wrap past the window
-            for r, s, x in zip(rows[column], at[column], values[column].tolist()):
+            # the passed labels oldest + 1 .. oldest + n - 1: columns s + 1 ..
+            # s + n - 1 of each oldest-column entry's column s, which do not
+            # wrap past the window
+            for r, s, x in zip(rows[oldest_column], at[oldest_column], values[oldest_column].tolist()):
                 end = s + n
                 moved[r, s + 1 : end] = x
                 moved[r, : max(end - k, 0)] = x

@@ -2,9 +2,10 @@
 
 
 def weighted_cz(weight):
-    """``DiagonalRegister.cz`` with a CZ of ``weight`` in place of 1: the
-    dense kernel ``gaussian.cz_slots``, weighted, on the register's buffer,
-    on labels a and b in slots a mod K and b mod K."""
+    """``DiagonalRegister._cz``, the CZ step that ``cz`` and
+    ``emit_linked`` run, with a CZ of ``weight`` in place of 1: the dense
+    kernel ``gaussian.cz_slots``, weighted, on the register's buffer, on
+    labels a and b in slots a mod K and b mod K."""
     def cz(register, a, b):
         i, j = a % register.slots, b % register.slots
         cov = register.dense()

@@ -138,6 +138,26 @@ class TestPerEntryClosedForm:
         got = canonical_entries(g.nodes, a, b, edges, traced=traced)
         assert_lists_every_nonzero_entry(got, want.labels, want.cov)
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], []], ids=["path", "no-edges"])
+    def test_every_label_traced_lists_no_entry(self, edges):
+        # four empty arrays, of the dtypes a call that lists entries returns
+        labels = np.array([0, 1, 2])
+        a, b = squeezed_variances(np.full(3, db_to_r(10)))
+        got = canonical_entries(labels, a, b, edges, traced=len(labels))
+        listed = canonical_entries(labels, a, b, [(0, 1), (1, 2)])
+        assert [len(x) for x in got] == [0, 0, 0, 0]
+        assert [x.dtype for x in got] == [x.dtype for x in listed]
+
+    @pytest.mark.parametrize("traced", [0, 1, 2])
+    def test_graph_with_no_edges_lists_each_kept_diagonal(self, traced):
+        # a product state: qq a_i and pp b_i of each label not traced out
+        g = make_graph([0, 1, 2], [])
+        r = {0: 0.0, 1: db_to_r(10), 2: db_to_r(40)}
+        want = trace_out(build_canonical_cluster(g, r), g.nodes[:traced])
+        a, b = squeezed_variances(np.array([r[v] for v in g.nodes]))
+        got = canonical_entries(g.nodes, a, b, [], traced=traced)
+        assert_lists_every_nonzero_entry(got, want.labels, want.cov)
+
     @pytest.mark.parametrize("n, p", [(200, 0.3), (300, 0.1), (300, 0.2), (400, 0.1)])
     def test_long_sums_agree_bitwise_with_the_dense_closed_form(self, n, p):
         # pp sums of tens of terms, each node at its own squeezing: a BLAS
@@ -207,7 +227,7 @@ class TestIndependentOracle:
 
         for module in (tcsim, tcsim.gaussian, tcsim.canonical, tcsim.pipeline):
             monkeypatch.setattr(module, "cz_slots", skewed_cz, raising=False)
-        monkeypatch.setattr(tcsim.register.DiagonalRegister, "cz", weighted_cz(1.0 + 1e-3))
+        monkeypatch.setattr(tcsim.register.DiagonalRegister, "_cz", weighted_cz(1.0 + 1e-3))
         wire = PipelineConfig("wire", 20, squeezing_r=1.0, seed=5)
         lattice = PipelineConfig("lattice", 30, width=3, squeezing_r=1.0, seed=5)
         for config, node_range in ((wire, (5, 10)), (lattice, (7, 12))):

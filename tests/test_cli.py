@@ -409,7 +409,7 @@ class TestErrors:
     ):
         # Off the pinned feedforward convention: each b_keep entry is var
         # times the weight, not var.
-        monkeypatch.setattr(tcsim.register.DiagonalRegister, "cz", weighted_cz(1 + 2**-50))
+        monkeypatch.setattr(tcsim.register.DiagonalRegister, "_cz", weighted_cz(1 + 2**-50))
         out = tmp_path / "r.json"
         argv = ["lattice", "--nodes", "2000", "--width", "8", "--squeezing-db", "10",
                 "--emit-records", "--out", str(out)]
@@ -431,7 +431,7 @@ class TestErrors:
         self, argv, tmp_path, monkeypatch, capsys
     ):
         # The run refuses node 1's measured row, whatever the report writes.
-        monkeypatch.setattr(tcsim.register.DiagonalRegister, "cz", weighted_cz(1 + 2**-50))
+        monkeypatch.setattr(tcsim.register.DiagonalRegister, "_cz", weighted_cz(1 + 2**-50))
         out = tmp_path / "r.json"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err

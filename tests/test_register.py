@@ -209,6 +209,102 @@ class TestKernelsMatchDense:
             register.check()
 
 
+def guarded_rings():
+    """A wire's ring of 3 slots, an M = 2 or M = 3 lattice's of M + 2 (at
+    M = 2 its pp diagonal at offset 2 = K/2 is its own mirror), or a
+    deferred run's ring of len(range) > reach + 2 slots."""
+    streams = st.sampled_from([((1,), 3), ((1, 2), 4), ((1, 3), 5)])
+    deferred = st.sampled_from([(1,), (1, 2), (1, 3)]).flatmap(
+        lambda offsets: st.tuples(st.just(offsets), st.integers(offsets[-1] + 3, 3 * offsets[-1] + 6))
+    )
+    return streams | deferred
+
+
+class TestGuardRefusesAPlantedFault:
+    @given(case=buffers(guarded_rings()), fault=st.sampled_from([1e-6, -1e-6, np.nan, np.inf, -np.inf]))
+    @settings(max_examples=60, deadline=None)
+    def test_in_every_stored_entry(self, case, fault):
+        # Every stored diagonal at every slot, each side of the diagonal on
+        # its own: one entry of the dense buffer changed, its mirror not.  A
+        # diagonal entry is its own mirror, so only a non-finite value is a
+        # fault there.  inf - inf warns, in the dense guard as here.
+        register, cov = case
+        register.check()
+        for r, c in np.argwhere(pattern_mask(register.offsets, register.slots)):
+            if r == c and abs(fault) < 1:
+                continue
+            faulty = cov.copy()
+            faulty[r, c] = cov[r, c] + fault if abs(fault) < 1 else fault
+            register.load(faulty)
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError, match="symmetric and finite"):
+                    _check_symmetric(faulty)
+                with pytest.raises(ValueError, match="symmetric and finite"):
+                    register.check()
+
+
+class TestStreamCalls:
+    """A stream's tick makes at most two register calls, each with one
+    window check; each runs the steps of the library kernels it stands for,
+    bit for bit."""
+
+    @given(case=windows(), r=st.floats(0.0, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_emit_linked_is_emit_then_each_cz(self, case, r):
+        register, cov, lo, hi = case
+        label = hi + 1
+        assume(lo <= label - register.offsets[-1] and label - lo < register.slots)
+        twin = DiagonalRegister(register.offsets, register.slots)
+        open_window(twin, cov, lo, hi)
+        register.emit_linked(label, r)
+        twin.emit(label, r)
+        for d in twin.offsets:
+            twin.cz(label - d, label)
+        assert register.diagonals.tobytes() == twin.diagonals.tobytes()
+        assert (register.lo, register.hi, register.high_water) == (twin.lo, twin.hi, twin.high_water)
+
+    @given(case=windows(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_finalize_is_check_nullifier_measure(self, case, data):
+        register, cov, lo, hi, _, _ = on_convention(case, data)
+        twin = DiagonalRegister(register.offsets, register.slots)
+        open_window(twin, cov, lo, hi)
+        nullifier = data.draw(st.booleans())
+        variance, var, b_keep = register.finalize(lo, nullifier)
+        twin.check()
+        want = twin.nullifier(lo) if nullifier else None
+        want_var, want_b_keep = twin.measure(lo)
+        assert (variance is None) == (want is None)
+        if nullifier:
+            assert variance.hex() == want.hex()
+        assert var.hex() == want_var.hex() and b_keep.tobytes() == want_b_keep.tobytes()
+        assert register.diagonals.tobytes() == twin.diagonals.tobytes()
+        assert (register.lo, register.hi) == (twin.lo, twin.hi)
+
+    def test_emit_range_is_each_emit(self):
+        register, twin = DiagonalRegister((1, 4), 6), DiagonalRegister((1, 4), 6)
+        register.emit_range(range(-3, 1), 0.5)
+        for label in range(-3, 1):
+            twin.emit(label, 0.5)
+        assert register.diagonals.tobytes() == twin.diagonals.tobytes()
+        assert (register.lo, register.hi, register.high_water) == (-3, 0, 4)
+
+    def test_emit_linked_refuses_a_partner_not_live(self):
+        # an M = 4 lattice's ring of K = 6 slots: label l links to l - 1
+        # and l - 4
+        register = DiagonalRegister((1, 4), 6)
+        register.emit_range(range(7, 12), 0.5)
+        register.clear(7)
+        register.emit_linked(12, 0.5)  # 8 and 11 are live
+        register.clear(8)
+        register.clear(9)
+        refused = r"^cannot emit {} into window 10\.\.12$"
+        with unchanged(register), pytest.raises(RuntimeError, match=refused.format(13)):
+            register.emit_linked(13, 0.5)  # 9 is not
+        with unchanged(register), pytest.raises(RuntimeError, match=refused.format(r"14\.\.16")):
+            register.emit_range(range(14, 17), 0.5)
+
+
 class TestWindowReads:
     @given(case=windows())
     @settings(max_examples=150, deadline=None)
@@ -470,8 +566,9 @@ class TestSetUpAndReadMemory:
     def test_tables_are_the_broadcast_expression(self, data):
         # the in-place build against the one expression it replaced, bitwise:
         # row s holds, per entry (block, offset, shift), the flat position
-        # row(block, offset mod K) K + (s + shift) mod K, on the wire's ring
-        # of 3 slots and on lattice rings from reach + 2 slots on
+        # w K + (s + shift + the column shift of row w) mod K, w the row of
+        # (block, offset mod K), on the wire's ring of 3 slots and on
+        # lattice rings from reach + 2 slots on
         offsets = data.draw(st.sampled_from([(1,), (1, 2), (1, 3), (1, 8)]))
         k = data.draw(st.integers(offsets[-1] + 2, 3 * offsets[-1] + 6))
         register = DiagonalRegister(offsets, k)
@@ -481,7 +578,8 @@ class TestSetUpAndReadMemory:
         assert len(tables) == len(lists)
         for entries, table in zip(lists, tables):
             blocks, offs, shifts = np.array(entries, dtype=np.intp).reshape(-1, 3).T
-            want = register._row[blocks, offs % k] * k + (np.arange(k)[:, None] + shifts) % k
+            rows = register._row[blocks, offs % k]
+            want = rows * k + (np.arange(k)[:, None] + shifts + register._shift[rows]) % k
             assert table.dtype == want.dtype and table.shape == want.shape
             assert table.tobytes() == want.tobytes()
 

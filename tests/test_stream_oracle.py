@@ -762,6 +762,6 @@ def test_outcomes_are_the_seeds_normal_stream_in_node_order(config, nodes):
 @pytest.mark.parametrize("config, nodes", [STORED[0], STORED[-1]], ids=["wire", "lattice-deferred"])
 def test_wrong_cz_weight_is_off_the_convention(config, nodes, monkeypatch):
     # node 1's q row holds var * (1 + 2**-50) on its partner's p
-    monkeypatch.setattr(DiagonalRegister, "cz", weighted_cz(1 + 2**-50))
+    monkeypatch.setattr(DiagonalRegister, "_cz", weighted_cz(1 + 2**-50))
     with pytest.raises(ValueError, match="^node 1: stored measurement is off the pinned feedforward convention"):
         TemporalPipeline(config, nodes).run()
