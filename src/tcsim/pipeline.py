@@ -217,10 +217,11 @@ class RunReport:
 
 
 def tick_events(
-    config: PipelineConfig, t: int, deferred: range = range(0)
+    config: PipelineConfig, t: int, compared: range = range(0)
 ) -> List[PipelineEvent]:
     """The events of tick t, in order: the calls :meth:`TemporalPipeline.tick`
-    makes, recorded by a stand-in pipeline and register that run no kernel."""
+    makes, recorded by a stand-in pipeline and register that run no kernel;
+    a compared label's row read is not an event, and its clear is a trace."""
     events: List[PipelineEvent] = []
 
     def record(kind: str) -> Callable:
@@ -232,9 +233,10 @@ def tick_events(
             record("cz")(label - d, label)
 
     register = SimpleNamespace(emit_linked=emit_linked, clear=record("trace"))
-    last = deferred[-1] if deferred else config.n_pulses
+    last = compared[-1] if compared else config.n_pulses
     stand_in = SimpleNamespace(
-        config=config, deferred=deferred, last=last, register=register, _finalize=record("measure")
+        config=config, compared=compared, last=last, register=register,
+        _finalize=record("measure"), _compare=record("trace"),
     )
     TemporalPipeline.tick(stand_in, t)
     return events
@@ -252,43 +254,44 @@ class TemporalPipeline:
     a :class:`~tcsim.register.DiagonalRegister`, owns and keeps on a ring of
     K slots with no label map and no free list; its kernels take the labels.
     Each run builds one register and keeps it: K is reach + 2, a stream's
-    high-water mark, or len(range) if that is larger for a run with a
-    nonempty ``deferred`` range (see :meth:`tick`), which ends holding the
-    whole range.  The register stores only the slot-offset diagonals of the
-    covariance that the topology can fill, so it holds O(K) values, not
-    (2K)^2.  :meth:`tick` states what each tick does, in at most two
-    register calls, each with one window check: ``emit_linked`` emits the
-    pulse and links it, and ``finalize`` (or ``clear``, for an ancilla)
-    takes the oldest label.  Each of their steps is one in-place kernel of
-    the register, the dense kernel of :mod:`tcsim.gaussian` on the stored
-    entries, bit for bit: emit writes two diagonal entries, CZ adds two rows
-    and two columns, measure is one rank-1 downdate of the p rows of the
-    measured node's live graph neighbours, and both measure and trace then
-    clear the mode.  The kernels keep the register exactly symmetric; every
-    stored entry is checked (mirrored and finite) once per tick that runs
-    kernels, before the tick's measurement.  A tick that :meth:`run`
-    certifies runs no kernel: it repeats a register one label on.
-    ``measured`` holds every measurement, in node order, as
-    :class:`Stretch`es; ``records`` and ``nullifier_checks`` view it.
+    high-water mark, or for a run with a nonempty ``compared`` range (see
+    :meth:`tick`) 2 reach + 1, the labels a compared row reaches.  It stores
+    only the slot-offset diagonals of the covariance that the topology can
+    fill, O(K) values, not (2K)^2.  :meth:`tick` states what each tick does,
+    in at most two register calls, each with one window check:
+    ``emit_linked`` emits the pulse and links it, and ``finalize``
+    (``clear`` for an ancilla, ``take`` for a compared label) takes the
+    oldest label.  Each of their steps is one in-place kernel of the
+    register, the dense kernel of :mod:`tcsim.gaussian` on the stored
+    entries, bit for bit.  The kernels keep the register exactly symmetric;
+    every stored entry is checked (mirrored and finite) once per tick that
+    runs kernels, before its measurement or row read.  A tick that
+    :meth:`run` certifies runs no kernel: it repeats a register one label
+    on.  A stream's ``measured`` holds every measurement, in node order, as
+    :class:`Stretch`es, which ``records`` and ``nullifier_checks`` view; a
+    comparison keeps none, and ``gap`` is its result.
 
     Each node is q-measured as soon as its slot comes up, with the
     conditional mean shift cancelled by feedforward that lists the survivors
     in ascending label order: one call, the register's ``finalize``, checks
-    the register, reads a non-boundary node's nullifier variance (a read
-    that writes no entry), then reads the q row, refuses one off the pinned
+    the register, reads a stream's non-boundary node's nullifier variance
+    (a read that writes no entry), then reads the q row, refuses one off the pinned
     feedforward convention, downdates and clears.  No kernel draws:
     :meth:`_draw` draws each outcome.
     """
 
-    def __init__(self, config: PipelineConfig, deferred: range = range(0)):
+    def __init__(self, config: PipelineConfig, compared: range = range(0)):
         self.config = config
-        self.deferred = deferred
-        # the last pulse: the deferred range's last label, else N
-        self.last = deferred[-1] if deferred else config.n_pulses
+        self.compared = compared
+        # the last pulse: the compared range's last label, else N
+        self.last = compared[-1] if compared else config.n_pulses
         self.rng = np.random.default_rng(config.seed)
-        self.register = DiagonalRegister(config.offsets, max(config.reach + 2, len(deferred)))
+        slots = 2 * config.reach + 1 if compared else config.reach + 2
+        self.register = DiagonalRegister(config.offsets, slots)
         self.register.emit_range(range(1 - config.reach, 1), 0.0)  # config.ancilla_labels
         self.measured: List[Stretch] = []
+        self.gap = 0.0  # the largest gap of a compared row to the closed form's
+        self._oracle = None  # built at the first row compared, after the first checks
         # an open candidate's diagonals, moved one label on (see run), or None
         self._kept = None
 
@@ -316,17 +319,22 @@ class TemporalPipeline:
         for each topology offset d; then the measurement slot finalizes the
         pulse emitted ``delay`` ticks earlier (a trace for an ancilla).
         Ticks past the last pulse only flush the remaining ones.  A nonempty
-        ``deferred`` range makes its last label the last pulse and withholds
-        the measurements of its labels, which then stay live.
+        ``compared`` range makes its last label the last pulse, and none of
+        its labels is measured: label i's row is final once tick i + 2 reach
+        has emitted (2 reach is the largest pp offset, and every earlier
+        node is measured by then), so that tick compares it and traces the
+        label out (:meth:`_compare`).
         """
         config = self.config
         if t <= self.last:
             self.register.emit_linked(t, config.squeezing_r)
         slot = t - config.delay
-        if 1 <= slot <= self.last and slot not in self.deferred:
+        if 1 <= slot <= self.last and slot not in self.compared:
             self._finalize(slot)
         elif 1 - config.reach <= slot <= 0:  # an ancilla
             self.register.clear(slot)
+        elif t - 2 * config.reach in self.compared:
+            self._compare(t - 2 * config.reach)
 
     def execute(self, events: List[PipelineEvent]) -> None:
         """Run a list of events, such as :func:`tick_events` gives, on the
@@ -346,80 +354,77 @@ class TemporalPipeline:
                 raise ValueError(f"unknown event kind {kind!r}")
 
     def run(self) -> RunReport:
-        """The one run loop, for a stream and for a deferred run alike.
+        """The one run loop, for a stream and for a comparison alike: it runs
+        :meth:`tick` on every tick up to ``last + delay`` (a comparison's
+        last row, ``last + 2 reach``) and must end with no label live.
 
-        It runs :meth:`tick` on every tick up to the run's last,
-        ``last + delay``, and must end with exactly ``deferred`` live
-        (nothing, for a stream).
+        Both runs certify the ticks that repeat.  No kernel takes an outcome,
+        so the register is the state of a deterministic machine, and every
+        kernel maps a cyclic relabelling of the slots to the same
+        relabelling of its output, bit for bit, on a ring of any size (a
+        diagonal's slot offset does not change under it, the q measurement
+        computes each entry on its own, the keep order and the nullifier
+        follow label order).  Two stretches repeat one label on: a stream's
+        steady ticks (emit, link, measure) and a comparison's range ticks
+        (emit, link, compare a row, clear it).  So there is one certificate
+        rule: after a candidate tick t the diagonals are kept rolled one slot
+        on (:meth:`DiagonalRegister.moved`); if they equal that copy bit for
+        bit after tick t + 1, every later tick up to the stretch's end
+        repeats tick t + 1 one label on, and :meth:`_repeat` moves the
+        register there in one step, else a new candidate opens.
 
-        Both runs certify the ticks that repeat.  No kernel takes an outcome
-        (a covariance update does not depend on one), so the register is the
-        state of a deterministic machine, and every kernel maps a cyclic
-        relabelling of the slots to the same relabelling of its output, bit
-        for bit, on a ring of any size (a diagonal's slot offset does not
-        change under it, the q measurement computes each entry on its own,
-        the keep order and the nullifier follow label order).  Two stretches
-        of ticks repeat one label on: a stream's steady ticks, each of which
-        emits, links and measures, and a deferred run's growth, whose ticks
-        only emit and link once the range's first node has reached the
-        measurement slot.  A tick of either reads and writes only entries of
-        two modes among its last 2 reach + 1 labels, the register's front
-        block (2 reach is the largest pp offset; empty slots hold zeros).
-        So there is one certificate rule: after a candidate tick t the
-        register's diagonals are kept as :meth:`DiagonalRegister.moved`
-        gives them, the front block one label on; if they equal that copy
-        bit for bit after tick t + 1, every later tick up to the stretch's
-        end repeats tick t + 1 one label on, and :meth:`_repeat` moves the
-        register there in one step, else a new candidate opens.  While the
-        window lies in the block, as it always does on a stream's ring, which
-        the block spans, the move is a roll of the ring; in the growth the
-        block leaves the range's older labels in place, and each label it
-        passes keeps the block's oldest column.
+        A stream's steady stretch ends at N; a comparison's at ``stop``,
+        the tick before the range's first node reaches the measurement slot
+        (or its last emission), and its range stretch at its last emission.
+        Steady candidates open after each tick from 2 reach + 1 (tick
+        2 reach + 2 measures a non-boundary node with all its neighbours
+        live), range candidates from first + 3 reach - 1, so that the
+        certifying row and every row it stands for, up to last - 2 reach,
+        have all their neighbours and columns in the range: their
+        closed-form rows are one another's bit for bit, so each certified
+        row's gap is the certifying row's.  The last candidate of either
+        opens two ticks before its stretch ends.  When they pass, a stream
+        runs kernels on 3 reach + 3 ticks for any N >= 2 reach + 2, and a
+        comparison of first..last on
 
-        A stream's steady stretch ends at N.  A deferred run's ticks are a
-        stream's until the first deferred label reaches the measurement
-        slot, so its steady stretch ends at ``stop``, the tick before, or
-        at its last emission if that comes first; its growth ends at its
-        last emission.  A steady candidate opens after each tick from
-        2 reach + 1, since tick 2 reach + 2 already measures a non-boundary
-        node with all its neighbours live, and a growth candidate after
-        each growth tick whose window holds the front block; the last of
-        either opens two ticks before its stretch ends, so that one tick is
-        left to repeat.  When they pass, a stream runs kernels on
-        3 reach + 3 ticks for any N >= 2 reach + 2, flush included
-        (N = 2 reach + 2 has no emission left to repeat and runs them all),
-        and a deferred run on a number of ticks that grows with neither N
-        nor len(range): 5 reach + 4 (44 at M = 8) for a range of at least
-        3 reach + 3 nodes from node reach + 3 on, whose growth certificate
-        passes at tick first + 3 reach + 1.  Its ring is sized
-        once, when the run is built, so the certificate compares registers
-        of one size throughout.
+          min(stop, 2 reach + 2) + min(first + 3 reach, last) - stop + 2 reach
+
+        ticks, stop = min(first + reach, last): 6 reach + 2 (50 at M = 8)
+        for a range of more than 3 reach + 1 nodes from node reach + 3 on.
         """
-        config, deferred, last = self.config, self.deferred, self.last
-        stop = min(deferred[0] + config.delay - 1, last) if deferred else last
-        # the candidate ticks of the steady stretch and of the growth, whose
-        # window must hold the whole front block: a move of a shorter one
-        # would take lo on, which no growth tick does
-        steady = range(2 * config.reach + 1, stop - 1)
-        growth = range(deferred[0] + self.register.front - 1, last - 1) if deferred else range(0)
+        config, compared, last = self.config, self.compared, self.last
+        reach = config.reach
+        stop = min(compared[0] + reach, last) if compared else last
+        steady = range(2 * reach + 1, stop - 1)
+        rows = range(compared[0] + 3 * reach - 1, last - 1) if compared else range(0)
+        end = last + (2 * reach if compared else config.delay)
         t = 1
-        while t <= last + config.delay:
+        while t <= end:
             self.tick(t)
             # bitwise, since the kernels never store a -0.0; a NaN fails it
             if self._kept is not None and np.array_equal(self.register.diagonals, self._kept):
                 t = self._repeat(t, stop if t < stop else last)
             self._kept = None
-            if t in steady or t in growth:
+            if t in steady or t in rows:
                 self._kept = self.register.moved()
             t += 1
-        live = range(self.register.lo, self.register.hi + 1)
-        if live != deferred:
-            raise RuntimeError(f"schedule left live modes {tuple(live)}")
+        lo, hi = self.register.lo, self.register.hi
+        if lo <= hi:
+            raise RuntimeError(f"schedule left live modes {tuple(range(lo, hi + 1))}")
         return RunReport(self.config, self.records, self.high_water, self.nullifier_checks)
 
     def _finalize(self, node: int) -> None:
-        variance, var, b_keep = self.register.finalize(node, node > self.config.reach)
-        self.measured.append(Stretch(node, var, b_keep, variance, self._draw(1, var)))
+        # a comparison keeps no record, so it reads no nullifier and draws none
+        keep = not self.compared
+        variance, var, b_keep = self.register.finalize(node, keep and node > self.config.reach)
+        if keep:
+            self.measured.append(Stretch(node, var, b_keep, variance, self._draw(1, var)))
+
+    def _compare(self, label: int) -> None:
+        """Compare the oldest label's row (one checked ``take``) with the closed form's."""
+        cells = self.register.take(label)
+        self._oracle = self._oracle or OracleRows(self.config, self.compared, self.register)
+        self.gap = max(self.gap, self._oracle.gap(label, cells))
 
     def _repeat(self, t: int, stop: int) -> int:
         """Repeat ticks t + 1 .. stop after a certified tick t with no kernel
@@ -472,12 +477,13 @@ def pipeline_interaction_graph(config: PipelineConfig, up_to: int) -> Graph:
     return make_graph(nodes, edges)
 
 
-def range_oracle(config: PipelineConfig, nodes: range) -> Tuple[np.ndarray, ...]:
+def range_oracle(
+    config: PipelineConfig, nodes: range, kept: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, ...]:
     """The canonical cluster that a run leaves on ``nodes`` once every
     earlier pulse is measured and the ancillas are traced out, entry by
     entry: :func:`~tcsim.canonical.canonical_entries`'s (block, row label,
-    column label, value) arrays, the same form as the register's
-    ``entries`` read.
+    column label, value) arrays.
 
     A q measurement deletes its node from the graph, so this is the closed
     form on the interaction graph induced on the unmeasured labels: the
@@ -485,13 +491,15 @@ def range_oracle(config: PipelineConfig, nodes: range) -> Tuple[np.ndarray, ...]
     which enter the pp sums but list no entry of their own: the trace-out.
     The graph is read from ``config.offsets``, so its size is the range's,
     whatever N, and so are the entries, O(len(nodes) reach) of them; a
-    range past the first stripe links no ancilla.
+    range past the first stripe links no ancilla.  With ``kept``, ascending
+    labels of ``nodes``, the graph is the one induced on them (and their
+    ancillas): an entry whose two labels and every common neighbour are
+    kept has the same value, bit for bit.
     """
-    first = nodes[0]
-    t = np.arange(first, nodes[-1] + 1)
-    # the links of each node t to t - d, unless t - d is measured
+    t = np.arange(nodes[0], nodes[-1] + 1) if kept is None else kept
+    # the links of each node t to t - d, unless t - d is measured (or not kept)
     edges = np.concatenate([
-        np.stack([t - d, t], axis=1)[(t - d < 1) | (t - d >= first)] for d in config.offsets
+        np.stack([t - d, t], axis=1)[(t - d < 1) | np.isin(t - d, t)] for d in config.offsets
     ])
     ancillas = np.unique(edges[edges[:, 0] < 1, 0])
     labels = np.concatenate([ancillas, t])
@@ -499,69 +507,84 @@ def range_oracle(config: PipelineConfig, nodes: range) -> Tuple[np.ndarray, ...]
     return canonical_entries(labels, a, b, edges, traced=len(ancillas))
 
 
+class OracleRows:
+    """The closed form's rows of a compared range ``nodes``, each in the
+    cell order of the register's row read (:meth:`DiagonalRegister.take`).
+
+    Row i's entries are the ones of :func:`range_oracle` whose smaller
+    label is i.  Its pp sums run over i's neighbours and its columns reach
+    i + 2 reach, so its values are the same, bit for bit, on the graph
+    induced on the labels i - reach .. i + 2 reach.  The rows a run whose
+    certificates pass compares at kernel ticks, the first reach + 1 and the
+    last 2 reach, are built by one ``range_oracle`` call on the labels they
+    reach; a row past a certificate that did not pass, by one more.
+    """
+
+    def __init__(self, config: PipelineConfig, nodes: range, register: DiagonalRegister) -> None:
+        self.config, self.nodes = config, nodes
+        self._slots = register.slots
+        self._order = np.argsort(register.row_keys)
+        self._keys = register.row_keys[self._order]
+        first, last, reach = nodes[0], nodes[-1], config.reach
+        head, flush = min(first + reach, last), max(first, last - 2 * reach + 1)
+        self._build(range(first, head + 1), range(flush, last + 1))
+
+    def gap(self, label: int, cells: np.ndarray) -> float:
+        """The max gap of row ``label``'s register cells (overwritten) to the
+        closed form's row, or the full value of an oracle entry no cell holds."""
+        if label not in self._at:  # a row past a certificate that did not pass
+            self._build(range(label, min(label + 2 * self.config.reach, self.nodes[-1] + 1)))
+        j = self._at[label]
+        cells -= self._want[j]
+        np.abs(cells, out=cells)
+        return max(float(cells.max()), self._missed[j])
+
+    def _build(self, *blocks: range) -> None:
+        nodes, reach, k = self.nodes, self.config.reach, self._slots
+        rows = np.unique(np.concatenate(blocks))
+        reached = [range(max(nodes[0], r[0] - reach), min(nodes[-1], r[-1] + 2 * reach) + 1) for r in blocks]
+        block, row, col, value = range_oracle(self.config, nodes, np.unique(np.concatenate(reached)))
+        smaller = np.minimum(row, col)
+        at = np.searchsorted(rows, smaller)
+        np.minimum(at, len(rows) - 1, out=at)
+        mine = rows[at] == smaller
+        at, value = at[mine], value[mine]
+        offset = col[mine] - row[mine]
+        key = block[mine] * 2 * k + offset + k
+        pos = np.searchsorted(self._keys, key)
+        np.minimum(pos, len(self._keys) - 1, out=pos)
+        stored = (self._keys[pos] == key) & (np.abs(offset) < k)
+        self._want = np.zeros((len(rows), len(self._keys)))
+        self._want[at[stored], self._order[pos[stored]]] = value[stored]
+        missed = np.zeros(len(rows))
+        np.maximum.at(missed, at[~stored], np.abs(value[~stored]))
+        self._missed = missed.tolist()
+        self._at = dict(zip(rows.tolist(), range(len(rows))))
+
+
 def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> float:
     """Max discrepancy between the pipeline output and the canonical cluster.
 
-    Runs :meth:`TemporalPipeline.run` with ``node_range`` deferred (see
-    :meth:`TemporalPipeline.tick`), so it ends holding exactly the range's
-    nodes, reads its register's stored entries on the range (the register's
-    ``entries``) and releases it before building the oracle,
-    :func:`range_oracle`, entry by entry; no outcome is replayed.  Neither
-    grows with N: the run certifies like a stream until the range's first
-    node reaches the measurement slot, then certifies the range's growth,
-    so it runs kernels on a number of ticks that grows with neither N nor
-    len(range) (5 reach + 4 for a long range from node reach + 3 on),
-    on one register of max(reach + 2, len(range)) slots; the oracle's graph
-    is the range's.
-    Each stored entry is compared with the oracle's value at its (block,
-    row, column), or with 0 where the oracle has none, and an oracle entry
-    that the register does not store counts at its full value: the max
-    entrywise difference of the two covariances (both states are
-    zero-mean), with no dense matrix built: the register's keys are sorted
-    once and each oracle key is looked up among them.  Memory is
-    O(len(range) reach), and each phase frees its scratch as it builds its
-    output.
+    Runs :meth:`TemporalPipeline.run` with ``node_range`` compared: each
+    range label's row, its entries with the range's labels on both sides,
+    is compared with the closed form's (:class:`OracleRows`) once it is
+    final, and the label is then traced out.  So the run holds at most
+    2 reach + 1 labels and O(reach) memory whatever N and len(range), draws
+    no outcome, and runs kernels on
+
+      min(stop, 2 reach + 2) + min(first + 3 reach, last) - stop + 2 reach
+
+    ticks, stop = min(first + reach, last).  A register entry with no
+    oracle entry counts at its own value, and an oracle entry that the
+    register does not store at its full value: the max entrywise difference
+    of the two covariances on the range (both are zero-mean), with no dense
+    matrix built.
     """
     first, last = node_range
     if not (1 <= first <= last <= config.n_pulses):
         raise ValueError(
             f"node range {first}..{last}: need 1 <= first <= last <= {config.n_pulses}"
         )
-
-    nodes = range(first, last + 1)
-    n = len(nodes)
-    pipe = TemporalPipeline(config, nodes)
+    pipe = TemporalPipeline(config, range(first, last + 1))
     pipe.run()
-    register = pipe.register
-    register.check()  # mirrored and finite, as before each measurement
-    key, got = _keyed(register.entries(register.lo, register.hi), first, n)
-    del pipe, register
-    order = np.argsort(key)
-    key = key[order]
-    got = got[order]
-    del order
-    want_key, want = _keyed(range_oracle(config, nodes), first, n)
-    at = np.searchsorted(key, want_key)
-    np.minimum(at, len(key) - 1, out=at)
-    stored = key[at] == want_key
-    # the oracle's value at each stored entry, 0 where it has none, then the
-    # gap there; an oracle entry that is not stored counts at its full value
-    expected = np.zeros(len(key))
-    expected[at[stored]] = want[stored]
-    np.subtract(got, expected, out=expected)
-    np.abs(expected, out=expected)
-    return float(np.max(np.abs(want[~stored]), initial=np.max(expected)))
-
-
-def _keyed(entries: Tuple[np.ndarray, ...], first: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """One int64 key per entry of (block, row label, column label, value)
-    arrays, (block n + row - first) n + column - first, built in place in
-    the block array; and the values."""
-    key, row, col, value = entries
-    key *= n
-    key += row
-    key -= first
-    key *= n
-    key += col
-    key -= first
-    return key, value
+    return pipe.gap

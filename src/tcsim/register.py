@@ -22,11 +22,12 @@ same order.  A row of the first half, and a diagonal that is its own mirror
 row slot s at column s; a mirror row holds it at column s + o, its column
 slot.  So an entry and its mirror sit in the same column of their two rows,
 and the guard ``check`` compares the two halves as contiguous blocks, with
-no gather.  A register of K slots holds a fixed number of diagonals times K values
-whatever K is.  One read, ``entries(lo, hi)``, lists the stored entries of
-a window of labels as (block, row label, column label, value) arrays: it is
-the one map from slots back to labels, ``window`` scatters it into a dense
-matrix, and ``compare`` matches it with the per-entry closed form.
+no gather.  A register of K slots holds a fixed number of diagonals times K
+values whatever K is.  Two reads map slots back to labels: ``entries``
+lists a window's stored entries as (block, row label, column label, value)
+arrays, which ``window`` scatters into a dense matrix, and ``take`` reads
+the oldest label's rows and columns, which ``compare`` matches, row by row,
+with the closed form.
 
 Each kernel is the dense kernel of :mod:`tcsim.gaussian` restricted to the
 pattern: the same arithmetic on the same operands in the same order, so on
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import List, Optional, Sequence, Tuple
 
@@ -92,9 +94,6 @@ class DiagonalRegister:
     The live window ``lo..hi`` opens at the first emission's label; then
     ``emit`` appends hi + 1, ``measure`` and ``clear`` take lo, and ``move``
     moves it with the data.  ``high_water`` is the most labels it has held.
-    ``front`` is the width of the block of labels up to hi that a move
-    takes one slot on: 2 reach + 1, the labels a tick reaches, or K if that
-    is smaller.
     """
 
     def __init__(self, offsets: Sequence[int], slots: int) -> None:
@@ -102,35 +101,33 @@ class DiagonalRegister:
         self.slots = k = slots
         # the live window lo..hi, empty while hi < lo, and its largest size
         self.lo, self.hi, self.high_water = 0, -1, 0
-        blocks = pattern(self.offsets)
-        self._stored, p = _aligned(blocks, k)
+        self._stored, p = _aligned(pattern(self.offsets), k)
         self._pairs = p
         self._zero = len(self._stored)
         self._half_ring = self._zero - 2 * p == 3
-        # the row of diagonal (block, o), or the zero row off the pattern
-        self._row = np.full((4, k), self._zero)
-        for w, (block, o) in enumerate(self._stored):
-            self._row[block, o] = w
+        # the map of the stored diagonals (block, o) to their rows: the keys
+        # 4 o + block, sorted, and each one's row
+        self._row = np.array(sorted((4 * o + b, w) for w, (b, o) in enumerate(self._stored))).T
         self._shift = np.zeros(self._zero + 1, dtype=np.intp)
         self._shift[p : 2 * p] = [o for _, o in self._stored[p : 2 * p]]
         self.diagonals = np.zeros((self._zero + 1, k))
         self._flat = self.diagonals.reshape(-1)  # a view: every kernel writes through it
-        self._qq0, self._pp0 = int(self._row[QQ, 0]), int(self._row[PP, 0])
+        self._qq0, self._pp0 = self._stored.index((QQ, 0)), self._stored.index((PP, 0))
         links = [o for b, o in self._stored if b == QP]  # a q row's p columns, the first rows
         self._links = links
         # each pair (a, b) of links, by position, in the downdate table's order
         self._pair = np.divmod(np.arange(len(links) ** 2), len(links))
 
         # The tables every run of these offsets uses, built in one pass: per
-        # row, the entry of slot k's mode that column k does not hold (its
-        # column's, row slot k - o, on a row whose shift is 0; its row's on a
-        # mirror row), the downdate, a CZ per offset d (the pipeline's
-        # cz(t - d, t)) and a nullifier form per live prefix of the offsets.
-        # Any other CZ is built on first use.
+        # row at a nonzero offset, the entry of slot k's mode that column k
+        # does not hold (its column's, row slot k - o, on a row whose shift
+        # is 0; its row's on a mirror row), the downdate, a CZ per offset d
+        # (the pipeline's cz(t - d, t)) and a nullifier form per live prefix
+        # of the offsets.  Any other CZ is built on first use.
         deltas = sorted({d % k for d in self.offsets})
         keys = [tuple(d % k for d in self.offsets[:n]) for n in range(len(self.offsets) + 1)]
         self._other, self._downdate, *tables = self._tables(
-            [(b, o, s - o) for (b, o), s in zip(self._stored, self._shift.tolist())],
+            [(b, o, s - o) for (b, o), s in zip(self._stored, self._shift.tolist()) if o],
             # measure: pair (a, b) of links is the pp entry (p_{k+a}, p_{k+b})
             [(PP, b - a, a) for a in links for b in links],
             *map(self._cz_entries, deltas),
@@ -140,20 +137,18 @@ class DiagonalRegister:
         self._cz_kernels = {d: self._cz_kernel(t) for d, t in zip(deltas, tables)}
         self._forms = [self._form_kernel(t) for t in tables[len(deltas) :]]  # by prefix length
 
-        # The front block that :meth:`moved` moves: the labels hi - 2 reach ..
-        # hi, 2 reach being the largest pp offset, or the whole ring if that
-        # is smaller, when a move is a roll and needs no table.  Its entries
-        # are the stored (row, j) with both modes in it, j the row mode's
-        # position in the block, kept as the row and the column of the entry
-        # at j when the block starts at slot 0; the oldest column's have
-        # j = 0 or the column mode at position 0.
-        self.front = w = min(max(blocks[PP]) + 1, k)
-        if w < k:
-            shifts = np.array([o for _, o in self._stored])
-            rows, js = np.nonzero((np.arange(w) + shifts[:, None]) % k < w)
-            oldest = np.flatnonzero((js == 0) | ((js + shifts[rows]) % k == 0))
-            js += self._shift[rows]
-            self._block = rows, js, oldest
+    @cached_property
+    def row_keys(self) -> np.ndarray:
+        """The key 2K block + K + c - r of each entry (block, r, c) that
+        :meth:`take` reads, r or c its label and the other on the K labels
+        from it on: column k of each stored row (c - r = o on a row whose
+        shift is 0, o - K on a mirror row), then the ``_other`` entry of
+        each row at o != 0 (the other way round)."""
+        k = self.slots
+        blocks, offsets = (np.array(x, dtype=np.intp) for x in zip(*self._stored))
+        mirror, at = self._shift[: self._zero] != 0, offsets != 0
+        offsets = np.concatenate([offsets - k * mirror, (offsets - k * ~mirror)[at]])
+        return 2 * k * np.concatenate([blocks, blocks[at]]) + k + offsets
 
     def _tables(self, *entry_lists: Sequence[Tuple[int, int, int]]) -> List[np.ndarray]:
         """Per kernel, the flat positions of its entries (block, slot offset,
@@ -162,7 +157,11 @@ class DiagonalRegister:
         k = self.slots
         entries = chain.from_iterable(chain.from_iterable(entry_lists))
         blocks, offsets, shifts = np.fromiter(entries, dtype=np.intp).reshape(-1, 3).T
-        rows = self._row[blocks, offsets % k]
+        # each entry's stored row, or the zero row off the pattern
+        keys, stored = self._row
+        key = offsets % k * 4 + blocks
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        rows = np.where(keys[at] == key, stored[at], self._zero)
         shifts += self._shift[rows]  # the entry's column at slot 0
         # built in place: one table-sized array, row s holding each entry's
         # column, (s + shift) mod K, plus its row times K
@@ -358,6 +357,16 @@ class DiagonalRegister:
         starts at label + 1."""
         self._clear(label, self._oldest(label))
 
+    def take(self, label: int) -> np.ndarray:
+        """:meth:`check`, read the oldest label's q and p rows and columns
+        (the cells :meth:`clear` zeroes, each once, in a new array, in
+        ``row_keys``' order), then clear it, with one window check."""
+        k = self._oldest(label)
+        self.check()
+        cells = np.concatenate((self.diagonals[: self._zero, k], self._flat[self._other[k]]))
+        self._clear(label, k)
+        return cells
+
     def _clear(self, label: int, k: int) -> None:
         self.diagonals[:, k] = 0.0
         self._flat[self._other[k]] = 0.0
@@ -421,8 +430,8 @@ class DiagonalRegister:
     def entries(self, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
         """Every stored entry whose two modes both lie in labels lo..hi, a
         window of at most K labels, as numpy arrays of its block, row label,
-        column label and value, in flat order.  The one map from slots back
-        to labels: a window's slot s holds label lo + ((s - lo) mod K)."""
+        column label and value, in flat order: a window's slot s holds label
+        lo + ((s - lo) mod K)."""
         k, n = self.slots, max(hi - lo + 1, 0)
         blocks, offsets = np.array(self._stored).T
         # the window position of each stored entry's row mode, its column
@@ -474,46 +483,13 @@ class DiagonalRegister:
         self._flat[: self._zero * k] = values
 
     def moved(self, n: int = 1) -> np.ndarray:
-        """A copy of the diagonals after the move of n >= 0 labels on: the
-        window's front block of ``front`` labels, hi - front + 1 .. hi, moves
-        n slots on, every entry of two of its modes with them, and each label
-        it passes keeps the block's oldest column (its entries with the
-        labels up to front - 1 after it, and their mirrors); nothing else
-        changes.  When the block's oldest label is not live, the window lies
-        in the block and every other slot is empty, so this is the roll of
-        the whole ring that takes slot s - n's values to slot s; that is the
-        case on a stream's ring, whose block spans it.  Otherwise the window
-        keeps lo and grows n labels on, and must still fit the ring."""
-        return self._move(n)[0]
+        """A copy of the diagonals after the move of n labels on: the roll
+        of the ring that takes slot s - n's values to slot s (a row's shift
+        is the same at every column, so its entries move alike)."""
+        return np.roll(self.diagonals, n, axis=1)
 
     def move(self, n: int) -> None:
-        """:meth:`moved` in place; the window's hi moves n labels on, and
-        so does lo if the block's oldest label is not live."""
-        self.diagonals[...], self.lo = self._move(n)
+        """:meth:`moved` in place; the window moves n labels on."""
+        self.diagonals[...] = self.moved(n)
+        self.lo += n
         self.hi += n
-        self.high_water = max(self.high_water, self.hi - self.lo + 1)
-
-    def _move(self, n: int) -> Tuple[np.ndarray, int]:
-        """The diagonals after the move of n labels on, and the window's lo.
-        A row's shift is the same at every column, so a move of its entries'
-        slots moves their columns alike."""
-        oldest = self.hi - self.front + 1
-        if oldest < self.lo:
-            return np.roll(self.diagonals, n, axis=1), self.lo + n
-        k = self.slots
-        if self.hi + n - self.lo >= k:
-            raise RuntimeError(f"cannot move window {self.lo}..{self.hi} {n} labels on")
-        rows, columns, oldest_column = self._block
-        at = (oldest + columns) % k
-        moved = self.diagonals.copy()
-        values = moved[rows, at]
-        if n > 1:
-            # the passed labels oldest + 1 .. oldest + n - 1: columns s + 1 ..
-            # s + n - 1 of each oldest-column entry's column s, which do not
-            # wrap past the window
-            for r, s, x in zip(rows[oldest_column], at[oldest_column], values[oldest_column].tolist()):
-                end = s + n
-                moved[r, s + 1 : end] = x
-                moved[r, : max(end - k, 0)] = x
-        moved[rows, (at + n) % k] = values
-        return moved, self.lo

@@ -330,8 +330,10 @@ class TestErrors:
         assert not out.exists()
 
     def test_unallocatable_register_returns_2(self, tmp_path, capsys):
-        # A 2e8-slot register needs 284 PiB, beyond any 64-bit address space,
-        # so the allocation fails at once without touching memory.
+        # A register of 10^8 + 2 slots: its first large allocation is its
+        # diagonals, 19 x (10^8 + 2) float64 values (14.2 GiB), and nothing
+        # of K entries is built or written before it, so where the system
+        # cannot commit that much the run fails at once.
         out = tmp_path / "r.json"
         argv = ["lattice", "--width", "100000000", "--nodes", "200000000", "--out", str(out)]
         assert main(argv) == 2

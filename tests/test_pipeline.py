@@ -174,22 +174,23 @@ class TestSchedule:
         assert all(counts[a] == 1 for a in ancillas)
         assert sum(counts.values()) == len(emitted) + len(ancillas)
 
-    def test_deferred_range_stops_emission_and_withholds_measurements(self):
-        config = wire_config(20)
-        deferred = range(5, 11)
-        events = [e for t in config.ticks for e in tick_events(config, t, deferred)]
-        emitted = [e.labels[0] for e in events if e.kind == "emit"]
-        measured = [e.labels[0] for e in events if e.kind == "measure"]
-        assert emitted == list(range(1, 11))
-        assert max(max(e.labels) for e in events) == 10
-        assert measured == [1, 2, 3, 4]
-
-    def test_deferred_run_ends_holding_the_range(self):
+    def test_compared_range_stops_emission_and_traces_each_label_2_reach_ticks_on(self):
         config = lattice_config(30, 3)
-        pipe = TemporalPipeline(config, range(7, 13))
+        compared = range(7, 13)
+        events = {t: tick_events(config, t, compared) for t in range(1, 13 + 2 * 3)}
+        emitted = [e.labels[0] for es in events.values() for e in es if e.kind == "emit"]
+        measured = {e.labels[0]: t for t, es in events.items() for e in es if e.kind == "measure"}
+        traced = {e.labels[0]: t for t, es in events.items() for e in es if e.kind == "trace"}
+        assert emitted == list(range(1, 13))
+        assert measured == {node: node + config.delay for node in range(1, 7)}
+        assert traced == {**{a: a + config.delay for a in (-2, -1, 0)}, **{i: i + 6 for i in compared}}
+        assert tick_events(config, 12 + 2 * 3, compared) != [] == tick_events(config, 13 + 2 * 3, compared)
+
+    def test_comparison_ends_holding_nothing(self):
+        pipe = TemporalPipeline(lattice_config(30, 3), range(7, 20))
         report = pipe.run()
-        assert pipe.snapshot().labels == tuple(range(7, 13))
-        assert [r.node for r in report.records] == list(range(1, 7))
+        assert pipe.snapshot().labels == ()
+        assert report.high_water == pipe.register.slots == 2 * 3 + 1
 
     def test_tick_ordering(self):
         order = {"emit": 0, "cz": 1, "measure": 2, "trace": 2}
@@ -359,13 +360,13 @@ class TestWindowGuards:
             "cannot emit 3 into window 0..2",
         )
 
-    def test_deferred_ring_holds_the_range_from_construction(self):
-        pipe = TemporalPipeline(wire_config(10), range(1, 5))  # K = max(3, 4)
-        assert pipe.register.slots == 4
-        pipe.execute([PipelineEvent("emit", (label,)) for label in (1, 2, 3)])
-        assert pipe.register.slots == 4
-        with pytest.raises(RuntimeError, match=re.escape("cannot emit 4 into window 0..3")):
-            pipe.execute([PipelineEvent("emit", (4,))])
+    def test_comparison_ring_holds_2_reach_plus_1_labels(self):
+        pipe = TemporalPipeline(lattice_config(30, 3), range(7, 20))  # K = 7
+        assert pipe.register.slots == 7
+        pipe.execute([PipelineEvent("emit", (label,)) for label in (1, 2, 3, 4)])
+        assert pipe.register.slots == 7
+        with pytest.raises(RuntimeError, match=re.escape("cannot emit 5 into window -2..4")):
+            pipe.execute([PipelineEvent("emit", (5,))])
 
     def test_unknown_event_kind(self):
         self.refuses([("divert", (0,))], ValueError, "unknown event kind 'divert'")
@@ -417,12 +418,13 @@ class TestEquivalence:
         # a range touching the first stripe agrees with the replayed oracle
         assert equivalence_check(lattice_config(30, 3, r=0.8, seed=2), (2, 8)) < 1e-9
 
-    def test_check_of_a_4000_node_range_peaks_under_9_6_mb(self):
-        # Compared entry by entry, O(len(range) reach): a dense 2L x 2L pair
-        # would peak at 2 GB here.  Each phase holding its output and at most
-        # one array of that size, it peaks at 8.0 MB (11.4 MB when each held
-        # its scratch); the bound is that plus 20%.
+    def test_check_of_a_4000_node_range_peaks_under_124_kb(self):
+        # Compared row by row on a ring of 2 reach + 1 slots, O(reach): a
+        # dense 2L x 2L pair would peak at 2 GB here, and holding the whole
+        # range peaked at 8.0 MB.  It peaks at 102.9 kB; the bound is that plus
+        # 20%.
         config = lattice_config(10_000, 8, r=db_to_r(10), seed=1)
+        equivalence_check(config, (9_901, 10_000))  # lazy set-up outside the measured peak
         gc.collect()
         tracemalloc.start()
         try:
@@ -430,19 +432,45 @@ class TestEquivalence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9.6e6
+        assert peak <= 124e3
+
+    def test_check_of_a_10_to_the_5_node_range_peaks_under_2_mb_on_2_reach_plus_1_labels(self, monkeypatch):
+        # The range at the end of a 10^6-pulse lattice: holding it live,
+        # the check peaked at 206 MB.  Compared row by row, neither N nor
+        # len(range) moves the peak, and the run never holds more than
+        # 2 reach + 1 labels.
+        config = lattice_config(10**6, 8, r=db_to_r(10), seed=1)
+        equivalence_check(config, (10**6 - 99, 10**6))  # lazy set-up outside the measured peak
+        held = []
+        run = TemporalPipeline.run
+
+        def recorded(self):
+            report = run(self)
+            held.append(report.high_water)
+            return report
+
+        monkeypatch.setattr(TemporalPipeline, "run", recorded)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert equivalence_check(config, (900_001, 10**6)) < 1e-9
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+        assert held == [2 * 8 + 1]
 
     def test_an_entry_on_one_side_only_counts_at_its_full_value(self, monkeypatch):
         # as in a dense difference, where the other side holds 0 there
         config = lattice_config(40, 4, r=1.0, seed=5)
         assert equivalence_check(config, (17, 30)) < 1e-9
 
-        def extra(config, nodes):  # qq(17, 30), which no register stores
-            block, row, col, value = range_oracle(config, nodes)
+        def extra(*args):  # qq(17, 30), which no register stores
+            block, row, col, value = range_oracle(*args)
             return [np.append(x, v) for x, v in zip((block, row, col, value), (0, 17, 30, 0.25))]
 
-        def missing(config, nodes):  # without qq(17, 17), which every register stores
-            entries = range_oracle(config, nodes)
+        def missing(*args):  # without qq(17, 17), which every register stores
+            entries = range_oracle(*args)
             kept = ~((entries[0] == 0) & (entries[1] == 17) & (entries[2] == 17))
             return [x[kept] for x in entries]
 
@@ -451,18 +479,19 @@ class TestEquivalence:
         monkeypatch.setattr("tcsim.pipeline.range_oracle", missing)
         assert equivalence_check(config, (17, 30)) == math.exp(2.0) / 2
 
-    def test_register_that_ends_asymmetric_is_refused(self, monkeypatch):
-        # the run's last tick runs no check; the comparison checks first
-        run = TemporalPipeline.run
+    def test_register_that_turns_asymmetric_before_a_row_read_is_refused(self, monkeypatch):
+        # tick 24 runs no check; tick 25 checks before it reads row 17
+        tick = TemporalPipeline.tick
 
-        def corrupted(self):
-            report = run(self)
-            cov = self.register.dense()
-            cov[0, self.register.slots + 1] += 1e-6  # (q_28, p_29), not its mirror
-            self.register.load(cov)
-            return report
+        def corrupted(self, t):
+            tick(self, t)
+            if t == 24:
+                k = self.register.slots
+                cov = self.register.dense()
+                cov[23 % k, k + 24 % k] += 1e-6  # (q_23, p_24), not its mirror
+                self.register.load(cov)
 
-        monkeypatch.setattr(TemporalPipeline, "run", corrupted)
+        monkeypatch.setattr(TemporalPipeline, "tick", corrupted)
         with pytest.raises(ValueError, match="symmetric and finite"):
             equivalence_check(lattice_config(40, 4, r=1.0, seed=5), (17, 30))
 

@@ -3,13 +3,16 @@
 Each register kernel runs on a random buffer with the register's pattern,
 and the matching dense kernel on the same buffer held densely; the register's
 densified result must equal the dense one bit for bit.  The rings are a
-wire's K = 3, a lattice's M + 2 and a deferred run's len(range) slots.  The
-kernels take labels in the register's live window lo..hi, drawn at every
-position on the ring; label l is slot l mod K.
+wire's K = 3, a lattice's M + 2 and longer rings, a comparison's 2 M + 1
+slots among them.  The kernels take labels in the register's live window
+lo..hi, drawn at every position on the ring; label l is slot l mod K.
 """
 
 import gc
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import contextmanager
 
@@ -43,21 +46,13 @@ def pattern_mask(offsets, k):
 @st.composite
 def rings(draw):
     """Offsets and a ring size: a wire's 3 slots, a lattice's M + 2, or a
-    deferred run's ring of len(range) slots, more than reach + 2."""
+    longer ring of more than reach + 2 slots, such as a comparison's
+    2 reach + 1."""
     offsets = draw(st.sampled_from([(1,), (1, 2), (1, 3), (1, 4), (1, 8)]))
     reach = offsets[-1]
-    deferred = draw(st.booleans())
-    k = draw(st.integers(reach + 3, 3 * reach + 6)) if deferred else reach + 2
+    longer = draw(st.booleans())
+    k = draw(st.integers(reach + 3, 3 * reach + 6)) if longer else reach + 2
     return offsets, k
-
-
-@st.composite
-def growing_rings(draw):
-    """Offsets and a deferred run's ring longer than its front block of
-    2 reach + 1 labels, so that a window can outgrow the block."""
-    offsets = draw(st.sampled_from([(1,), (1, 2), (1, 3), (1, 4)]))
-    reach = offsets[-1]
-    return offsets, draw(st.integers(2 * reach + 2, 4 * reach + 6))
 
 
 @st.composite
@@ -211,13 +206,13 @@ class TestKernelsMatchDense:
 
 def guarded_rings():
     """A wire's ring of 3 slots, an M = 2 or M = 3 lattice's of M + 2 (at
-    M = 2 its pp diagonal at offset 2 = K/2 is its own mirror), or a
-    deferred run's ring of len(range) > reach + 2 slots."""
+    M = 2 its pp diagonal at offset 2 = K/2 is its own mirror), or a longer
+    ring of more than reach + 2 slots."""
     streams = st.sampled_from([((1,), 3), ((1, 2), 4), ((1, 3), 5)])
-    deferred = st.sampled_from([(1,), (1, 2), (1, 3)]).flatmap(
+    longer = st.sampled_from([(1,), (1, 2), (1, 3)]).flatmap(
         lambda offsets: st.tuples(st.just(offsets), st.integers(offsets[-1] + 3, 3 * offsets[-1] + 6))
     )
-    return streams | deferred
+    return streams | longer
 
 
 class TestGuardRefusesAPlantedFault:
@@ -379,52 +374,75 @@ class TestWindowReads:
 
     @given(case=windows(), n=st.integers(-5, 5))
     @settings(max_examples=100, deadline=None)
-    def test_move_of_a_window_inside_its_front_block_rolls_the_ring(self, case, n):
-        # the window lies in the block, so every other slot is empty
+    def test_move_rolls_the_ring(self, case, n):
+        # every slot outside the window is empty, so the roll moves every
+        # mode and its entries n labels on
         register, cov, _, _ = case
-        lo, hi = register.lo, register.hi
-        assume(hi - register.front + 1 < lo)
+        lo, hi, high_water = register.lo, register.hi, register.high_water
         shift = positions(register.slots, -n, register.slots - 1 - n)  # slot s takes s - n
         want = cov[np.ix_(shift, shift)]
         moved = register.moved(n)
         register.move(n)
         assert np.array_equal(register.diagonals, moved)
         assert register.dense().tobytes() == want.tobytes()
+        assert (register.lo, register.hi, register.high_water) == (lo + n, hi + n, high_water)
+
+    @given(case=windows(), n=st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_move_of_n_is_n_moves_of_one(self, case, n):
+        register = case[0]
+        lo, hi = register.lo, register.hi
+        moved = register.moved(n)
+        for _ in range(n):
+            register.move(1)
+        assert register.diagonals.tobytes() == moved.tobytes()
         assert (register.lo, register.hi) == (lo + n, hi + n)
 
-    @given(case=windows(growing_rings()), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_move_past_a_live_oldest_label_is_n_moves_of_one(self, case, data):
-        # A window longer than its front block keeps lo and grows.  One move:
-        # the dense buffer's entries of two block modes go one slot on, the
-        # rest stay.  n moves in one step: the same as n single moves, each
-        # passed label keeping the block's oldest column.
-        register, cov, lo, hi = case
-        k, w = register.slots, register.front
-        oldest = hi - w + 1
-        assume(lo <= oldest)  # the block's oldest label is live
-        n = data.draw(st.integers(0, k - 1 - (hi - lo)))
-        step = register.diagonals.copy()
-        for _ in range(n):
-            block = positions(k, oldest, oldest + w - 1)
-            on = positions(k, oldest + 1, oldest + w)
-            want = register.dense()
-            want[np.ix_(on, on)] = want[np.ix_(block, block)]
-            register.move(1)
-            assert register.dense().tobytes() == want.tobytes()
-            oldest += 1
-        assert (register.lo, register.hi, register.high_water) == (lo, hi + n, hi + n - lo + 1)
-        stepped, register.diagonals[...] = register.diagonals.copy(), step
-        register.lo, register.hi = lo, hi
-        assert register.moved(n).tobytes() == stepped.tobytes()
-
-    def test_move_past_the_ring_is_refused(self):
-        register = DiagonalRegister((1,), 6)  # front block of 3 labels
-        for label in range(4, 9):
+    def test_a_moved_window_still_fits_the_ring(self):
+        register = DiagonalRegister((1,), 3)
+        for label in range(4, 7):
             register.emit(label, 0.5)
-        register.move(1)  # the window 4..9 fills the ring
-        with unchanged(register), pytest.raises(RuntimeError, match=r"^cannot move window 4\.\.9 1 labels on$"):
-            register.move(1)
+        register.move(1)  # the window 5..7 fills the ring
+        with unchanged(register), pytest.raises(RuntimeError, match=r"^cannot emit 8 into window 5\.\.7$"):
+            register.emit(8, 0.5)
+
+    @given(case=windows())
+    @settings(max_examples=150, deadline=None)
+    def test_take_reads_the_oldest_labels_rows_and_columns_then_clears_it(self, case):
+        # cell j is the dense entry (block, r, c) of key row_keys[j] =
+        # 2K block + K + c - r: on the label's row at c - r >= 0, on its
+        # column at c - r < 0, the other label |c - r| slots on; each stored
+        # entry of the label's q and p rows and columns once
+        register, cov, lo, hi = case
+        assume(lo <= hi)
+        k = register.slots
+        s = lo % k
+        blocks, offsets = np.divmod(register.row_keys, 2 * k)
+        offsets -= k
+        assert np.all((-k < offsets) & (offsets < k))
+        other = np.where(offsets < 0, (s - offsets) % k, (s + offsets) % k)
+        rows = np.where(offsets >= 0, (blocks >> 1) * k + s, (blocks >> 1) * k + other)
+        cols = np.where(offsets >= 0, (blocks & 1) * k + other, (blocks & 1) * k + s)
+        stored = pattern_mask(register.offsets, k)
+        mine = np.zeros_like(stored)
+        mine[[s, s + k], :] = mine[:, [s, s + k]] = True
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows) == np.count_nonzero(stored & mine)
+        assert stored[rows, cols].all()
+        want = cov[rows, cols]
+        got = register.take(lo)
+        assert got.tobytes() == want.tobytes()
+        clear_slot(cov, s)
+        assert register.dense().tobytes() == cov.tobytes()
+        assert (register.lo, register.hi) == (lo + 1, hi)
+
+    def test_take_checks_the_register_first(self):
+        register = DiagonalRegister((1,), 3)
+        cov = np.zeros((6, 6))
+        cov[1, 1] = 1.0  # label 7, in slot 1
+        cov[1, 5] = 0.25  # (q_7, p_8), not its mirror
+        open_window(register, cov, 7, 8)
+        with unchanged(register), pytest.raises(ValueError, match="symmetric and finite"):
+            register.take(7)
 
 
 @contextmanager
@@ -578,10 +596,32 @@ class TestSetUpAndReadMemory:
         assert len(tables) == len(lists)
         for entries, table in zip(lists, tables):
             blocks, offs, shifts = np.array(entries, dtype=np.intp).reshape(-1, 3).T
-            rows = register._row[blocks, offs % k]
+            row = {pair: w for w, pair in enumerate(register._stored)}
+            rows = np.array([row.get((b, o % k), register._zero) for b, o in zip(blocks, offs)], dtype=np.intp)
             want = rows * k + (np.arange(k)[:, None] + shifts + register._shift[rows]) % k
             assert table.dtype == want.dtype and table.shape == want.shape
             assert table.tobytes() == want.tobytes()
+
+    def test_an_unallocatable_register_fails_at_its_diagonals(self):
+        # In a subprocess capped at 1 GiB of address space: the first large
+        # allocation of a register of 10^8 + 2 slots is its diagonals,
+        # 19 x (10^8 + 2) float64 values (14.2 GiB), so it fails there,
+        # before any map or table of K entries is built or written.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from tcsim.register import DiagonalRegister\n"
+            "try:\n"
+            "    DiagonalRegister((1, 10**8), 10**8 + 2)\n"
+            "except MemoryError as e:\n"
+            "    print(e)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert "with shape (19, 100000002) and data type float64" in result.stdout
 
     def test_set_up_peaks_at_its_held_bytes(self):
         # Built as one expression, the tables held two more table-sized

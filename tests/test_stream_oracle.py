@@ -4,8 +4,9 @@ Two references that do not use the register: the closed-form canonical
 cluster after every tick, and a tick-by-tick replay of the same events on
 ``GaussianState`` values, which must match ``run_pipeline`` bit for bit.
 A third, which runs every tick's kernels, checks the certificate that lets
-``run`` skip them, in a stream's steady state and in ``compare``'s deferred
-run, through its steady state and its growth.
+``run`` skip them, in a stream's steady state and in ``compare``'s run,
+through its steady state and its range ticks; ``compare``'s row-by-row
+result is checked against the whole range held live and compared densely.
 Every stored outcome is checked against numpy's normal stream for the seed.
 """
 
@@ -29,6 +30,7 @@ from tcsim.graphs import delete_nodes, nullifier_variance, sheared_cylinder_grap
 from tcsim.pipeline import (
     PipelineConfig,
     PipelineEvent,
+    Stretch,
     TemporalPipeline,
     equivalence_check,
     pipeline_interaction_graph,
@@ -246,7 +248,7 @@ def kernel_ticks(monkeypatch):
 
     def counted(self, t):
         if isinstance(self, TemporalPipeline):  # not ``tick_events``' stand-in
-            calls.append(tick_events(self.config, t, self.deferred))
+            calls.append(tick_events(self.config, t, self.compared))
         tick(self, t)
 
     monkeypatch.setattr(TemporalPipeline, "tick", counted)
@@ -388,38 +390,57 @@ def test_steady_ticks_repeat_one_label_on(config):
         assert tick_events(config, t + 1) == shifted(tick_events(config, t), 1)
 
 
-# Certified deferred runs.  ``compare``'s run defers a range of nodes, which
-# stay live.  Until the range's first node reaches the measurement slot its
-# ticks are a stream's, so it certifies like one and stores the ticks up to
-# stop = min(first + delay - 1, last) as one stretch.  Its growth, the ticks
-# after stop up to its last emission, only emits and links, and certifies
-# too: the candidate after tick first + 3 reach is the first whose front
-# block, the 2 reach + 1 labels up to it, holds no entry that the range's
-# start (a measured node, or an ancilla) reaches through a common neighbour.
-# Its loop ends at its last tick, last + delay, even when the range ends
-# before N.
+# Certified comparisons.  ``compare``'s run compares range label i's row
+# with the closed form's once it is final, at tick i + 2 reach, and then
+# traces the label out.  Until the range's first node reaches the
+# measurement slot its ticks are a stream's, so it certifies like one and
+# skips to stop = min(first + reach, last).  Its range ticks (emit, link,
+# compare a row, clear) certify too, from the candidate after tick
+# first + 3 reach - 1 on, whose certifying row has every neighbour in the
+# range.  Its flush compares the last 2 reach rows.  Its loop ends at its
+# last tick, last + 2 reach, even when the range ends before N.
 
 
-def deferred_kernel_ticks_of(config: PipelineConfig, nodes: range) -> int:
-    """Ticks a deferred run of ``nodes`` runs kernels on: up to stop, every
+def compare_kernel_ticks_of(config: PipelineConfig, nodes: range) -> int:
+    """Ticks a comparison of ``nodes`` runs kernels on: up to stop, every
     tick if no emission tick is left to repeat after the steady certificate
-    (stop <= 2 reach + 2), else the 2 reach + 2 up to it; then its growth,
-    up to the growth certificate at tick first + 3 reach + 1 if an emission
-    tick is left to repeat after it, else every tick; then the ``delay``
-    flush ticks.  Neither N nor len(range) moves it once both certify."""
+    (stop <= 2 reach + 2), else the 2 reach + 2 up to it; then its range
+    ticks, up to the range certificate at tick first + 3 reach if an
+    emission tick is left to repeat after it, else up to its last emission;
+    then the 2 reach flush ticks.  Neither N nor len(range) moves it once
+    both certify."""
     first, last = nodes[0], nodes[-1]
-    stop = min(first + config.delay - 1, last)
-    certified = first + 3 * config.reach + 1  # the growth certificate's tick
-    growth = certified - stop if certified < last else last - stop
-    return min(stop, 2 * config.reach + 2) + growth + config.delay
+    stop = min(first + config.reach, last)
+    certified = min(first + 3 * config.reach, last)  # the range certificate's tick
+    return min(stop, 2 * config.reach + 2) + certified - stop + 2 * config.reach
 
 
-def kernel_deferred_run(config: PipelineConfig, nodes: range) -> TemporalPipeline:
-    """Every tick of the stream through the kernels, ``nodes`` deferred."""
+def kernel_compare_run(config: PipelineConfig, nodes: range) -> TemporalPipeline:
+    """Every tick of the comparison of ``nodes`` through the kernels."""
     pipe = TemporalPipeline(config, nodes)
-    for t in config.ticks:
+    for t in range(1, nodes[-1] + 2 * config.reach + 1):
         pipe.tick(t)
     return pipe
+
+
+def held_range(config: PipelineConfig, nodes: range) -> np.ndarray:
+    """The range's covariance, label order, as a run that measures every
+    earlier node and keeps the whole range live leaves it: the per-tick rule
+    of a stream, driven by register calls on a ring of len(range) slots,
+    with no range node measured."""
+    register = DiagonalRegister(config.offsets, max(config.reach + 2, len(nodes)))
+    register.emit_range(range(1 - config.reach, 1), 0.0)
+    for t in range(1, nodes[-1] + config.delay + 1):
+        if t <= nodes[-1]:
+            register.emit_linked(t, config.squeezing_r)
+        slot = t - config.delay
+        if 1 <= slot < nodes[0]:
+            register.finalize(slot, False)
+        elif 1 - config.reach <= slot <= 0:
+            register.clear(slot)
+    assert (register.lo, register.hi) == (nodes[0], nodes[-1])
+    register.check()
+    return register.window(nodes[0], nodes[-1])
 
 
 def replayed_oracle(config: PipelineConfig, nodes: range, measured):
@@ -431,7 +452,14 @@ def replayed_oracle(config: PipelineConfig, nodes: range, measured):
     return trace_out(build_canonical_cluster(graph, squeezing), config.ancilla_labels)
 
 
-def deferred_ranges(reach: int, n: int):
+def held_discrepancy(config: PipelineConfig, nodes: range) -> float:
+    """The max entrywise gap of the range held live to the replayed oracle,
+    from two dense matrices."""
+    oracle = replayed_oracle(config, nodes, range(1, nodes[0]))
+    return float(np.max(np.abs(held_range(config, nodes) - oracle.cov)))
+
+
+def compared_ranges(reach: int, n: int):
     """Ranges at the start (touching the ancillas), too early to certify
     (stop = 2 reach + 2) and just late enough (one tick to repeat), in the
     middle, short ones (30..35 ends before its first node's slot), and at
@@ -444,74 +472,72 @@ def deferred_ranges(reach: int, n: int):
     ]
 
 
-DEFERRED_CONFIGS = [
+COMPARED_CONFIGS = [
     PipelineConfig(topology, 120, width=width, squeezing_r=db_to_r(10), seed=seed)
     for topology, width in (("wire", 0), ("lattice", 3), ("lattice", 4), ("lattice", 8))
     for seed in (1, 7919)
 ]
-DEFERRED = [
+COMPARED = [
     (config, range(first, last + 1))
-    for config in DEFERRED_CONFIGS
-    for first, last in deferred_ranges(config.reach, config.n_pulses)
+    for config in COMPARED_CONFIGS
+    for first, last in compared_ranges(config.reach, config.n_pulses)
 ]
-DEFERRED += [  # certified stretches longer than the range, and one past N / 3
+COMPARED += [  # certified stretches longer than the range, and one past N / 3
     (PipelineConfig("lattice", n, width=8, squeezing_r=db_to_r(10), seed=1), range(first, last + 1))
     for n, first, last in ((400, 100, 300), (2000, 1900, 2000))
 ]
-DEFERRED_IDS = [
-    f"{c.topology}-{c.width}-N{c.n_pulses}-{r[0]}..{r[-1]}-s{c.seed}" for c, r in DEFERRED
+COMPARED_IDS = [
+    f"{c.topology}-{c.width}-N{c.n_pulses}-{r[0]}..{r[-1]}-s{c.seed}" for c, r in COMPARED
 ]
 
 
-@pytest.mark.parametrize("config, nodes", DEFERRED, ids=DEFERRED_IDS)
-def test_certified_deferred_run_matches_kernel_run_bitwise(config, nodes, kernel_ticks):
+@pytest.mark.parametrize("config, nodes", COMPARED, ids=COMPARED_IDS)
+def test_certified_comparison_matches_kernel_run_and_held_range_bitwise(config, nodes, kernel_ticks):
+    # the certified run against every tick's kernels, and both against the
+    # range held live to the end and compared densely, the design that
+    # row-by-row comparison replaced: the same max gap, bit for bit
     pipe = TemporalPipeline(config, nodes)
-    report = pipe.run()
+    pipe.run()
     ran = len(kernel_ticks)
-    want = kernel_deferred_run(config, nodes)
-    got, ref = pipe.snapshot(), want.snapshot()
-    assert got.labels == ref.labels == tuple(nodes)
-    assert got.cov.tobytes() == ref.cov.tobytes()
-    assert [r.node for r in report.records] == [r.node for r in want.records]
-    for a, b in zip(report.records, want.records):
-        assert a.outcome.hex() == b.outcome.hex()
-        assert [x.hex() for x in a.feedforward.tolist()] == [x.hex() for x in b.feedforward.tolist()]
-    assert [(n, v.hex()) for n, v in report.nullifier_checks] == [
-        (n, v.hex()) for n, v in want.nullifier_checks
-    ]
-    assert report.high_water == want.high_water
-    assert ran == deferred_kernel_ticks_of(config, nodes)
-    oracle = replayed_oracle(config, nodes, [r.node for r in want.records])
-    discrepancy = float(np.max(np.abs(ref.cov - oracle.cov)))
-    assert equivalence_check(config, (nodes[0], nodes[-1])).hex() == discrepancy.hex()
+    want = kernel_compare_run(config, nodes)
+    assert pipe.gap.hex() == want.gap.hex() == held_discrepancy(config, nodes).hex()
+    assert equivalence_check(config, (nodes[0], nodes[-1])).hex() == pipe.gap.hex()
+    assert pipe.high_water == want.high_water <= 2 * config.reach + 1
+    assert ran == compare_kernel_ticks_of(config, nodes)
 
 
-def test_deferred_run_certifies():
-    # 40..120 of an M = 8 lattice: ticks 19..48 repeat tick 18, and the
-    # stretch holds the records of nodes 10..39
-    config = lattice(8, 10)
-    report = TemporalPipeline(config, range(40, 121)).run()
-    [stretch] = [s for s in report.records.stretches if len(s.outcomes) > 1]
-    assert stretch.nodes == range(10, 40)
-    assert [r.node for r in report.records] == list(range(1, 40))
+def test_comparison_certifies_its_steady_ticks_and_its_range_ticks(monkeypatch):
+    # 40..120 of an M = 8 lattice: ticks 19..48 repeat tick 18, the
+    # stream's steady ticks; ticks 65..120 repeat tick 64, whose row 48 is
+    # the first with every neighbour in the range
+    repeat, certified = TemporalPipeline._repeat, []
+
+    def recorded(self, t, stop):
+        certified.append((t, stop))
+        return repeat(self, t, stop)
+
+    monkeypatch.setattr(TemporalPipeline, "_repeat", recorded)
+    TemporalPipeline(lattice(8, 10), range(40, 121)).run()
+    assert certified == [(18, 48), (64, 120)]
 
 
-# The ring.  A run builds one register and keeps it: a deferred run's ring
-# holds max(reach + 2, len(range)) slots from its first tick, enough for the
-# range it ends holding.
+# The ring.  A run builds one register and keeps it: a comparison's ring
+# holds 2 reach + 1 slots from its first tick, the labels a compared row
+# reaches, whatever the range.
 
 
-@pytest.mark.parametrize("config, nodes", DEFERRED, ids=DEFERRED_IDS)
-def test_deferred_run_keeps_one_register(config, nodes, monkeypatch):
-    slots = max(config.reach + 2, len(nodes))
+@pytest.mark.parametrize("config, nodes", COMPARED, ids=COMPARED_IDS)
+def test_comparison_keeps_one_register_of_2_reach_plus_1_slots(config, nodes, monkeypatch):
+    slots = 2 * config.reach + 1
     pipe = TemporalPipeline(config, nodes)
     register = pipe.register
     assert register.slots == slots
-    for t in range(1, nodes[-1] + config.delay + 1):
+    for t in range(1, nodes[-1] + 2 * config.reach + 1):
         pipe.tick(t)
         assert pipe.register is register and register.slots == slots
+    assert register.hi < register.lo  # every label measured, traced or compared
     want = dense(range_oracle(config, nodes), nodes)
-    assert np.max(np.abs(pipe.snapshot().cov - want)) / np.max(np.abs(want)) <= STREAM_REL_TOL
+    assert pipe.gap / np.max(np.abs(want)) <= STREAM_REL_TOL
 
     # the certified run builds one register too
     init, built = DiagonalRegister.__init__, []
@@ -525,12 +551,21 @@ def test_deferred_run_keeps_one_register(config, nodes, monkeypatch):
     assert built == [slots]
 
 
+@pytest.mark.parametrize("config, nodes", COMPARED, ids=COMPARED_IDS)
+def test_comparison_keeps_no_record_and_draws_no_outcome(config, nodes):
+    pipe = TemporalPipeline(config, nodes)
+    report = pipe.run()
+    assert list(report.records) == [] == list(report.nullifier_checks) == pipe.measured
+    fresh = np.random.default_rng(config.seed)
+    assert pipe.rng.bit_generator.state == fresh.bit_generator.state
+
+
 # Deterministic, so one sweep per topology; small streams take every range.
 ORACLE_RANGES = [
     (config, range(first, last + 1))
-    for config in DEFERRED_CONFIGS
+    for config in COMPARED_CONFIGS
     if config.seed == 1
-    for first, last in deferred_ranges(config.reach, config.n_pulses)
+    for first, last in compared_ranges(config.reach, config.n_pulses)
 ] + [
     (config, range(first, last + 1))
     for config in (wire(12, 10), PipelineConfig("lattice", 14, width=3, squeezing_r=db_to_r(10)))
@@ -557,7 +592,7 @@ ENTRY_RANGES = [
     (PipelineConfig(topology, 120, width=width, squeezing_r=db_to_r(db)), range(first, last + 1))
     for topology, width in (("wire", 0), ("lattice", 3), ("lattice", 8))
     for db in (0, 10, 40, 70)
-    for first, last in deferred_ranges(max(width, 1), 120) + [(1, 120)]
+    for first, last in compared_ranges(max(width, 1), 120) + [(1, 120)]
 ]
 
 
@@ -571,7 +606,7 @@ def test_range_oracle_lists_every_nonzero_entry_of_the_closed_form(config, nodes
     assert_lists_every_nonzero_entry(range_oracle(config, nodes), nodes, want.cov)
 
 
-def test_deferred_run_costs_the_same_kernel_ticks_at_any_n(kernel_ticks):
+def test_comparison_costs_the_same_kernel_ticks_at_any_n(kernel_ticks):
     # a 100-node range at the end of the stream
     ran = []
     for n in (1_000, 1_000_000):
@@ -579,42 +614,37 @@ def test_deferred_run_costs_the_same_kernel_ticks_at_any_n(kernel_ticks):
         TemporalPipeline(config, range(n - 99, n + 1)).run()
         ran.append(len(kernel_ticks))
         kernel_ticks.clear()
-    assert ran[0] == ran[1] == deferred_kernel_ticks_of(config, range(n - 99, n + 1))
+    assert ran[0] == ran[1] == compare_kernel_ticks_of(config, range(n - 99, n + 1))
 
 
-def test_deferred_run_costs_the_same_kernel_ticks_at_any_range_length(kernel_ticks):
+def test_comparison_costs_the_same_kernel_ticks_at_any_range_length(kernel_ticks):
     # ranges of 100, 1000 and 10^4 nodes at the end of an M = 8 lattice:
-    # 2 reach + 2 ticks up to the steady certificate, 2 reach + 1 growth
-    # ticks up to the growth certificate, then the reach + 1 flush ticks
+    # 2 reach + 2 ticks up to the steady certificate, 2 reach range ticks
+    # up to the range certificate, then the 2 reach flush ticks
     config = PipelineConfig("lattice", 1_000_000, width=8, squeezing_r=db_to_r(10), seed=1)
     ran = []
     for length in (100, 1_000, 10_000):
         TemporalPipeline(config, range(1_000_001 - length, 1_000_001)).run()
         ran.append(len(kernel_ticks))
         kernel_ticks.clear()
-    assert ran == [5 * config.reach + 4] * 3 == [44] * 3
+    assert ran == [6 * config.reach + 2] * 3 == [50] * 3
 
 
-def assert_same_deferred_run(pipe: TemporalPipeline, want: TemporalPipeline) -> None:
-    """Bitwise the same final register (diagonals, window, high water),
-    records and nullifier checks."""
+def assert_same_comparison(pipe: TemporalPipeline, want: TemporalPipeline) -> None:
+    """Bitwise the same max gap and final register (diagonals, window,
+    high water)."""
+    assert pipe.gap.hex() == want.gap.hex()
     got_register, want_register = pipe.register, want.register
     assert got_register.diagonals.tobytes() == want_register.diagonals.tobytes()
     assert (got_register.lo, got_register.hi) == (want_register.lo, want_register.hi)
     assert pipe.high_water == want.high_water
-    assert [(r.node, r.outcome.hex(), r.feedforward.tobytes()) for r in pipe.records] == [
-        (r.node, r.outcome.hex(), r.feedforward.tobytes()) for r in want.records
-    ]
-    assert [(n, v.hex()) for n, v in pipe.nullifier_checks] == [
-        (n, v.hex()) for n, v in want.nullifier_checks
-    ]
 
 
-# The growth certificate, on the wire and on lattices of M = 2 .. 16: ranges
-# that start at the first node (their growth waits out the ancillas), at M
-# and M + 1 (the last stripe node and the first past it), at 2M, at N / 3
-# and at N - 3M (too short to certify its growth), squeezed from 0 to 40 dB.
-GROWTH = [
+# The range certificate, on the wire and on lattices of M = 2 .. 16: ranges
+# that start at the first node (their rows reach the ancillas), at M and
+# M + 1 (the last stripe node and the first past it), at 2M, at N / 3 and at
+# N - 3M (too short to certify its range ticks), squeezed from 0 to 40 dB.
+RANGE_STRETCHES = [
     (PipelineConfig(topology, n, width=m, squeezing_r=db_to_r(db), seed=1), range(first, n + 1))
     for topology, m, n in [("wire", 0, 40)] + [("lattice", m, 10 * m + 10) for m in (2, 3, 4, 8, 16)]
     for db in (0, 10, 20, 40)
@@ -624,16 +654,17 @@ GROWTH = [
 
 @pytest.mark.parametrize(
     "config, nodes",
-    GROWTH,
-    ids=[f"{c.topology}-{c.width}-r{c.squeezing_r:.2f}-{r[0]}..{r[-1]}" for c, r in GROWTH],
+    RANGE_STRETCHES,
+    ids=[f"{c.topology}-{c.width}-r{c.squeezing_r:.2f}-{r[0]}..{r[-1]}" for c, r in RANGE_STRETCHES],
 )
-def test_certified_growth_matches_kernel_run_bitwise(config, nodes):
+def test_certified_range_ticks_match_kernel_run_and_held_range_bitwise(config, nodes):
     pipe = TemporalPipeline(config, nodes)
     pipe.run()
-    assert_same_deferred_run(pipe, kernel_deferred_run(config, nodes))
+    assert_same_comparison(pipe, kernel_compare_run(config, nodes))
+    assert pipe.gap.hex() == held_discrepancy(config, nodes).hex()
 
 
-FAULTY_GROWTH = [
+FAULTY_RANGES = [
     (wire(60, 10, seed=3), range(20, 61)),
     (lattice(3, 20, seed=4), range(10, 31)),
     (lattice(8, 10, seed=5), range(40, 81)),
@@ -642,17 +673,17 @@ FAULTY_GROWTH = [
 
 @pytest.mark.parametrize("after", [0, 1], ids=["candidate", "next"])
 @pytest.mark.parametrize(
-    "config, nodes", FAULTY_GROWTH, ids=[f"{c.topology}-{c.width}" for c, _ in FAULTY_GROWTH]
+    "config, nodes", FAULTY_RANGES, ids=[f"{c.topology}-{c.width}" for c, _ in FAULTY_RANGES]
 )
-def test_fault_in_a_growth_tick_comes_out_as_in_a_kernel_run(config, nodes, after, monkeypatch):
-    # The growth candidate that certifies opens after tick g = first +
-    # 3 reach.  A fault planted at the end of tick g or g + 1 scales the q
-    # row of a label inside the front block, reach labels back, which no
-    # later tick reads or writes.  The certificate must refuse every
-    # candidate whose block holds it, so the certified run of the faulty
-    # machine ends bitwise as its all-kernel run does, the fault left where
-    # it was planted.
-    faulty_tick = nodes[0] + 3 * config.reach + after
+def test_fault_in_a_range_tick_comes_out_as_in_a_kernel_run(config, nodes, after, monkeypatch):
+    # The range candidate that certifies opens after tick g = first +
+    # 3 reach - 1.  A fault planted at the end of tick f = g + after scales
+    # the q row of label f - reach, which no later tick reads or writes
+    # until tick f + reach compares its row and clears it.  The certificate
+    # must refuse every candidate whose register or successor holds it, so
+    # the certified run of the faulty machine compares the faulty row at a
+    # kernel tick and ends bitwise as its all-kernel run does.
+    faulty_tick = nodes[0] + 3 * config.reach - 1 + after
     label = faulty_tick - config.reach
     tick = TemporalPipeline.tick
     ran = []
@@ -667,20 +698,56 @@ def test_fault_in_a_growth_tick_comes_out_as_in_a_kernel_run(config, nodes, afte
     pipe = TemporalPipeline(config, nodes)
     pipe.run()
     count = len(ran)
-    want = kernel_deferred_run(config, nodes)
-    assert_same_deferred_run(pipe, want)
-    # the candidates after ticks g + after .. label + 2 reach are refused:
-    # reach + 1 + after more kernel ticks than a clean run's
-    assert count == deferred_kernel_ticks_of(config, nodes) + config.reach + 1 + after
+    want = kernel_compare_run(config, nodes)
+    assert_same_comparison(pipe, want)
+    assert pipe.gap > 1e-3
+    # the candidates after ticks f - 1 .. f + reach - 1 are refused (f - 1
+    # is not one when after = 0): reach + after more kernel ticks than a
+    # clean run's
+    assert count == compare_kernel_ticks_of(config, nodes) + config.reach + after
+
+
+# The oracle half of a certified range stretch: each certified row's gap is
+# the certifying row's because the closed form's rows first + reach ..
+# last - 2 reach, each with every neighbour and every column in the range,
+# are one another's bit for bit, one label on.
+INTERIOR = [
+    (PipelineConfig(topology, n, width=m, squeezing_r=db_to_r(db)), range(first, last + 1))
+    for topology, m, n in [("wire", 0, 40)] + [("lattice", m, 10 * m + 10) for m in (2, 3, 8, 16)]
+    for db in (0, 10, 40, 70)
+    for first, last in ((1, n), (max(m, 1) + 1, n - 1), (n // 3, n))
+]
+
+
+@pytest.mark.parametrize(
+    "config, nodes",
+    INTERIOR,
+    ids=[f"{c.topology}-{c.width}-r{c.squeezing_r:.2f}-{r[0]}..{r[-1]}" for c, r in INTERIOR],
+)
+def test_interior_oracle_rows_are_bitwise_equal_one_label_apart(config, nodes):
+    block, row, col, value = range_oracle(config, nodes)
+    smaller = np.minimum(row, col)
+
+    def row_of(i):  # row i's entries, its labels taken relative to i
+        at = smaller == i
+        return [x.tobytes() for x in (block[at], row[at] - i, col[at] - i, value[at])]
+
+    interior = range(nodes[0] + config.reach, nodes[-1] - 2 * config.reach + 1)
+    assert len(interior) >= 2
+    want = row_of(interior[0])
+    assert all(row_of(i) == want for i in interior[1:])
+    # and no further: the next row has a column past the range, and the one
+    # before a neighbour that is measured (or, from node 1, an unsqueezed
+    # ancilla, which at r = 0 has the squeezed nodes' variances)
+    assert row_of(interior[-1] + 1) != want
+    if nodes[0] > 1 or config.squeezing_r:
+        assert row_of(interior[0] - 1) != want
 
 
 STORED = {
     "wire": lambda n: TemporalPipeline(PipelineConfig("wire", n, squeezing_r=db_to_r(10), seed=1)),
     "lattice-8": lambda n: TemporalPipeline(
         PipelineConfig("lattice", n, width=8, squeezing_r=db_to_r(10), seed=1)
-    ),
-    "lattice-8-deferred": lambda n: TemporalPipeline(
-        PipelineConfig("lattice", n, width=8, squeezing_r=db_to_r(10), seed=1), range(n - 99, n + 1)
     ),
 }
 
@@ -697,7 +764,7 @@ def test_certified_run_stores_the_same_blocks_at_any_n(make, kernel_ticks):
         kernel_ticks.clear()
         lengths = [len(s.outcomes) for s in pipe.measured]
         assert lengths.count(1) == measures == len(lengths) - 1
-        assert sum(lengths) == n - len(pipe.deferred)
+        assert sum(lengths) == n
         stored.append(len(pipe.measured))
     assert stored[0] == stored[1]
 
@@ -713,7 +780,7 @@ def test_range_that_ends_early_runs_no_tick_past_its_last(monkeypatch):
     monkeypatch.setattr(TemporalPipeline, "tick", counted)
     config = PipelineConfig("lattice", 1_000_000, width=8, squeezing_r=db_to_r(10), seed=1)
     TemporalPipeline(config, range(40, 121)).run()
-    assert max(ticks) == 120 + config.delay
+    assert max(ticks) == 120 + 2 * config.reach
 
 
 # The pinned feedforward convention.  With one unit-weight CZ and q-basis
@@ -735,23 +802,41 @@ def off_convention(stretches, config):
     return off
 
 
-STORED = [(config, range(0)) for config in CERTIFIED] + DEFERRED
-STORED_IDS = [
-    f"{c.topology}-{c.width}-N{c.n_pulses}-s{c.seed}" for c in CERTIFIED
-] + DEFERRED_IDS
+CERTIFIED_IDS = [f"{c.topology}-{c.width}-N{c.n_pulses}-s{c.seed}" for c in CERTIFIED]
 
 
-@pytest.mark.parametrize("config, nodes", STORED, ids=STORED_IDS)
-def test_every_stored_measurement_is_on_the_feedforward_convention(config, nodes):
-    assert off_convention(TemporalPipeline(config, nodes).run().records.stretches, config) == []
+@pytest.mark.parametrize("config", CERTIFIED, ids=CERTIFIED_IDS)
+def test_every_stored_measurement_is_on_the_feedforward_convention(config):
+    assert off_convention(run_pipeline(config).records.stretches, config) == []
 
 
-@pytest.mark.parametrize("config, nodes", STORED, ids=STORED_IDS)
-def test_outcomes_are_the_seeds_normal_stream_in_node_order(config, nodes):
+@pytest.mark.parametrize("config, nodes", COMPARED, ids=COMPARED_IDS)
+def test_every_measurement_of_a_comparison_is_on_the_feedforward_convention(config, nodes, monkeypatch):
+    # A comparison stores none, so each is read as the register returns it:
+    # the kernel ticks' measurements of nodes before the range, with no
+    # nullifier read.
+    finalize, made = DiagonalRegister.finalize, []
+
+    def recorded(self, label, nullifier):
+        variance, var, b_keep = finalize(self, label, nullifier)
+        made.append((variance, Stretch(label, var, b_keep, variance, np.zeros(1))))
+        return variance, var, b_keep
+
+    monkeypatch.setattr(DiagonalRegister, "finalize", recorded)
+    TemporalPipeline(config, nodes).run()
+    nodes_made = [s.first for _, s in made]
+    assert nodes_made == sorted(set(nodes_made)) and set(nodes_made) <= set(range(1, nodes[0]))
+    assert nodes_made[:1] == [1][: nodes[0] - 1]
+    assert all(variance is None for variance, _ in made)
+    assert off_convention([s for _, s in made], config) == []
+
+
+@pytest.mark.parametrize("config", CERTIFIED, ids=CERTIFIED_IDS)
+def test_outcomes_are_the_seeds_normal_stream_in_node_order(config):
     # Checked against numpy, not against a second run: a reordered, skipped
     # or extra draw fails it, on kernel ticks and certified stretches alike.
-    stretches = TemporalPipeline(config, nodes).run().records.stretches
-    count = nodes[0] - 1 if nodes else config.n_pulses
+    stretches = run_pipeline(config).records.stretches
+    count = config.n_pulses
     assert [node for s in stretches for node in s.nodes] == list(range(1, count + 1))
     z = np.random.default_rng(config.seed).standard_normal(count)
     for s in stretches:
@@ -759,7 +844,7 @@ def test_outcomes_are_the_seeds_normal_stream_in_node_order(config, nodes):
         assert np.array_equal(s.outcomes.view(np.int64), want.view(np.int64)), s.first
 
 
-@pytest.mark.parametrize("config, nodes", [STORED[0], STORED[-1]], ids=["wire", "lattice-deferred"])
+@pytest.mark.parametrize("config, nodes", [(CERTIFIED[0], range(0)), COMPARED[-1]], ids=["wire", "lattice-compared"])
 def test_wrong_cz_weight_is_off_the_convention(config, nodes, monkeypatch):
     # node 1's q row holds var * (1 + 2**-50) on its partner's p
     monkeypatch.setattr(DiagonalRegister, "_cz", weighted_cz(1 + 2**-50))
