@@ -43,6 +43,11 @@ from .graphs import Graph, make_graph
 from .register import DiagonalRegister
 
 
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Declarative description of one streaming run, valid by construction:
@@ -63,9 +68,7 @@ class PipelineConfig:
         if self.topology not in ("wire", "lattice"):
             raise ValueError(f"unknown topology {self.topology!r}")
         for name in ("n_pulses", "width", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _require_integer(name, getattr(self, name))
         if self.n_pulses < 1:
             raise ValueError("need at least one pulse")
         r = self.squeezing_r
@@ -285,7 +288,8 @@ class TemporalPipeline:
         self.compared = compared
         # the last pulse: the compared range's last label, else N
         self.last = compared[-1] if compared else config.n_pulses
-        self.rng = np.random.default_rng(config.seed)
+        # a comparison draws nothing, so it builds no generator
+        self.rng = None if compared else np.random.default_rng(config.seed)
         slots = 2 * config.reach + 1 if compared else config.reach + 2
         self.register = DiagonalRegister(config.offsets, slots)
         self.register.emit_range(range(1 - config.reach, 1), 0.0)  # config.ancilla_labels
@@ -446,7 +450,11 @@ class TemporalPipeline:
         return stop
 
     def _draw(self, n: int, var: float) -> np.ndarray:
-        """n outcomes of variance var: the run's next n normal draws, times sqrt(var)."""
+        """n outcomes of variance var: the run's next n normal draws, times
+        sqrt(var); scaled in place for a certified stretch, whose n can be
+        10^7, and by the allocating product, the cheaper, for one."""
+        if n == 1:
+            return self.rng.standard_normal(1) * math.sqrt(var)
         outcomes = self.rng.standard_normal(n)
         outcomes *= math.sqrt(var)
         return outcomes
@@ -497,14 +505,22 @@ def range_oracle(
     kept has the same value, bit for bit.
     """
     t = np.arange(nodes[0], nodes[-1] + 1) if kept is None else kept
-    # the links of each node t to t - d, unless t - d is measured (or not kept)
-    edges = np.concatenate([
-        np.stack([t - d, t], axis=1)[(t - d < 1) | np.isin(t - d, t)] for d in config.offsets
-    ])
+    # the links of each node t to t - d, unless t - d is measured (or not
+    # kept): t is ascending and t - d < t, so t - d's search lands in t
+    links = []
+    for d in config.offsets:
+        u = t - d
+        links.append(np.stack([u, t], axis=1)[(u < 1) | (t[np.searchsorted(t, u)] == u)])
+    edges = np.concatenate(links)
     ancillas = np.unique(edges[edges[:, 0] < 1, 0])
     labels = np.concatenate([ancillas, t])
     a, b = squeezed_variances(np.where(labels < 1, 0.0, config.squeezing_r))
     return canonical_entries(labels, a, b, edges, traced=len(ancillas))
+
+
+def _labels(blocks: Sequence[range]) -> np.ndarray:
+    """The sorted labels of ``blocks``, nonempty ranges of step 1."""
+    return np.unique(np.concatenate([np.arange(r.start, r.stop) for r in blocks]))
 
 
 class OracleRows:
@@ -541,9 +557,9 @@ class OracleRows:
 
     def _build(self, *blocks: range) -> None:
         nodes, reach, k = self.nodes, self.config.reach, self._slots
-        rows = np.unique(np.concatenate(blocks))
+        rows = _labels(blocks)
         reached = [range(max(nodes[0], r[0] - reach), min(nodes[-1], r[-1] + 2 * reach) + 1) for r in blocks]
-        block, row, col, value = range_oracle(self.config, nodes, np.unique(np.concatenate(reached)))
+        block, row, col, value = range_oracle(self.config, nodes, _labels(reached))
         smaller = np.minimum(row, col)
         at = np.searchsorted(rows, smaller)
         np.minimum(at, len(rows) - 1, out=at)
@@ -557,7 +573,9 @@ class OracleRows:
         self._want = np.zeros((len(rows), len(self._keys)))
         self._want[at[stored], self._order[pos[stored]]] = value[stored]
         missed = np.zeros(len(rows))
-        np.maximum.at(missed, at[~stored], np.abs(value[~stored]))
+        unstored = ~stored
+        if unstored.any():  # an oracle entry no register cell holds: only a failing run has one
+            np.maximum.at(missed, at[unstored], np.abs(value[unstored]))
         self._missed = missed.tolist()
         self._at = dict(zip(rows.tolist(), range(len(rows))))
 
@@ -578,9 +596,12 @@ def equivalence_check(config: PipelineConfig, node_range: Tuple[int, int]) -> fl
     oracle entry counts at its own value, and an oracle entry that the
     register does not store at its full value: the max entrywise difference
     of the two covariances on the range (both are zero-mean), with no dense
-    matrix built.
+    matrix built.  Each bound must be an integer, as ``PipelineConfig``'s
+    counts must: a bool or any other value raises ``ValueError``.
     """
     first, last = node_range
+    _require_integer("node range first", first)
+    _require_integer("node range last", last)
     if not (1 <= first <= last <= config.n_pulses):
         raise ValueError(
             f"node range {first}..{last}: need 1 <= first <= last <= {config.n_pulses}"

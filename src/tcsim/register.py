@@ -485,8 +485,14 @@ class DiagonalRegister:
     def moved(self, n: int = 1) -> np.ndarray:
         """A copy of the diagonals after the move of n labels on: the roll
         of the ring that takes slot s - n's values to slot s (a row's shift
-        is the same at every column, so its entries move alike)."""
-        return np.roll(self.diagonals, n, axis=1)
+        is the same at every column, so its entries move alike), written
+        as two slice copies."""
+        d, k = self.diagonals, self.slots
+        n %= k
+        out = np.empty_like(d)
+        out[:, n:] = d[:, : k - n]
+        out[:, :n] = d[:, k - n :]
+        return out
 
     def move(self, n: int) -> None:
         """:meth:`moved` in place; the window moves n labels on."""

@@ -504,6 +504,19 @@ class TestEquivalence:
         with pytest.raises(ValueError, match=r"^node range 20\.\.10: need 1 <= first <= last <= 40$"):
             equivalence_check(wire_config(40), (20, 10))
 
+    @pytest.mark.parametrize(
+        "node_range, name",
+        [((True, 40), "first"), ((10, 40.0), "last"), ((1.0, 3), "first"), ((2, False), "last"), (("1", 3), "first")],
+    )
+    def test_range_bounds_must_be_integers(self, node_range, name):
+        # as PipelineConfig refuses a bool or non-integer n_pulses
+        with pytest.raises(ValueError, match=rf"^node range {name} must be an integer, got "):
+            equivalence_check(wire_config(40), node_range)
+
+    def test_numpy_integer_range_bounds(self):
+        config = wire_config(20, r=1.0, seed=5)
+        assert equivalence_check(config, (np.int64(5), np.int32(10))) == equivalence_check(config, (5, 10))
+
 
 # Blocks of 0 to 4 rows each, the ones of a run (1, or any n) among them.
 BLOCKS = st.lists(

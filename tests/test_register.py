@@ -398,6 +398,22 @@ class TestWindowReads:
         assert register.diagonals.tobytes() == moved.tobytes()
         assert (register.lo, register.hi) == (lo + n, hi + n)
 
+    @pytest.mark.parametrize("offsets, k", [((1,), 3), ((1, 8), 10), ((1, 8), 17), ((1, 64), 66), ((1, 1024), 2049)])
+    def test_moved_and_move_are_the_roll_of_the_ring(self, offsets, k):
+        # np.roll is the reference: slot s takes slot s - n's values, for
+        # every n, negative and past the ring size alike
+        rng = np.random.default_rng(k)
+        register = DiagonalRegister(offsets, k)
+        values = rng.standard_normal(register.diagonals.shape)
+        values[:, ::7] = -0.0
+        values[:, 1::11] = np.inf
+        for n in (0, 1, -1, k - 1, k, k + 1, 3 * k + 2):
+            register.diagonals[...] = values
+            want = np.roll(values, n, axis=1).tobytes()
+            assert register.moved(n).tobytes() == want, n
+            register.move(n)
+            assert register.diagonals.tobytes() == want, n
+
     def test_a_moved_window_still_fits_the_ring(self):
         register = DiagonalRegister((1,), 3)
         for label in range(4, 7):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from tcsim.canonical import build_canonical_cluster
+from tcsim.canonical import build_canonical_cluster, canonical_entries, squeezed_variances
 from tcsim.gaussian import (
     append_modes,
     apply_cz,
@@ -556,8 +556,7 @@ def test_comparison_keeps_no_record_and_draws_no_outcome(config, nodes):
     pipe = TemporalPipeline(config, nodes)
     report = pipe.run()
     assert list(report.records) == [] == list(report.nullifier_checks) == pipe.measured
-    fresh = np.random.default_rng(config.seed)
-    assert pipe.rng.bit_generator.state == fresh.bit_generator.state
+    assert pipe.rng is None  # it builds no generator, so it can draw nothing
 
 
 # Deterministic, so one sweep per topology; small streams take every range.
@@ -604,6 +603,37 @@ ENTRY_RANGES = [
 def test_range_oracle_lists_every_nonzero_entry_of_the_closed_form(config, nodes):
     want = replayed_oracle(config, nodes, range(1, nodes[0]))
     assert_lists_every_nonzero_entry(range_oracle(config, nodes), nodes, want.cov)
+
+
+def isin_range_oracle(config, nodes, kept=None):
+    """:func:`range_oracle` with its link test written with ``np.isin``."""
+    t = np.arange(nodes[0], nodes[-1] + 1) if kept is None else kept
+    edges = np.concatenate([
+        np.stack([t - d, t], axis=1)[(t - d < 1) | np.isin(t - d, t)] for d in config.offsets
+    ])
+    ancillas = np.unique(edges[edges[:, 0] < 1, 0])
+    labels = np.concatenate([ancillas, t])
+    a, b = squeezed_variances(np.where(labels < 1, 0.0, config.squeezing_r))
+    return canonical_entries(labels, a, b, edges, traced=len(ancillas))
+
+
+@pytest.mark.parametrize("width", [0, 2, 3, 8])
+def test_range_oracle_equals_its_isin_formulation(width):
+    # random sorted subsets of ranges from node 1 on (whose first rows
+    # reach the ancillas) and past the first stripe, and the whole ranges
+    config = PipelineConfig("lattice" if width else "wire", 60, width=width, squeezing_r=db_to_r(10))
+    rng = np.random.default_rng(width)
+    for first, last in ((1, 60), (1, 2), (2, 20), (config.reach, 30), (config.reach + 1, 40), (25, 60)):
+        nodes = range(first, last + 1)
+        subsets = [None] + [
+            np.flatnonzero(rng.random(len(nodes)) < p) + first for p in (0.2, 0.5, 0.9, 1.0) for _ in range(5)
+        ]
+        for kept in subsets:
+            if kept is not None and not kept.size:
+                continue
+            got, want = range_oracle(config, nodes, kept), isin_range_oracle(config, nodes, kept)
+            assert [x.dtype for x in got] == [x.dtype for x in want]
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (nodes, kept)
 
 
 def test_comparison_costs_the_same_kernel_ticks_at_any_n(kernel_ticks):
