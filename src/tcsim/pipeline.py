@@ -40,7 +40,7 @@ import numpy as np
 from .canonical import build_canonical_cluster, canonical_entries, squeezed_variances
 from .gaussian import GaussianState, MeasurementRecord
 from .graphs import Graph, make_graph
-from .register import DiagonalRegister
+from .register import DiagonalRegister, row_keys
 
 
 def _require_integer(name: str, value) -> None:
@@ -272,7 +272,9 @@ class TemporalPipeline:
     :meth:`run` certifies runs no kernel: it repeats a register one label
     on.  A stream's ``measured`` holds every measurement, in node order, as
     :class:`Stretch`es, which ``records`` and ``nullifier_checks`` view; a
-    comparison keeps none, and ``gap`` is its result.
+    comparison keeps none, and ``gap`` is its result.  A comparison builds
+    its closed-form rows (:class:`OracleRows`) before its register, so the
+    scratch of the one build is freed before the other starts.
 
     Each node is q-measured as soon as its slot comes up, with the
     conditional mean shift cancelled by feedforward that lists the survivors
@@ -291,11 +293,18 @@ class TemporalPipeline:
         # a comparison draws nothing, so it builds no generator
         self.rng = None if compared else np.random.default_rng(config.seed)
         slots = 2 * config.reach + 1 if compared else config.reach + 2
+        self._oracle = None
+        if compared:
+            # the closed-form rows come first, so that the oracle build's
+            # scratch is freed before the register's set-up; squeezing whose
+            # q variance overflows a float fails before them, as at a
+            # stream's first emission (the register's math.exp)
+            math.exp(2 * config.squeezing_r)
+            self._oracle = OracleRows(config, compared, slots)
         self.register = DiagonalRegister(config.offsets, slots)
         self.register.emit_range(range(1 - config.reach, 1), 0.0)  # config.ancilla_labels
         self.measured: List[Stretch] = []
         self.gap = 0.0  # the largest gap of a compared row to the closed form's
-        self._oracle = None  # built at the first row compared, after the first checks
         # an open candidate's diagonals, moved one label on (see run), or None
         self._kept = None
 
@@ -426,9 +435,7 @@ class TemporalPipeline:
 
     def _compare(self, label: int) -> None:
         """Compare the oldest label's row (one checked ``take``) with the closed form's."""
-        cells = self.register.take(label)
-        self._oracle = self._oracle or OracleRows(self.config, self.compared, self.register)
-        self.gap = max(self.gap, self._oracle.gap(label, cells))
+        self.gap = max(self.gap, self._oracle.gap(label, self.register.take(label)))
 
     def _repeat(self, t: int, stop: int) -> int:
         """Repeat ticks t + 1 .. stop after a certified tick t with no kernel
@@ -525,7 +532,9 @@ def _labels(blocks: Sequence[range]) -> np.ndarray:
 
 class OracleRows:
     """The closed form's rows of a compared range ``nodes``, each in the
-    cell order of the register's row read (:meth:`DiagonalRegister.take`).
+    cell order of the row read (:meth:`DiagonalRegister.take`) of a ring of
+    ``slots`` slots, which :func:`~tcsim.register.row_keys` gives: they need
+    no register, so a comparison builds them before its register.
 
     Row i's entries are the ones of :func:`range_oracle` whose smaller
     label is i.  Its pp sums run over i's neighbours and its columns reach
@@ -536,11 +545,12 @@ class OracleRows:
     reach; a row past a certificate that did not pass, by one more.
     """
 
-    def __init__(self, config: PipelineConfig, nodes: range, register: DiagonalRegister) -> None:
+    def __init__(self, config: PipelineConfig, nodes: range, slots: int) -> None:
         self.config, self.nodes = config, nodes
-        self._slots = register.slots
-        self._order = np.argsort(register.row_keys)
-        self._keys = register.row_keys[self._order]
+        self._slots = slots
+        keys = row_keys(config.offsets, slots)
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
         first, last, reach = nodes[0], nodes[-1], config.reach
         head, flush = min(first + reach, last), max(first, last - 2 * reach + 1)
         self._build(range(first, head + 1), range(flush, last + 1))
@@ -560,16 +570,27 @@ class OracleRows:
         rows = _labels(blocks)
         reached = [range(max(nodes[0], r[0] - reach), min(nodes[-1], r[-1] + 2 * reach) + 1) for r in blocks]
         block, row, col, value = range_oracle(self.config, nodes, _labels(reached))
+        # each of the oracle's entry arrays is dropped once it is filtered,
+        # so the build peaks where range_oracle does
         smaller = np.minimum(row, col)
         at = np.searchsorted(rows, smaller)
         np.minimum(at, len(rows) - 1, out=at)
         mine = rows[at] == smaller
+        del smaller
         at, value = at[mine], value[mine]
-        offset = col[mine] - row[mine]
-        key = block[mine] * 2 * k + offset + k
+        offset = col[mine]
+        del col
+        offset -= row[mine]
+        del row
+        key = block[mine]
+        del block, mine
+        key *= 2 * k
+        key += offset
+        key += k
         pos = np.searchsorted(self._keys, key)
         np.minimum(pos, len(self._keys) - 1, out=pos)
         stored = (self._keys[pos] == key) & (np.abs(offset) < k)
+        del key, offset
         self._want = np.zeros((len(rows), len(self._keys)))
         self._want[at[stored], self._order[pos[stored]]] = value[stored]
         missed = np.zeros(len(rows))

@@ -27,7 +27,8 @@ values whatever K is.  Two reads map slots back to labels: ``entries``
 lists a window's stored entries as (block, row label, column label, value)
 arrays, which ``window`` scatters into a dense matrix, and ``take`` reads
 the oldest label's rows and columns, which ``compare`` matches, row by row,
-with the closed form.
+with the closed form, in the cell order that :func:`row_keys` computes from
+the offsets and K alone, with no register built.
 
 Each kernel is the dense kernel of :mod:`tcsim.gaussian` restricted to the
 pattern: the same arithmetic on the same operands in the same order, so on
@@ -49,9 +50,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import cached_property
 from itertools import accumulate, chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,6 +79,28 @@ def _aligned(blocks: Tuple[frozenset, ...], k: int) -> Tuple[List[Tuple[int, int
     mirrors = [(2 * (b & 1) + (b >> 1), -o % k) for b, o in half]
     own = [(QQ, 0), (PP, 0)] + [(PP, o) for o in pp if 2 * o == k]
     return half + mirrors + own, len(half)
+
+
+def row_keys(offsets: Sequence[int], slots: int) -> np.ndarray:
+    """The cell order of :meth:`DiagonalRegister.take` on a ring of K =
+    ``slots`` slots: the key 2K block + K + c - r of each entry (block, r, c)
+    it reads, r or c its label and the other on the K labels from it on.
+    Column k of each stored row (c - r = o on a row whose shift is 0, o - K
+    on a mirror row), then the ``_other`` entry of each row at o != 0 (the
+    other way round)."""
+    k = slots
+    stored, p = _aligned(pattern(offsets), k)
+    blocks, o = (np.array(x, dtype=np.intp) for x in zip(*stored))
+    w = np.arange(len(stored))
+    mirror, at = (p <= w) & (w < 2 * p), o != 0  # the mirror rows are p..2p - 1
+    c_less_r = np.concatenate([o - k * mirror, (o - k * ~mirror)[at]])
+    return 2 * k * np.concatenate([blocks, blocks[at]]) + k + c_less_r
+
+
+def _entry_array(entries: Iterable[Tuple[int, int, int]]) -> np.ndarray:
+    """A kernel's entries (block, slot offset, row slot relative to the
+    kernel's slot) as an (n, 3) intp array, read from an iterable."""
+    return np.fromiter(chain.from_iterable(entries), np.intp).reshape(-1, 3)
 
 
 class DiagonalRegister:
@@ -118,7 +140,8 @@ class DiagonalRegister:
         # each pair (a, b) of links, by position, in the downdate table's order
         self._pair = np.divmod(np.arange(len(links) ** 2), len(links))
 
-        # The tables every run of these offsets uses, built in one pass: per
+        # The tables every run of these offsets uses, built in one pass from
+        # each kernel's entries, a small array built one kernel at a time: per
         # row at a nonzero offset, the entry of slot k's mode that column k
         # does not hold (its column's, row slot k - o, on a row whose shift
         # is 0; its row's on a mirror row), the downdate, a CZ per offset d
@@ -127,9 +150,9 @@ class DiagonalRegister:
         deltas = sorted({d % k for d in self.offsets})
         keys = [tuple(d % k for d in self.offsets[:n]) for n in range(len(self.offsets) + 1)]
         self._other, self._downdate, *tables = self._tables(
-            [(b, o, s - o) for (b, o), s in zip(self._stored, self._shift.tolist()) if o],
+            _entry_array((b, o, s - o) for (b, o), s in zip(self._stored, self._shift.tolist()) if o),
             # measure: pair (a, b) of links is the pp entry (p_{k+a}, p_{k+b})
-            [(PP, b - a, a) for a in links for b in links],
+            _entry_array((PP, b - a, a) for a in links for b in links),
             *map(self._cz_entries, deltas),
             *map(self._form_entries, keys),
         )
@@ -137,26 +160,13 @@ class DiagonalRegister:
         self._cz_kernels = {d: self._cz_kernel(t) for d, t in zip(deltas, tables)}
         self._forms = [self._form_kernel(t) for t in tables[len(deltas) :]]  # by prefix length
 
-    @cached_property
-    def row_keys(self) -> np.ndarray:
-        """The key 2K block + K + c - r of each entry (block, r, c) that
-        :meth:`take` reads, r or c its label and the other on the K labels
-        from it on: column k of each stored row (c - r = o on a row whose
-        shift is 0, o - K on a mirror row), then the ``_other`` entry of
-        each row at o != 0 (the other way round)."""
+    def _tables(self, *kernels: np.ndarray) -> List[np.ndarray]:
+        """Per kernel, the flat positions of its entries, an (n, 3) array of
+        (block, slot offset, row slot relative to the kernel's slot) as
+        :func:`_entry_array` gives, at every slot: row s is the kernel's
+        table at slot s.  One pass for all the kernels."""
         k = self.slots
-        blocks, offsets = (np.array(x, dtype=np.intp) for x in zip(*self._stored))
-        mirror, at = self._shift[: self._zero] != 0, offsets != 0
-        offsets = np.concatenate([offsets - k * mirror, (offsets - k * ~mirror)[at]])
-        return 2 * k * np.concatenate([blocks, blocks[at]]) + k + offsets
-
-    def _tables(self, *entry_lists: Sequence[Tuple[int, int, int]]) -> List[np.ndarray]:
-        """Per kernel, the flat positions of its entries (block, slot offset,
-        row slot relative to the kernel's slot) at every slot: row s is the
-        kernel's table at slot s.  One pass for all the lists."""
-        k = self.slots
-        entries = chain.from_iterable(chain.from_iterable(entry_lists))
-        blocks, offsets, shifts = np.fromiter(entries, dtype=np.intp).reshape(-1, 3).T
+        blocks, offsets, shifts = np.concatenate(kernels).T
         # each entry's stored row, or the zero row off the pattern
         keys, stored = self._row
         key = offsets % k * 4 + blocks
@@ -171,7 +181,7 @@ class DiagonalRegister:
         table %= k
         rows *= k
         table += rows
-        ends = list(accumulate(map(len, entry_lists)))
+        ends = list(accumulate(map(len, kernels)))
         return [table[:, a:b] for a, b in zip([0, *ends], ends)]
 
     def _refuse_off_pattern(self, values: np.ndarray) -> None:
@@ -235,7 +245,7 @@ class DiagonalRegister:
         for d in self.offsets:
             self._cz(label - d, label)
 
-    def _cz_entries(self, delta: int) -> List[Tuple[int, int, int]]:
+    def _cz_entries(self, delta: int) -> np.ndarray:
         """Slots i (at 0) and j (at ``delta``): the row adds p_i += q_j and
         p_j += q_i, then the column adds on the updated q columns, each as
         the targets, then the sources, of one add; then (p_i, p_j) and
@@ -255,11 +265,11 @@ class DiagonalRegister:
             ((QP, delta, 0), (QQ, 0, 0)),
             *(((PP, delta + o, -o), (PQ, o, -o)) for o in links),
         ]
-        return [
-            *(t for t, _ in rows), *(s for _, s in rows),
-            *(t for t, _ in columns), *(s for _, s in columns),
-            (PP, delta, 0), (PP, -delta, delta),
-        ]
+        return _entry_array(chain(
+            (t for t, _ in rows), (s for _, s in rows),
+            (t for t, _ in columns), (s for _, s in columns),
+            ((PP, delta, 0), (PP, -delta, delta)),
+        ))
 
     def _cz_kernel(self, table: np.ndarray) -> tuple:
         """A CZ table as views, one per run of its columns: the row adds'
@@ -359,8 +369,9 @@ class DiagonalRegister:
 
     def take(self, label: int) -> np.ndarray:
         """:meth:`check`, read the oldest label's q and p rows and columns
-        (the cells :meth:`clear` zeroes, each once, in a new array, in
-        ``row_keys``' order), then clear it, with one window check."""
+        (the cells :meth:`clear` zeroes, each once, in a new array, in the
+        order :func:`row_keys` gives for this ring), then clear it, with one
+        window check."""
         k = self._oldest(label)
         self.check()
         cells = np.concatenate((self.diagonals[: self._zero, k], self._flat[self._other[k]]))
@@ -373,11 +384,11 @@ class DiagonalRegister:
         self.lo = label + 1
 
     @staticmethod
-    def _form_entries(key: Tuple[int, ...]) -> List[Tuple[int, int, int]]:
+    def _form_entries(key: Tuple[int, ...]) -> np.ndarray:
         """The nullifier form over the q of slots k + s for s in ``key``, then
         p_k: entry [y, x] is (mode x, mode y), so its transpose is the form."""
         modes = [(Q, s) for s in key] + [(P, 0)]
-        return [(2 * bx + by, sy - sx, sx) for by, sy in modes for bx, sx in modes]
+        return _entry_array((2 * bx + by, sy - sx, sx) for by, sy in modes for bx, sx in modes)
 
     @staticmethod
     def _form_kernel(table: np.ndarray) -> tuple:

@@ -342,6 +342,26 @@ class TestErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_unallocatable_comparison_returns_2(self):
+        # In a subprocess capped at 1 GiB of address space: a comparison
+        # builds its oracle rows (a 1.49 GiB label array here), then its
+        # register (28.3 GiB of diagonals), and whichever fails first is one
+        # error line, with no traceback.
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from tcsim.cli import main\n"
+            "sys.exit(main(['compare', '--topology', 'lattice', '--width', '100000000',\n"
+            "               '--nodes', '200000000', '--range', '1..200000000']))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize(
         "command",
         [

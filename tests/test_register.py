@@ -29,7 +29,7 @@ from tcsim.gaussian import (
     nullifier_slot,
     squeeze_slot,
 )
-from tcsim.register import DiagonalRegister, pattern
+from tcsim.register import DiagonalRegister, pattern, row_keys
 
 
 def pattern_mask(offsets, k):
@@ -425,15 +425,16 @@ class TestWindowReads:
     @given(case=windows())
     @settings(max_examples=150, deadline=None)
     def test_take_reads_the_oldest_labels_rows_and_columns_then_clears_it(self, case):
-        # cell j is the dense entry (block, r, c) of key row_keys[j] =
-        # 2K block + K + c - r: on the label's row at c - r >= 0, on its
+        # cell j is the dense entry (block, r, c) of key j of the module's
+        # row_keys(offsets, K), read from the layout with no register built:
+        # 2K block + K + c - r, on the label's row at c - r >= 0, on its
         # column at c - r < 0, the other label |c - r| slots on; each stored
         # entry of the label's q and p rows and columns once
         register, cov, lo, hi = case
         assume(lo <= hi)
         k = register.slots
         s = lo % k
-        blocks, offsets = np.divmod(register.row_keys, 2 * k)
+        blocks, offsets = np.divmod(row_keys(register.offsets, k), 2 * k)
         offsets -= k
         assert np.all((-k < offsets) & (offsets < k))
         other = np.where(offsets < 0, (s - offsets) % k, (s + offsets) % k)
@@ -608,8 +609,12 @@ class TestSetUpAndReadMemory:
         register = DiagonalRegister(offsets, k)
         entry = st.tuples(st.integers(0, 3), st.integers(-3 * k, 3 * k), st.integers(-3 * k, 3 * k))
         lists = data.draw(st.lists(st.lists(entry, max_size=12), min_size=1, max_size=4))
-        tables = register._tables(*lists)
+        # each kernel's entries as the (n, 3) intp array the set-up hands in
+        kernels = [np.array(entries, dtype=np.intp).reshape(-1, 3) for entries in lists]
+        given_kernels = [x.copy() for x in kernels]
+        tables = register._tables(*kernels)
         assert len(tables) == len(lists)
+        assert all(np.array_equal(x, y) for x, y in zip(kernels, given_kernels))  # read, not written
         for entries, table in zip(lists, tables):
             blocks, offs, shifts = np.array(entries, dtype=np.intp).reshape(-1, 3).T
             row = {pair: w for w, pair in enumerate(register._stored)}
