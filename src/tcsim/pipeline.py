@@ -25,7 +25,6 @@ import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Tuple
 
@@ -56,7 +55,9 @@ class PipelineConfig:
     The topology's derived values (``offsets``, ``reach``, ``delay``,
     ``ancilla_labels``) are computed once per config, on first read, and
     kept outside the fields, so ``==``, ``hash`` and ``replace`` see only
-    the fields."""
+    the fields.  A config has no mode: every stream reads each non-boundary
+    node's nullifier, and whether they are reported is the caller's choice
+    (the CLI's ``--verify``)."""
 
     topology: str  # "wire" | "lattice"
     n_pulses: int
@@ -133,24 +134,27 @@ class PipelineEvent:
 
 @dataclass
 class Stretch:
-    """Measurements of n consecutive nodes that share one (var, b_keep,
-    nullifier): a kernel tick's (n = 1) or a certified stretch's
-    (:meth:`TemporalPipeline._repeat`), outcomes by ``_draw``.  ``b_keep`` is
+    """Measurements of the ``count`` consecutive nodes from ``first`` that
+    share one (var, b_keep, nullifier): a kernel tick's (count = 1) or a
+    certified stretch's (:meth:`TemporalPipeline._repeat`).  ``b_keep`` is
     on the pinned feedforward convention, each entry +0.0 or var, as
-    :meth:`DiagonalRegister.measure` checked it.  Record j is
+    :meth:`DiagonalRegister.measure` checked it.  ``outcomes`` is None until
+    :meth:`TemporalPipeline.run` ends, which sets it to the stretch's slice
+    of the run's one draw.  Record j is
     ``MeasurementRecord(first + j, 0.0, outcomes[j], -(b_keep * (outcomes[j] / var)))``
     and, past the boundary, its nullifier check is ``(first + j, nullifier)``.
     """
 
     first: int
+    count: int
     var: float
     b_keep: np.ndarray
     nullifier: Optional[float]
-    outcomes: np.ndarray
+    outcomes: Optional[np.ndarray] = None
 
     @property
     def nodes(self) -> range:
-        return range(self.first, self.first + len(self.outcomes))
+        return range(self.first, self.first + self.count)
 
     def record(self, j: int) -> MeasurementRecord:
         outcome = self.outcomes[j]
@@ -181,8 +185,7 @@ class Rows(Sequence):
     def _starts(self) -> np.ndarray:
         """The index of each stretch's first row, then the row count; built
         on the first read by row, which a run's report does not make."""
-        lengths = (len(s.outcomes) for s in self.stretches)
-        return np.fromiter(accumulate(lengths, initial=0), np.int64, len(self.stretches) + 1)
+        return np.cumsum([0, *(s.count for s in self.stretches)], dtype=np.int64)
 
     def __len__(self) -> int:
         return int(self._starts[-1])
@@ -196,7 +199,7 @@ class Rows(Sequence):
 
     def __iter__(self):
         for s in self.stretches:
-            for j in range(len(s.outcomes)):
+            for j in range(s.count):
                 yield self._row(s, j)
 
     def __eq__(self, other) -> bool:
@@ -281,8 +284,10 @@ class TemporalPipeline:
     in ascending label order: one call, the register's ``finalize``, checks
     the register, reads a stream's non-boundary node's nullifier variance
     (a read that writes no entry), then reads the q row, refuses one off the pinned
-    feedforward convention, downdates and clears.  No kernel draws:
-    :meth:`_draw` draws each outcome.
+    feedforward convention, downdates and clears.  No kernel draws, and
+    neither does a tick: once its ticks end, :meth:`run` draws every outcome
+    of a stream in one generator call, so a stream driven by :meth:`tick`
+    alone stores its stretches without outcomes.
     """
 
     def __init__(self, config: PipelineConfig, compared: range = range(0)):
@@ -386,6 +391,13 @@ class TemporalPipeline:
         repeats tick t + 1 one label on, and :meth:`_repeat` moves the
         register there in one step, else a new candidate opens.
 
+        Once its ticks end, a stream draws its N outcomes in one
+        ``standard_normal(N)`` call, the seed's normal stream in node order,
+        and sets each stretch's ``outcomes`` to its slice of them, a view
+        scaled in place by sqrt(var): bitwise the draws one tick or one
+        stretch at a time, since slice-wise draws are bitwise one draw.  A
+        comparison draws nothing.
+
         A stream's steady stretch ends at N; a comparison's at ``stop``,
         the tick before the range's first node reaches the measurement slot
         (or its last emission), and its range stretch at its last emission.
@@ -395,10 +407,10 @@ class TemporalPipeline:
         certifying row and every row it stands for, up to last - 2 reach,
         have all their neighbours and columns in the range: their
         closed-form rows are one another's bit for bit, so each certified
-        row's gap is the certifying row's.  The last candidate of either
-        opens two ticks before its stretch ends.  When they pass, a stream
-        runs kernels on 3 reach + 3 ticks for any N >= 2 reach + 2, and a
-        comparison of first..last on
+        row's gap is the certifying row's, and no row is compared twice.
+        The last candidate of either opens two ticks before its stretch
+        ends.  When they pass, a stream runs kernels on 3 reach + 3 ticks
+        for any N >= 2 reach + 2, and a comparison of first..last on
 
           min(stop, 2 reach + 2) + min(first + 3 reach, last) - stop + 2 reach
 
@@ -424,14 +436,19 @@ class TemporalPipeline:
         lo, hi = self.register.lo, self.register.hi
         if lo <= hi:
             raise RuntimeError(f"schedule left live modes {tuple(range(lo, hi + 1))}")
+        if self.rng is not None:  # a stream
+            z = self.rng.standard_normal(config.n_pulses)
+            for s in self.measured:
+                s.outcomes = z[s.first - 1 : s.first - 1 + s.count]
+                s.outcomes *= math.sqrt(s.var)
         return RunReport(self.config, self.records, self.high_water, self.nullifier_checks)
 
     def _finalize(self, node: int) -> None:
-        # a comparison keeps no record, so it reads no nullifier and draws none
+        # a comparison keeps no record, so it reads no nullifier
         keep = not self.compared
         variance, var, b_keep = self.register.finalize(node, keep and node > self.config.reach)
         if keep:
-            self.measured.append(Stretch(node, var, b_keep, variance, self._draw(1, var)))
+            self.measured.append(Stretch(node, 1, var, b_keep, variance))
 
     def _compare(self, label: int) -> None:
         """Compare the oldest label's row (one checked ``take``) with the closed form's."""
@@ -444,27 +461,16 @@ class TemporalPipeline:
         Tick t + j repeats tick t j labels on: the register moves
         n = stop - t labels on (its ``move``), and if tick t measured a
         node, each repeat measures the next one, stored as one
-        :class:`Stretch`, tick t's with n new outcomes drawn in node order
-        (:meth:`_draw`).
+        :class:`Stretch`: tick t's, from the next node, with count n.  It
+        draws nothing: the run's end draws every outcome.
         """
         self._kept = None  # released before the register moves
         n = stop - t
         self.register.move(n)
         last = self.measured[-1] if self.measured else None
         if last is not None and last.first == t - self.config.delay:
-            outcomes = self._draw(n, last.var)
-            self.measured.append(replace(last, first=last.first + 1, outcomes=outcomes))
+            self.measured.append(replace(last, first=last.first + 1, count=n))
         return stop
-
-    def _draw(self, n: int, var: float) -> np.ndarray:
-        """n outcomes of variance var: the run's next n normal draws, times
-        sqrt(var); scaled in place for a certified stretch, whose n can be
-        10^7, and by the allocating product, the cheaper, for one."""
-        if n == 1:
-            return self.rng.standard_normal(1) * math.sqrt(var)
-        outcomes = self.rng.standard_normal(n)
-        outcomes *= math.sqrt(var)
-        return outcomes
 
     def live_nullifier_variance(self, node: int) -> float:
         """Variance of p_node - sum(q over live graph neighbors).

@@ -23,7 +23,8 @@ row slot s at column s; a mirror row holds it at column s + o, its column
 slot.  So an entry and its mirror sit in the same column of their two rows,
 and the guard ``check`` compares the two halves as contiguous blocks, with
 no gather.  A register of K slots holds a fixed number of diagonals times K
-values whatever K is.  Two reads map slots back to labels: ``entries``
+values whatever K is: at most 8 diagonals on a wire and 18 on a lattice,
+and one zero row, where a dense buffer holds 4 K^2 values.  Two reads map slots back to labels: ``entries``
 lists a window's stored entries as (block, row label, column label, value)
 arrays, which ``window`` scatters into a dense matrix, and ``take`` reads
 the oldest label's rows and columns, which ``compare`` matches, row by row,
@@ -116,6 +117,10 @@ class DiagonalRegister:
     The live window ``lo..hi`` opens at the first emission's label; then
     ``emit`` appends hi + 1, ``measure`` and ``clear`` take lo, and ``move``
     moves it with the data.  ``high_water`` is the most labels it has held.
+
+    Set-up finds each table entry's row through a map of the at most 18
+    stored (block, offset) pairs, so nothing of K entries is built before
+    the diagonals are allocated.
     """
 
     def __init__(self, offsets: Sequence[int], slots: int) -> None:

@@ -557,8 +557,8 @@ def stretch(draw, values, records):
     from ``values``, each b_keep entry +0.0 or var."""
     var = draw(values.filter(lambda v: v > 0) if records else values)
     entries = st.sampled_from([0.0, var]) if records else values
-    outcomes = st.one_of(arrays(values, 1, 1), arrays(values, 0, 5))
-    return Stretch(draw(NODES), var, draw(arrays(entries, 0, 8)), draw(values), draw(outcomes))
+    outcomes = draw(st.one_of(arrays(values, 1, 1), arrays(values, 0, 5)))
+    return Stretch(draw(NODES), len(outcomes), var, draw(arrays(entries, 0, 8)), draw(values), outcomes)
 
 
 def blocks(values, records=False):
@@ -587,7 +587,7 @@ def writer_stretches(draw):
     special = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), FINITE)
     for j, value in draw(st.lists(st.tuples(st.integers(0, n - 1), special), max_size=6)):
         outcomes[j] = value
-    return Stretch(draw(NODES), var, b_keep, None, outcomes)
+    return Stretch(draw(NODES), n, var, b_keep, None, outcomes)
 
 
 def writer_branches(stretch):
@@ -653,7 +653,7 @@ class TestRowWriter:
 
     def test_overflowing_feedforward_is_refused_as_json_dumps_would(self):
         # x / var overflows: the live cell is -inf and the zero column nan
-        stretch = Stretch(7, 5e-324, np.array([5e-324, 0.0]), 0.5, np.array([1.0, 0.0]))
+        stretch = Stretch(7, 2, 5e-324, np.array([5e-324, 0.0]), 0.5, np.array([1.0, 0.0]))
         report = report_of([stretch], [stretch])
         with pytest.raises(ValueError, match="not JSON compliant: -inf"):
             render(report)
@@ -666,7 +666,7 @@ class TestRowWriter:
         ids=["nan-outcome", "inf-outcome", "inf-b-keep", "inf-var", "nan-var"],
     )
     def test_non_finite_stored_value_is_refused_as_json_dumps_would(self, var, b_keep, outcome):
-        stretch = Stretch(7, var, np.array(b_keep), None, np.array([1.0, outcome]))
+        stretch = Stretch(7, 2, var, np.array(b_keep), None, np.array([1.0, outcome]))
         report = report_of([], [stretch])
         with pytest.raises(ValueError, match="not JSON compliant"):
             render(report)

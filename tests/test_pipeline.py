@@ -278,8 +278,7 @@ class TestMemoryBound:
         ids=["wire", "lattice-8"],
     )
     def test_run_grows_by_at_most_32_bytes_per_pulse(self, config):
-        # The certified stretch keeps one float64 outcome per pulse; the
-        # draws for it are a transient array of the same size.
+        # A run keeps one float64 outcome per pulse, from its one draw.
         def peak(n):
             gc.collect()
             tracemalloc.start()
@@ -292,6 +291,20 @@ class TestMemoryBound:
         run_pipeline(config(1_000))  # lazy set-up outside the measured peaks
         growth = (peak(100_000) - peak(1_000)) / (100_000 - 1_000)
         assert growth <= 32
+
+    def test_outcomes_are_one_array_scaled_in_place(self):
+        # 10^6 outcomes are 8 MB; with 10% on top there is no room for a
+        # second N-sized array, not even a transient one.
+        config = lattice_config(10**6, 8, r=db_to_r(10))
+        run_pipeline(lattice_config(1_000, 8, r=db_to_r(10)))  # lazy set-up outside the measured peak
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_pipeline(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.8e6, peak
 
     def test_wide_lattice_register_is_not_dense(self):
         # M = 256: a dense 2K x 2K register (K = 258) is 2.1 MB, and a run
@@ -533,7 +546,7 @@ class TestEquivalence:
 # Blocks of 0 to 4 rows each, the ones of a run (1, or any n) among them.
 BLOCKS = st.lists(
     st.builds(
-        lambda first, n: Stretch(first, 1.0, np.zeros(0), None, np.arange(n, dtype=float)),
+        lambda first, n: Stretch(first, n, 1.0, np.zeros(0), None, np.arange(n, dtype=float)),
         st.integers(-50, 50),
         st.integers(0, 4),
     ),

@@ -74,7 +74,7 @@ def stream_gap(config: PipelineConfig) -> float:
         got = pipe.snapshot()
         if not got.labels:
             continue
-        measured = [rec.node for rec in pipe.records]
+        measured = [node for s in pipe.measured for node in s.nodes]
         graph = delete_nodes(pipeline_interaction_graph(config, min(t, n)), measured)
         traced = [a for a in config.ancilla_labels if a not in got.labels]
         oracle = trace_out(build_canonical_cluster(graph, squeezing), traced)
@@ -220,10 +220,16 @@ def kernel_ticks_of(config: PipelineConfig) -> int:
 
 
 def kernel_run(config: PipelineConfig) -> TemporalPipeline:
-    """Every tick through the kernels: ``tick`` driven tick by tick."""
+    """Every tick through the kernels: ``tick`` driven tick by tick.  A tick
+    draws no outcome, so each measurement's is drawn here as it is stored:
+    the seed's next normal draw, times sqrt(var)."""
     pipe = TemporalPipeline(config)
+    rng = np.random.default_rng(config.seed)
     for t in config.ticks:
+        stored = len(pipe.measured)
         pipe.tick(t)
+        for s in pipe.measured[stored:]:
+            s.outcomes = rng.standard_normal(s.count) * math.sqrt(s.var)
     return pipe
 
 
@@ -849,7 +855,7 @@ def test_every_measurement_of_a_comparison_is_on_the_feedforward_convention(conf
 
     def recorded(self, label, nullifier):
         variance, var, b_keep = finalize(self, label, nullifier)
-        made.append((variance, Stretch(label, var, b_keep, variance, np.zeros(1))))
+        made.append((variance, Stretch(label, 1, var, b_keep, variance)))
         return variance, var, b_keep
 
     monkeypatch.setattr(DiagonalRegister, "finalize", recorded)
@@ -872,6 +878,57 @@ def test_outcomes_are_the_seeds_normal_stream_in_node_order(config):
     for s in stretches:
         want = z[s.first - 1 : s.first - 1 + len(s.outcomes)] * math.sqrt(s.var)
         assert np.array_equal(s.outcomes.view(np.int64), want.view(np.int64)), s.first
+
+
+class LoggedGenerator:
+    """A generator that logs each of its method calls as (name, args, kwargs)."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def logged(*args, **kwargs):
+            self._calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return logged
+
+
+@pytest.fixture
+def generator_calls(monkeypatch):
+    """One list of logged calls per generator built, in the order built."""
+    built, default_rng = [], np.random.default_rng
+
+    def logging_rng(seed):
+        built.append([])
+        return LoggedGenerator(default_rng(seed), built[-1])
+
+    monkeypatch.setattr(np.random, "default_rng", logging_rng)
+    return built
+
+
+# Streams too short to certify (wire N = 1, lattice M = 4 at N = 2M), one
+# with a single tick to repeat (wire N = 5) and certified ones.
+DRAWN = [wire(1, 10), wire(5, 10), wire(2000, 10)] + [
+    PipelineConfig("lattice", n, width=m, squeezing_r=db_to_r(10), seed=1) for m, n in ((4, 8), (8, 1000))
+]
+
+
+@pytest.mark.parametrize("config", DRAWN, ids=[f"{c.topology}-{c.width}-N{c.n_pulses}" for c in DRAWN])
+def test_a_stream_draws_once_when_its_ticks_end_and_a_tick_never(config, generator_calls):
+    pipe = TemporalPipeline(config)
+    for t in config.ticks:
+        pipe.tick(t)
+    assert generator_calls == [[]]
+    assert [s.outcomes for s in pipe.measured] == [None] * len(pipe.measured)
+    report = run_pipeline(config)
+    assert generator_calls == [[], [("standard_normal", (config.n_pulses,), {})]]
+    assert [r.node for r in report.records] == list(range(1, config.n_pulses + 1))
+    # a comparison builds no generator, so it draws nothing
+    equivalence_check(config, (1, config.n_pulses))
+    assert len(generator_calls) == 2
 
 
 @pytest.mark.parametrize("config, nodes", [(CERTIFIED[0], range(0)), COMPARED[-1]], ids=["wire", "lattice-compared"])
