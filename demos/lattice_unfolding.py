@@ -31,11 +31,12 @@ print(f"  interior degree: {graph.degree(2 * M + 1)}")
 # --- graph-level unfolding -------------------------------------------------
 every_mth = [j for j in graph.nodes if j % M == 0]
 reduced = delete_nodes(graph, every_mth)
-result = unfolds_to_grid(reduced, M)
+result = unfolds_to_grid(reduced.nodes, reduced.sorted_edges(), M)
 rows, cols = result.grid_shape
 print(f"\ndeleting every {M}th node {every_mth}:")
 print(f"  unfolds to an ordinary grid: {result.unfolds} ({rows}x{cols})")
-print(f"  e.g. node 5 -> (row, col) = {result.mapping[5]}")
+print(f"  node j -> (row, col) = (j mod {M}, ceil(j / {M})), "
+      f"e.g. node 5 -> {(5 % M, math.ceil(5 / M))}")
 
 # --- state-level deletion --------------------------------------------------
 state = build_canonical_cluster(graph, r)

@@ -26,23 +26,20 @@ from .gaussian import (
 from .graphs import (
     Graph,
     delete_nodes,
+    link_offsets,
     make_graph,
     nullifier_variances,
     sheared_cylinder_graph,
-    square_lattice_graph,
     unfolds_to_grid,
     wire_graph,
 )
 from .canonical import build_canonical_cluster, canonical_covariance
 from .pipeline import (
     PipelineConfig,
-    PipelineEvent,
     RunReport,
     TemporalPipeline,
-    build_schedule,
     equivalence_check,
     run_pipeline,
-    tick_events,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, db_to_r, r_to_db
-from .graphs import delete_nodes, sheared_cylinder_graph, unfolds_to_grid
+from .graphs import link_offsets, links, unfolds_to_grid
 from .pipeline import PipelineConfig, Stretch, equivalence_check, run_pipeline
 
 NULLIFIER_TOL = 1e-9
@@ -180,9 +180,11 @@ def _unfold_report(args) -> dict:
     m, k = args.width, args.cols
     if k < 1:
         raise ValueError("--cols must be at least 1")
-    graph = sheared_cylinder_graph(m * k, m)
-    reduced = delete_nodes(graph, [j for j in graph.nodes if j % m == 0])
-    result = unfolds_to_grid(reduced, m)
+    if m < 2:
+        raise ValueError("cylinder width must be at least 2")
+    # the cylinder, less every m-th node, which a q measurement deletes
+    nodes, edges = np.arange(1, m * k + 1), links(m * k, link_offsets("lattice", m))
+    result = unfolds_to_grid(nodes[nodes % m != 0], edges[(edges % m != 0).all(axis=1)], m)
     grid = f"{m - 1}x{k}" if result.unfolds else None
     return {
         "config": {"width": m, "cols": k},

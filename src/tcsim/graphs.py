@@ -8,15 +8,12 @@ ordinary square lattice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gaussian import GaussianState, nullifier_slot
-
-Edge = FrozenSet
 
 
 @dataclass(frozen=True)
@@ -76,11 +73,22 @@ def make_graph(nodes: Iterable, edges: Iterable) -> Graph:
     return Graph(nodes, edges)  # Graph.__post_init__ normalizes both
 
 
+def link_offsets(topology: str, width: int = 0) -> Tuple[int, ...]:
+    """The topology rule: pulse t is CZ-linked to t - d for each offset d."""
+    return (1, width) if topology == "lattice" else (1,)
+
+
+def links(n: int, offsets: Sequence[int]) -> np.ndarray:
+    """The links t - d -> t among labels 1..n, as (E, 2) int64 rows (t - d, t)."""
+    t = np.arange(1, n + 1, dtype=np.int64)
+    return np.concatenate([np.stack([t[d:] - d, t[d:]], axis=1) for d in offsets])
+
+
 def wire_graph(n: int) -> Graph:
     """Path graph on nodes 1..n (a quantum wire)."""
     if n < 1:
         raise ValueError("wire needs at least one node")
-    return make_graph(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
+    return make_graph(range(1, n + 1), links(n, link_offsets("wire")).tolist())
 
 
 def sheared_cylinder_graph(n: int, m: int) -> Graph:
@@ -92,24 +100,7 @@ def sheared_cylinder_graph(n: int, m: int) -> Graph:
         raise ValueError("cylinder width must be at least 2")
     if n < m:
         raise ValueError("need at least m nodes")
-    edges = [(i, i + 1) for i in range(1, n)]
-    edges += [(i, i + m) for i in range(1, n - m + 1)]
-    return make_graph(range(1, n + 1), edges)
-
-
-def square_lattice_graph(rows: int, cols: int) -> Graph:
-    """Grid graph with (row, col) labels, 1-based."""
-    if rows < 1 or cols < 1:
-        raise ValueError("grid dimensions must be positive")
-    nodes = [(r, c) for c in range(1, cols + 1) for r in range(1, rows + 1)]
-    edges = []
-    for r in range(1, rows + 1):
-        for c in range(1, cols + 1):
-            if r < rows:
-                edges.append(((r, c), (r + 1, c)))
-            if c < cols:
-                edges.append(((r, c), (r, c + 1)))
-    return make_graph(nodes, edges)
+    return make_graph(range(1, n + 1), links(n, link_offsets("lattice", m)).tolist())
 
 
 def delete_nodes(graph: Graph, targets: Iterable) -> Graph:
@@ -150,30 +141,46 @@ class UnfoldResult:
     """Outcome of the sheared-cylinder -> square-lattice unfolding check."""
 
     unfolds: bool
-    mapping: Optional[Dict] = None  # node -> (row, col) when unfolds
     grid_shape: Optional[Tuple[int, int]] = None
     offending_edge: Optional[tuple] = None
 
 
-def unfolds_to_grid(graph: Graph, m: int) -> UnfoldResult:
+def unfolds_to_grid(nodes, edges, m: int) -> UnfoldResult:
     """Check that a cylinder with every m-th node deleted is an (m-1)-row grid.
 
-    Surviving node j maps to row = j mod m, col = ceil(j / m); verification is
-    exact edge-set equality against :func:`square_lattice_graph` under this
-    relabeling, not a general isomorphism search.  An undeleted m-th node
-    lands in row 0, outside the grid.  On mismatch the first edge of the
-    symmetric difference is reported, in (row, col) grid coordinates.
+    ``nodes`` are distinct integer labels and ``edges`` distinct (u, v) pairs
+    of them, such as a Graph's ``g.nodes, g.sorted_edges()``.  Node j maps to
+    row = j mod m, col = ceil(j / m); verification is exact set equality with
+    the grid's nodes and edges, as sorted integer keys, not a general
+    isomorphism search.  An undeleted m-th node lands in row 0, outside the
+    grid.  On mismatch the first edge of the symmetric difference is
+    reported, in (row, col) order.
     """
     if m < 2:
         raise ValueError("width must be at least 2")
-    if not graph.nodes:
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if not nodes.size:
         return UnfoldResult(False)
-    mapping = {j: (j % m, math.ceil(j / m)) for j in graph.nodes}
-    k = max(col for _, col in mapping.values())
-    expected = square_lattice_graph(m - 1, k)
-    mapped_edges = {frozenset((mapping[u], mapping[v])) for u, v in graph.sorted_edges()}
-    if set(mapping.values()) == set(expected.nodes) and mapped_edges == expected.edges:
-        return UnfoldResult(True, mapping=mapping, grid_shape=(m - 1, k))
-    offending = min((tuple(sorted(e)) for e in mapped_edges ^ expected.edges), default=None)
-    return UnfoldResult(False, offending_edge=offending)
+    # point (row, col) has key row * span + col - lo, ascending in (row, col)
+    # order, and edge (p, q), p < q, has key p * points + q
+    k, lo = int(-(-nodes.max() // m)), min(int(-(-nodes.min() // m)), 1)
+    span = k - lo + 1
+    points = m * span
+    if points * points > np.iinfo(np.int64).max:
+        raise ValueError(f"a grid of {m} x {span} points is too large for int64 edge keys")
 
+    def key(j):
+        return j % m * span + (-(-j // m) - lo)
+
+    grid = (np.arange(1, m)[:, None] * span + np.arange(1 - lo, k + 1 - lo)).ravel()
+    right, down = grid[grid % span < k - lo], grid[grid < (m - 1) * span]
+    grid_edges = np.sort(np.concatenate([right * (points + 1) + 1, down * (points + 1) + span]))
+    u, v = key(np.asarray(edges, dtype=np.int64).reshape(-1, 2)).T
+    mapped_edges = np.sort(np.minimum(u, v) * points + np.maximum(u, v))
+    if np.array_equal(np.sort(key(nodes)), grid) and np.array_equal(mapped_edges, grid_edges):
+        return UnfoldResult(True, grid_shape=(m - 1, k))
+    diff = np.setxor1d(mapped_edges, grid_edges, assume_unique=True)
+    if not diff.size:
+        return UnfoldResult(False)
+    ends = divmod(int(diff[0]), points)
+    return UnfoldResult(False, offending_edge=tuple((p // span, p % span + lo) for p in ends))

@@ -30,15 +30,13 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-# build_canonical_cluster is bound here, though no run calls it, because the
-# benchmark's tracer wraps it by this name, as it wraps build_schedule,
-# TemporalPipeline.execute and TemporalPipeline.live_nullifier_variance,
-# which no run calls either: run drives tick, and the register's finalize
-# reads the nullifier.  They go when the tracer is updated (ROADMAP items 2
-# and 9).
+# build_canonical_cluster and make_graph are bound here, and build_schedule,
+# TemporalPipeline.execute and TemporalPipeline.live_nullifier_variance kept,
+# though no run calls them, because the benchmark's tracer wraps them by these
+# names.  They go when the tracer is updated (ROADMAP items 2 and 9).
 from .canonical import build_canonical_cluster, canonical_entries, squeezed_variances
 from .gaussian import GaussianState, MeasurementRecord
-from .graphs import Graph, make_graph
+from .graphs import link_offsets, make_graph
 from .register import DiagonalRegister, row_keys
 
 
@@ -91,8 +89,8 @@ class PipelineConfig:
 
     @cached_property
     def offsets(self) -> Tuple[int, ...]:
-        """The topology rule: pulse t is CZ-linked to t - d for each offset d."""
-        return (1, self.width) if self.topology == "lattice" else (1,)
+        """The topology rule, :func:`~tcsim.graphs.link_offsets`."""
+        return link_offsets(self.topology, self.width)
 
     @cached_property
     def reach(self) -> int:
@@ -486,16 +484,6 @@ class TemporalPipeline:
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Build and execute one streaming run."""
     return TemporalPipeline(config).run()
-
-
-def pipeline_interaction_graph(config: PipelineConfig, up_to: int) -> Graph:
-    """Graph of all CZ links the pipeline applies among pulses 1..up_to.
-
-    Includes the vacuum ancillas (labels <= 0) that contaminate the boundary.
-    """
-    nodes = list(config.ancilla_labels) + list(range(1, up_to + 1))
-    edges = [(t - d, t) for t in range(1, up_to + 1) for d in config.offsets]
-    return make_graph(nodes, edges)
 
 
 def range_oracle(

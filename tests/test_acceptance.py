@@ -165,7 +165,7 @@ def test_criterion_5_deletion_and_unfolding():
         for k in range(1, 9):
             graph = sheared_cylinder_graph(m * k, m)
             reduced = delete_nodes(graph, [j for j in graph.nodes if j % m == 0])
-            result = unfolds_to_grid(reduced, m)
+            result = unfolds_to_grid(reduced.nodes, reduced.sorted_edges(), m)
             unfold_ok = unfold_ok and result.unfolds and result.grid_shape == (m - 1, k)
 
     m, k, r = 4, 4, 1.0

@@ -16,6 +16,7 @@ import tcsim.cli
 import tcsim.register
 from tcsim.cli import NULLIFIER_TOL, _check, _config_dict, _config_from_args, build_parser, main
 from tcsim.gaussian import VACUUM_VARIANCE, db_to_r
+from tcsim.graphs import link_offsets, links
 from tcsim.pipeline import Rows, Stretch, run_pipeline
 
 from register_faults import weighted_cz
@@ -177,12 +178,31 @@ class TestUnfoldCommand:
         assert report["grid"] == "3x4"
 
     def test_undeleted_stripe_fails_the_check(self, tmp_path, monkeypatch):
-        # Without the q deletions every 4th node stays and lands in row 0.
-        monkeypatch.setattr(tcsim.cli, "delete_nodes", lambda graph, targets: graph)
+        # Without the q deletions every 4th node stays and lands in row 0:
+        # the check is handed the whole 16-node cylinder instead.
+        check = tcsim.cli.unfolds_to_grid
+
+        def undeleted(nodes, edges, m):
+            return check(np.arange(1, 17), links(16, link_offsets("lattice", m)), m)
+
+        monkeypatch.setattr(tcsim.cli, "unfolds_to_grid", undeleted)
         code, report = run_json(["unfold", "--width", "4", "--cols", "4"], tmp_path)
         assert code == 1
         assert report["unfolds"] is False
         assert report["checks"][0]["value"] == "offending edge ((0, 1), (0, 2))"
+
+    def test_unfold_1000_x_100_peaks_under_40_mb_traced(self, tmp_path):
+        # 10^5 cylinder nodes as int64 arrays, with no Graph built
+        out = str(tmp_path / "r.json")
+        assert main(["unfold", "--width", "3", "--cols", "2", "--out", out]) == 0  # lazy set-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["unfold", "--width", "1000", "--cols", "100", "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6, peak
 
 
 class TestReportFlags:
@@ -362,6 +382,24 @@ class TestErrors:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
 
+    def test_unallocatable_unfolding_returns_2(self):
+        # In a subprocess capped at 1 GiB of address space: the cylinder's
+        # 10^11 node labels (745 GiB of int64) fail at their first array,
+        # one error line, with no traceback.
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from tcsim.cli import main\n"
+            "sys.exit(main(['unfold', '--width', '100000', '--cols', '1000000']))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize(
         "command",
         [
@@ -419,8 +457,9 @@ class TestErrors:
             (["compare", "--topology", "wire", "--nodes", "40", "--range", "30..41"],
              "node range 30..41: need 1 <= first <= last <= 40"),
             (["unfold", "--width", "3", "--cols", "0"], "--cols must be at least 1"),
+            (["unfold", "--width", "1", "--cols", "4"], "cylinder width must be at least 2"),
         ],
-        ids=["range-reversed", "range-below-1", "range-past-n", "no-cols"],
+        ids=["range-reversed", "range-below-1", "range-past-n", "no-cols", "width-1"],
     )
     def test_bad_range_or_cols_states_the_rule(self, argv, message, capsys):
         assert main(argv) == 2

@@ -9,9 +9,10 @@ from tcsim.graphs import (
     Graph,
     delete_nodes,
     make_graph,
+    link_offsets,
+    links,
     nullifier_variances,
     sheared_cylinder_graph,
-    square_lattice_graph,
     unfolds_to_grid,
     wire_graph,
 )
@@ -60,24 +61,18 @@ class TestShearedCylinder:
             sheared_cylinder_graph(3, 4)
 
 
-class TestSquareLattice:
-    def test_2x2(self):
-        assert len(square_lattice_graph(2, 2).edges) == 4
+class TestLinks:
+    def test_wire_links(self):
+        assert links(4, link_offsets("wire")).tolist() == [[1, 2], [2, 3], [3, 4]]
 
-    def test_1xk_is_wire(self):
-        g = square_lattice_graph(1, 6)
-        w = wire_graph(6)
-        mapping = {(1, c): c for c in range(1, 7)}
-        mapped = {frozenset((mapping[u], mapping[v])) for u, v in g.sorted_edges()}
-        assert mapped == w.edges
+    def test_lattice_links_offset_by_offset(self):
+        assert links(5, link_offsets("lattice", 3)).tolist() == [
+            [1, 2], [2, 3], [3, 4], [4, 5], [1, 4], [2, 5]
+        ]
 
-    def test_3x4_edge_count(self):
-        # rows*(cols-1) + cols*(rows-1)
-        assert len(square_lattice_graph(3, 4).edges) == 2 * 4 + 3 * 3
-
-    def test_zero_dimension(self):
-        with pytest.raises(ValueError):
-            square_lattice_graph(0, 3)
+    def test_offset_past_the_labels_adds_no_link(self):
+        assert links(3, (1, 4)).tolist() == [[1, 2], [2, 3]]
+        assert links(1, (1,)).shape == (0, 2)
 
 
 class TestGraphValidation:
@@ -158,52 +153,101 @@ class TestDeleteNodes:
         assert delete_nodes(delete_nodes(g, s), t - s) == delete_nodes(g, s | t)
 
 
+def every_mth_deleted(m, k):
+    g = sheared_cylinder_graph(m * k, m)
+    return delete_nodes(g, [j for j in g.nodes if j % m == 0])
+
+
+def reference_unfolding(graph, m):
+    """The check on sets of (row, col) points, with no integer key: whether
+    the relabeled graph is the (m - 1) x k grid, and if not the smallest
+    edge of the symmetric difference."""
+    point = {j: (j % m, -(-j // m)) for j in graph.nodes}
+    k = max(col for _, col in point.values())
+    grid = {(r, c) for r in range(1, m) for c in range(1, k + 1)}
+    grid_edges = {frozenset({(r, c), (r + 1, c)}) for r, c in grid if r < m - 1}
+    grid_edges |= {frozenset({(r, c), (r, c + 1)}) for r, c in grid if c < k}
+    mapped = {frozenset({point[u], point[v]}) for u, v in graph.sorted_edges()}
+    if set(point.values()) == grid and mapped == grid_edges:
+        return True, None
+    return False, min((tuple(sorted(e)) for e in mapped ^ grid_edges), default=None)
+
+
 class TestUnfolding:
     @pytest.mark.parametrize("m,k", [(4, 4), (4, 2)])
     def test_paper_cases(self, m, k):
-        g = sheared_cylinder_graph(m * k, m)
-        reduced = delete_nodes(g, [j for j in g.nodes if j % m == 0])
-        result = unfolds_to_grid(reduced, m)
+        reduced = every_mth_deleted(m, k)
+        result = unfolds_to_grid(reduced.nodes, reduced.sorted_edges(), m)
         assert result.unfolds
         assert result.grid_shape == (m - 1, k)
 
-    def test_mapping_is_explicit_grid_relabeling(self):
+    @pytest.mark.parametrize(
+        "node, edge",
+        [(1, ((1, 1), (1, 2))), (5, ((1, 1), (1, 2))), (3, ((2, 1), (3, 1)))],
+        ids=["node-1", "node-m+1", "node-m-1"],
+    )
+    def test_offending_edge_is_in_grid_coordinates(self, node, edge):
+        # node j is grid point (j mod m, ceil(j / m)): deleting node 1
+        # (1, 1), m + 1 (1, 2) or m - 1 (3, 1) loses the grid's first edge at it
         m, k = 4, 3
-        g = sheared_cylinder_graph(m * k, m)
-        reduced = delete_nodes(g, [j for j in g.nodes if j % m == 0])
-        result = unfolds_to_grid(reduced, m)
-        assert result.mapping[1] == (1, 1)
-        assert result.mapping[m + 1] == (1, 2)
-        assert result.mapping[m - 1] == (m - 1, 1)
+        g = delete_nodes(every_mth_deleted(m, k), [node])
+        result = unfolds_to_grid(g.nodes, g.sorted_edges(), m)
+        assert not result.unfolds
+        assert result.offending_edge == edge
 
     def test_undeleted_cylinder_fails(self):
         # the undeleted m-th nodes 4, 8, ... land in row 0, outside the grid
         g = sheared_cylinder_graph(16, 4)
-        result = unfolds_to_grid(g, 4)
+        result = unfolds_to_grid(g.nodes, g.sorted_edges(), 4)
         assert not result.unfolds
         assert result.offending_edge == ((0, 1), (0, 2))
+        assert all(type(x) is int for point in result.offending_edge for x in point)
 
     def test_extra_deleted_node_fails(self):
         m, k = 4, 4
-        g = sheared_cylinder_graph(m * k, m)
-        reduced = delete_nodes(g, [j for j in g.nodes if j % m == 0] + [6])
-        result = unfolds_to_grid(reduced, m)
+        g = delete_nodes(every_mth_deleted(m, k), [6])
+        result = unfolds_to_grid(g.nodes, g.sorted_edges(), m)
         assert not result.unfolds
-        assert result.mapping is None
+        assert result.grid_shape is None
         # node 6 was grid point (2, 2); the smallest missing edge joins it to (1, 2)
         assert result.offending_edge == ((1, 2), (2, 2))
 
+    def test_arrays_and_graph_agree(self):
+        m, k = 5, 3
+        g = every_mth_deleted(m, k)
+        edges = np.array(g.sorted_edges())
+        assert unfolds_to_grid(np.array(g.nodes), edges[:, ::-1], m) == unfolds_to_grid(
+            g.nodes, g.sorted_edges(), m
+        )
+
     def test_width_below_two_rejected(self):
+        g = wire_graph(4)
         with pytest.raises(ValueError, match="at least 2"):
-            unfolds_to_grid(wire_graph(4), 1)
+            unfolds_to_grid(g.nodes, g.sorted_edges(), 1)
 
     def test_empty_graph_does_not_unfold(self):
-        assert unfolds_to_grid(make_graph([], []), 3).unfolds is False
+        assert unfolds_to_grid([], [], 3).unfolds is False
 
     def test_all_small_cases(self):
         for m in range(2, 7):
             for k in range(1, 9):
-                g = sheared_cylinder_graph(m * k, m)
-                reduced = delete_nodes(g, [j for j in g.nodes if j % m == 0])
-                assert unfolds_to_grid(reduced, m).unfolds, (m, k)
+                reduced = every_mth_deleted(m, k)
+                assert unfolds_to_grid(reduced.nodes, reduced.sorted_edges(), m).unfolds, (m, k)
 
+    @given(
+        m=st.integers(2, 5),
+        k=st.integers(1, 5),
+        kept=st.sets(st.integers(1, 25)),
+        deleted=st.sets(st.integers(1, 25)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_keys_agree_with_point_sets(self, m, k, kept, deleted):
+        # any stripe left undeleted and any extra node deleted
+        g = sheared_cylinder_graph(m * k, m)
+        targets = {j for j in g.nodes if j % m == 0 and j not in kept} | (deleted & set(g.nodes))
+        g = delete_nodes(g, targets)
+        result = unfolds_to_grid(g.nodes, g.sorted_edges(), m)
+        if not g.nodes:
+            assert result.unfolds is False
+            return
+        assert (result.unfolds, result.offending_edge) == reference_unfolding(g, m)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcsim import graphs
+from tcsim.cli import main
 from tcsim.gaussian import db_to_r, states_equal, vacuum_state
 from tcsim.graphs import sheared_cylinder_graph, wire_graph
 from tcsim.pipeline import (
@@ -20,12 +22,13 @@ from tcsim.pipeline import (
     TemporalPipeline,
     build_schedule,
     equivalence_check,
-    pipeline_interaction_graph,
     range_oracle,
     run_pipeline,
     tick_events,
 )
 from tcsim.register import DiagonalRegister
+
+from interaction_graph import pipeline_interaction_graph
 
 
 def wire_config(n, r=1.0, seed=0, **kw):
@@ -227,6 +230,26 @@ class TestTopologyRule:
             assert partners[node] == expected
             assert {nb for nb in interaction.neighbors(node) if nb >= 1} == expected
         assert {e.kind for e in events} == {"emit", "cz", "measure", "trace"}
+
+
+    def test_one_statement_of_the_rule(self, tmp_path, monkeypatch):
+        # Patched to link a lattice's pulses 1 and M + 1 apart, the one
+        # definition changes the run's offsets, the graph builder and the
+        # unfolding check alike, and the cylinder no longer unfolds.
+        def argv():
+            return ["unfold", "--width", "4", "--cols", "4", "--out", str(tmp_path / "r.json")]
+
+        assert lattice_config(16, 4).offsets == (1, 4)
+        assert sheared_cylinder_graph(16, 4).neighbors(1) == {2, 5}
+        assert main(argv()) == 0
+
+        def skewed(topology, width=0):
+            return (1, width + 1) if topology == "lattice" else (1,)
+
+        monkeypatch.setattr(graphs.link_offsets, "__code__", skewed.__code__)
+        assert PipelineConfig("lattice", 16, width=4).offsets == (1, 5)
+        assert sheared_cylinder_graph(16, 4).neighbors(1) == {2, 6}
+        assert main(argv()) == 1
 
 
 class TestVerifyMode:

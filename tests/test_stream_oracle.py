@@ -33,12 +33,13 @@ from tcsim.pipeline import (
     Stretch,
     TemporalPipeline,
     equivalence_check,
-    pipeline_interaction_graph,
     range_oracle,
     run_pipeline,
     tick_events,
 )
 from tcsim.register import DiagonalRegister
+
+from interaction_graph import pipeline_interaction_graph
 
 from dense_entries import assert_lists_every_nonzero_entry, dense
 from register_faults import weighted_cz
